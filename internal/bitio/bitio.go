@@ -85,8 +85,18 @@ func (w *Writer) WriteBits(v uint64, width int) error {
 	if width < 64 && v>>uint(width) != 0 {
 		return fmt.Errorf("%w: value %d, width %d", ErrValueRange, v, width)
 	}
-	for i := width - 1; i >= 0; i-- {
-		w.WriteBit(v&(1<<uint(i)) != 0)
+	// Fill the partial last byte, then whole bytes, MSB-first; each step
+	// moves the take highest of the width bits still to write.
+	for width > 0 {
+		off := w.nbit % 8
+		if off == 0 {
+			w.buf = append(w.buf, 0)
+		}
+		take := min(8-off, width)
+		chunk := v >> uint(width-take) & (1<<uint(take) - 1)
+		w.buf[len(w.buf)-1] |= byte(chunk << uint(8-off-take))
+		width -= take
+		w.nbit += take
 	}
 	return nil
 }

@@ -56,6 +56,11 @@ func TestHTTPReplicationEndToEnd(t *testing.T) {
 	if err := p.SetLinkDown(edges[1][0], edges[1][1], true); err != nil {
 		t.Fatal(err)
 	}
+	// The link event schedules a background repair rebuild whose publish
+	// record could land between the sync and the convergence check.
+	if err := p.Repairer().Flush(); err != nil {
+		t.Fatal(err)
+	}
 	syncOK(t, r)
 	requireConverged(t, p, r)
 	if _, resyncs, _ := r.Stats(); resyncs != 0 {

@@ -143,23 +143,30 @@ func (p *Ports) NeighborsByPort(u int) []int {
 
 // Validate checks the assignment is consistent with g: every port leads to a
 // distinct true neighbour and every neighbour is behind exactly one port.
+// Duplicates are found with one bitset over the labels, reused across nodes
+// and cleared word by word after each, so the check is O(n·words + m).
 func (p *Ports) Validate(g *Graph) error {
 	if p.n != g.N() {
 		return fmt.Errorf("graph: port table for n=%d used with n=%d", p.n, g.N())
 	}
+	seen := make([]uint64, g.Words())
 	for u := 1; u <= g.N(); u++ {
-		if len(p.toNeighbor[u]) != g.Degree(u) {
-			return fmt.Errorf("graph: node %d has %d ports, degree %d", u, len(p.toNeighbor[u]), g.Degree(u))
+		row := p.toNeighbor[u]
+		if len(row) != g.Degree(u) {
+			return fmt.Errorf("graph: node %d has %d ports, degree %d", u, len(row), g.Degree(u))
 		}
-		seen := make(map[int]bool, len(p.toNeighbor[u]))
-		for i, v := range p.toNeighbor[u] {
+		for i, v := range row {
 			if !g.HasEdge(u, v) {
 				return fmt.Errorf("graph: port %d of %d leads to non-neighbour %d", i+1, u, v)
 			}
-			if seen[v] {
+			bit := uint64(1) << uint((v-1)%64)
+			if seen[(v-1)/64]&bit != 0 {
 				return fmt.Errorf("graph: neighbour %d behind two ports of %d", v, u)
 			}
-			seen[v] = true
+			seen[(v-1)/64] |= bit
+		}
+		for _, v := range row {
+			seen[(v-1)/64] = 0
 		}
 	}
 	return nil

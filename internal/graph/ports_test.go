@@ -168,3 +168,45 @@ func TestValidateDetectsMismatch(t *testing.T) {
 		t.Fatal("Validate accepted stale port table")
 	}
 }
+
+// TestValidateErrorBranches pins each rejection Validate can report, with
+// its message: a port count that disagrees with the degree, a port leading
+// to a non-neighbour, and one neighbour behind two ports.
+func TestValidateErrorBranches(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(t *testing.T, g *Graph, p *Ports)
+		want   string
+	}{
+		{"port count", func(t *testing.T, g *Graph, _ *Ports) {
+			if err := g.AddEdge(1, 3); err != nil {
+				t.Fatal(err)
+			}
+		}, "graph: node 1 has 2 ports, degree 3"},
+		{"non-neighbour", func(t *testing.T, g *Graph, _ *Ports) {
+			if err := g.RemoveEdge(1, 2); err != nil {
+				t.Fatal(err)
+			}
+			if err := g.AddEdge(1, 3); err != nil {
+				t.Fatal(err)
+			}
+		}, "graph: port 1 of 1 leads to non-neighbour 2"},
+		{"two ports", func(_ *testing.T, _ *Graph, p *Ports) {
+			p.toNeighbor[3] = []int{2, 2}
+		}, "graph: neighbour 2 behind two ports of 3"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g := ring(t, 4)
+			p := SortedPorts(g)
+			if err := p.Validate(g); err != nil {
+				t.Fatalf("fresh ports rejected: %v", err)
+			}
+			tc.mutate(t, g, p)
+			err := p.Validate(g)
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("Validate = %v, want %q", err, tc.want)
+			}
+		})
+	}
+}

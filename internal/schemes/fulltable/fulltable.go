@@ -10,6 +10,7 @@ package fulltable
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"routetab/internal/bitio"
 	"routetab/internal/graph"
@@ -41,8 +42,11 @@ var _ routing.Scheme = (*Scheme)(nil)
 
 // Build constructs the table from per-source BFS trees, using the given port
 // assignment verbatim (it never re-assigns ports, hence IA-compatibility).
-// The per-source trees are independent, so construction fans out over a
-// bounded worker pool; every worker writes only its own source's slots.
+// Entry (u, v) is the port of the smallest-labelled neighbour of u on a
+// shortest u→v path (shortestpath.FirstHopRow), so the table depends on the
+// graph and the port assignment alone. The per-source rows are independent,
+// so construction fans out over a bounded worker pool; every worker writes
+// only its own source's slots.
 func Build(g *graph.Graph, ports *graph.Ports) (*Scheme, error) {
 	if err := ports.Validate(g); err != nil {
 		return nil, fmt.Errorf("fulltable: %w", err)
@@ -57,27 +61,29 @@ func Build(g *graph.Graph, ports *graph.Ports) (*Scheme, error) {
 	g.Neighbors(1) // one up-front rebuild instead of n racing (safe) rebuilds
 	err := par.ForEach(n, func(i int) error {
 		u := i + 1
-		res, err := shortestpath.BFS(g, u)
-		if err != nil {
+		sc := scratchPool.Get().(*scratch)
+		defer scratchPool.Put(sc)
+		sc.reset(n)
+		if err := shortestpath.FirstHopRow(g, u, sc.hop); err != nil {
 			return err
+		}
+		for p := 1; p <= ports.Degree(u); p++ {
+			w, err := ports.Neighbor(u, p)
+			if err != nil {
+				return err
+			}
+			sc.port[w] = uint16(p)
 		}
 		row := make([]uint16, n+1)
 		for v := 1; v <= n; v++ {
 			if v == u {
 				continue
 			}
-			if res.Dist[v] == shortestpath.Unreachable {
+			h := sc.hop[v]
+			if h == 0 {
 				return fmt.Errorf("%w: no path %d→%d", ErrDisconnected, u, v)
 			}
-			w := v
-			for res.Parent[w] != u {
-				w = res.Parent[w]
-			}
-			port, err := ports.PortTo(u, w)
-			if err != nil {
-				return err
-			}
-			row[v] = uint16(port)
+			row[v] = sc.port[h]
 		}
 		s.table[u] = row
 		s.width[u] = bitio.CeilLogPlus1(g.Degree(u))
@@ -92,6 +98,27 @@ func Build(g *graph.Graph, ports *graph.Ports) (*Scheme, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// scratch is one source's working space in Build: its first-hop row and
+// the dense inverse of its port table (port[w] is the port of u leading to
+// neighbour w). Pooled, since Build needs n of them.
+type scratch struct {
+	hop  []int32
+	port []uint16
+}
+
+var scratchPool = sync.Pool{New: func() any { return &scratch{} }}
+
+func (sc *scratch) reset(n int) {
+	if cap(sc.hop) < n+1 {
+		sc.hop = make([]int32, n+1)
+		sc.port = make([]uint16, n+1)
+		return
+	}
+	sc.hop = sc.hop[:n+1]
+	sc.port = sc.port[:n+1]
+	clear(sc.port)
 }
 
 // encodeRow packs the n−1 port entries (skipping the diagonal) at fixed

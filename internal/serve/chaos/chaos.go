@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -515,6 +516,19 @@ func (h *harness) drive(phases []phase) (*Report, error) {
 	halt := func() { once.Do(func() { close(stop) }) }
 
 	var issued atomic.Uint64
+	// Phase k fires once answered lookups pass milestone(k). gate is the
+	// milestone of the next phase not yet fired: workers hold there until
+	// the controller fires it, so each phase starts at its milestone however
+	// late the controller goroutine is scheduled.
+	total := len(phases)
+	milestone := func(k int) uint64 {
+		if k >= total {
+			return math.MaxUint64
+		}
+		return cfg.Lookups * uint64(k+1) / uint64(total+1)
+	}
+	var gate atomic.Uint64
+	gate.Store(milestone(0))
 	start := time.Now()
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Workers; w++ {
@@ -530,6 +544,10 @@ func (h *harness) drive(phases []phase) (*Report, error) {
 				case <-stop:
 					return
 				default:
+				}
+				if h.answered.Load() >= gate.Load() {
+					time.Sleep(20 * time.Microsecond)
+					continue
 				}
 				if issued.Add(uint64(cfg.BatchSize)) > cfg.Lookups {
 					halt()
@@ -573,10 +591,9 @@ func (h *harness) drive(phases []phase) (*Report, error) {
 	ctlWG.Add(1)
 	go func() {
 		defer ctlWG.Done()
-		total := len(phases)
+		defer gate.Store(math.MaxUint64) // a failed phase must not park the workers
 		for k, ph := range phases {
-			threshold := cfg.Lookups * uint64(k+1) / uint64(total+1)
-			for h.answered.Load() < threshold {
+			for h.answered.Load() < milestone(k) {
 				select {
 				case <-stop:
 					// Workers hit the target early (or failed): run the
@@ -587,6 +604,7 @@ func (h *harness) drive(phases []phase) (*Report, error) {
 				}
 				break
 			}
+			gate.Store(milestone(k + 1))
 			if err := ph.run(); err != nil {
 				select {
 				case ctlErr <- fmt.Errorf("chaos phase %q: %w", ph.name, err):

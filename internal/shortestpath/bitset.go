@@ -7,11 +7,13 @@ import (
 	"routetab/internal/graph"
 )
 
-// bitsetScratch holds the three per-BFS frontier bitsets. AllPairs runs one
-// BFS per source over a worker pool, so the scratch is pooled instead of
-// reallocated n times.
+// bitsetScratch holds the three per-BFS frontier bitsets, plus the node
+// queues of the first-hop kernels (firsthop.go). AllPairs and fulltable
+// construction run one BFS per source over a worker pool, so the scratch is
+// pooled instead of reallocated n times.
 type bitsetScratch struct {
 	visited, frontier, next []uint64
+	cur, queue              []int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return &bitsetScratch{} }}

@@ -312,3 +312,77 @@ func TestCacheConcurrentSingleFlight(t *testing.T) {
 		}
 	}
 }
+
+// TestFirstHopKernelsDifferential forces each first-hop kernel on the
+// differential corpus, plus a dense graph with a long tail (bitset kernel,
+// many levels), and checks they agree entry for entry and with the
+// definition: the smallest neighbour w of src with d(w,v) = d(src,v) − 1,
+// and 0 on the diagonal and for unreachable v.
+func TestFirstHopKernelsDifferential(t *testing.T) {
+	corpus := diffGraphs(t)
+	lollipop, err := gengraph.Complete(40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := graph.MustNew(80)
+	for _, e := range lollipop.Edges() {
+		if err := tail.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for u := 40; u < 80; u++ {
+		if err := tail.AddEdge(u, u+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	corpus["lollipop80"] = tail
+	for name, g := range corpus {
+		t.Run(name, func(t *testing.T) {
+			dm, err := AllPairs(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := g.N()
+			byList := make([]int32, n+1)
+			byBitset := make([]int32, n+1)
+			for src := 1; src <= n; src++ {
+				listFirstHops(g, src, byList)
+				bitsetFirstHops(g, src, byBitset)
+				for v := 1; v <= n; v++ {
+					want := int32(0)
+					if d := dm.Dist(src, v); v != src && d != Unreachable {
+						for _, w := range g.Neighbors(src) {
+							if dm.Dist(w, v) == d-1 {
+								want = int32(w)
+								break
+							}
+						}
+					}
+					if byList[v] != want || byBitset[v] != want {
+						t.Fatalf("first hop %d→%d: list %d, bitset %d, want %d", src, v, byList[v], byBitset[v], want)
+					}
+				}
+			}
+		})
+	}
+}
+
+func TestFirstHopRowValidation(t *testing.T) {
+	g, err := gengraph.Chain(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := FirstHopRow(g, 0, make([]int32, 5)); !errors.Is(err, ErrNodeRange) {
+		t.Errorf("source 0: err = %v, want ErrNodeRange", err)
+	}
+	if err := FirstHopRow(g, 1, make([]int32, 4)); err == nil {
+		t.Error("short row accepted")
+	}
+	hop := []int32{7, 7, 7, 7, 7}
+	if err := FirstHopRow(g, 2, hop); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int32{0, 1, 0, 3, 3}; fmt.Sprint(hop) != fmt.Sprint(want) {
+		t.Errorf("FirstHopRow(chain4, 2) = %v, want %v", hop, want)
+	}
+}
