@@ -525,6 +525,9 @@ func (h *clusterHarness) settle(deadline time.Duration) {
 			if h.sources[i].gate.down.Load() {
 				continue
 			}
+			if h.promoted && i == 0 {
+				continue // replica 0 is the primary now
+			}
 			if r.Digest() != pd {
 				ok = false
 				break
