@@ -79,11 +79,12 @@ chaos:
 	$(GO) run ./cmd/routetabd -chaos -n 48 -seed 1 -lookups 60000 \
 		-workers 4 -chaos-stalls 2 -chaos-drops 2 -chaos-bursts 5 -chaos-kills 1
 
-# Seconds-scale replicated chaos gate: a primary + two replicas on a small
-# graph surviving replica partitions, a WAL corruption, a WAL truncation,
-# and a primary kill + promotion; exits non-zero on any incorrect answer,
-# sub-99% availability, or tables that are not byte-identical at quiesce.
-# The full artefact is docs/cluster_n256.csv (E16).
+# Seconds-scale replicated chaos gate (full tier): a primary + two replicas
+# on a small graph surviving replica partitions, a kill -9 of the primary
+# recovered from its WAL, a WAL corruption, a WAL truncation, and a primary
+# kill + promotion; exits non-zero on any incorrect answer, sub-99%
+# availability, or tables that are not byte-identical at quiesce. The full
+# artefact is docs/cluster_n256.csv (E16).
 cluster:
 	$(GO) run ./cmd/routetabd -cluster-chaos -n 32 -seed 1 -replicas 2 \
 		-lookups 40000 -workers 4
@@ -107,17 +108,19 @@ bigsmoke:
 	$(GO) run ./cmd/routetabd -bigsmoke -n 4096 -seed 1 -lookups 10000 \
 		-workers 4 -swaps 2
 
-# Seconds-scale large-graph cluster gate: a three-member tables-tier landmark
-# cluster on an n=4096 sparse topology surviving replica partitions, a WAL
-# corruption on the wire, a truncation under lag, and a primary kill +
-# promotion. Replicas replay edge diffs through full landmark rebuilds and
-# verify the scheme-table CRC on every record; exits non-zero on any
-# spot-graded stretch-3 violation, blown availability budget, failed
-# promotion, or scheme tables that are not byte-identical at quiesce. The
-# full artefact is docs/bigcluster_n4096.csv (E20).
+# Seconds-scale large-graph cluster gate: the same replicated chaos harness
+# as `make cluster`, on the tables tier — a three-member landmark cluster on
+# an n=4096 sparse topology surviving replica partitions, a kill -9 of the
+# primary recovered from its WAL, a WAL corruption on the wire, a truncation
+# under lag, and a primary kill + promotion. Replicas replay edge diffs
+# through full landmark rebuilds and verify the scheme-table CRC on every
+# record; exits non-zero on any spot-graded stretch-3 violation, sub-98%
+# availability, failed promotion, or scheme tables that are not
+# byte-identical at quiesce. The full artefact is docs/bigcluster_n4096.csv
+# (E20).
 bigcluster:
-	$(GO) run ./cmd/routetabd -bigcluster -n 4096 -seed 1 -replicas 2 \
-		-lookups 20000 -workers 4
+	$(GO) run ./cmd/routetabd -cluster-chaos -scheme landmark -n 4096 -seed 1 \
+		-replicas 2 -lookups 20000 -workers 4
 
 # Seconds-scale partitioned-cluster gate: the n=4096 source keyspace split
 # across two shard groups (each a tables-tier primary/replica pair) behind

@@ -184,7 +184,7 @@ type Report struct {
 	// and the resync payload (encoded scheme tables vs the hypothetical n²
 	// matrix) for a three-member landmark cluster at n=4096 surviving
 	// partitions, WAL corruption/truncation, and a primary kill + promotion.
-	BigCluster []*chaos.BigClusterReport `json:"bigcluster,omitempty"`
+	BigCluster []*chaos.ClusterReport `json:"bigcluster,omitempty"`
 	// Shard carries the partitioned-cluster chaos reports (section "shard"):
 	// a two-shard-group landmark cluster at n=4096 under the shard failure
 	// matrix (live split racing churn, per-group partitions, wire
@@ -495,9 +495,10 @@ func runSuite(quick bool, artefact string, sections map[string]bool) (*Report, e
 		if quick {
 			n, lookups, workers = 128, 4_000, 2
 		}
-		bcrep, err := chaos.RunBigCluster(chaos.BigClusterConfig{
+		bcrep, err := chaos.RunCluster(chaos.ClusterConfig{
 			N:        n,
 			Seed:     1,
+			Scheme:   "landmark",
 			Replicas: 2,
 			Lookups:  uint64(lookups),
 			Workers:  workers,
@@ -530,9 +531,10 @@ func runSuite(quick bool, artefact string, sections map[string]bool) (*Report, e
 		if err != nil {
 			return nil, fmt.Errorf("shard: %w", err)
 		}
-		base, err := chaos.RunBigCluster(chaos.BigClusterConfig{
+		base, err := chaos.RunCluster(chaos.ClusterConfig{
 			N:        n,
 			Seed:     seed,
+			Scheme:   "landmark",
 			Replicas: 2,
 			Lookups:  uint64(lookups),
 			Workers:  workers,

@@ -211,6 +211,9 @@ func TestBigClusterSection(t *testing.T) {
 		t.Fatalf("bigcluster reports: %d, want 1", len(rep.BigCluster))
 	}
 	c := rep.BigCluster[0]
+	if c.Scheme != "landmark" || c.Tier != "tables" {
+		t.Errorf("bigcluster ran %s on the %q tier, want landmark on the tables tier", c.Scheme, c.Tier)
+	}
 	if c.SpotViolations != 0 || c.SpotGraded == 0 {
 		t.Errorf("spot grading: graded=%d violations=%d", c.SpotGraded, c.SpotViolations)
 	}

@@ -250,6 +250,45 @@ func TestClusterChaosMode(t *testing.T) {
 	}
 }
 
+// TestClusterChaosTablesTier runs the replicated chaos CLI on the tables tier
+// at a CI-friendly n: the landmark scheme must select the tables tier, pass
+// with zero spot violations, and write the merged E16/E20 CSV artefact.
+func TestClusterChaosTablesTier(t *testing.T) {
+	dir := t.TempDir()
+	csv := dir + "/cluster.csv"
+	out, err := os.CreateTemp(dir, "out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	args := []string{"-cluster-chaos", "-scheme", "landmark", "-n", "128", "-seed", "7",
+		"-replicas", "2", "-lookups", "4000", "-workers", "2", "-cluster-csv", csv}
+	if err := run(args, out); err != nil {
+		t.Fatalf("tables-tier cluster chaos run: %v", err)
+	}
+	if _, err := out.Seek(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(out); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"cluster chaos ok", `"tier": "tables"`, `"spot_violations": 0`,
+		`"promoted": true`, `"tables_identical": true`} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("cluster chaos output missing %q: %s", want, buf.String())
+		}
+	}
+	blob, err := os.ReadFile(csv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(blob)), "\n")
+	if len(lines) != 2 || lines[0] != chaos.ClusterCSVHeader || !strings.HasPrefix(lines[1], "landmark,tables,128,") {
+		t.Fatalf("csv artefact: %q", string(blob))
+	}
+}
+
 // TestSigtermFinalizesWAL is the WAL-shutdown regression test (the durable
 // counterpart of TestSigtermFlushesFinalSnapshot): a SIGTERM'd primary must
 // fsync and finalize its open WAL segment, and the next boot must recover a

@@ -86,16 +86,21 @@
 // its repairer, and opens a fresh WAL under a bumped epoch — surviving
 // replicas re-pointed at it observe the epoch change and resync.
 //
-// Cluster chaos mode (also the `make cluster` CI gate):
+// Cluster chaos mode (the `make cluster` and `make bigcluster` CI gates):
 //
 //	routetabd -cluster-chaos -n 64 -seed 1 -replicas 2 -lookups 200000
+//	routetabd -cluster-chaos -scheme landmark -n 4096 -seed 1 -replicas 2 -lookups 20000
 //
 // runs the replicated chaos harness in-process: a primary plus -replicas
-// followers under client-side failover, surviving replica partitions, WAL
-// corruption and truncation, and a primary kill + promotion — exiting
-// non-zero unless zero answers were incorrect, availability stayed within
-// budget, and every member's tables were byte-identical at quiesce.
-// -cluster-csv writes the EXPERIMENTS.md E16 artefact row.
+// followers under client-side failover, surviving replica partitions, a
+// kill -9 of the primary recovered from its WAL, WAL corruption and
+// truncation, and a primary kill + promotion — exiting non-zero unless zero
+// answers were wrong, availability stayed within budget, and every member's
+// tables were byte-identical at quiesce. The scheme picks the tier as -tier
+// auto does: shortest-path schemes run the full tier on G(n,1/2) with every
+// answer graded strictly; landmark runs the tables tier on a sparse
+// topology (-avgdeg), every sampled answer spot-graded against BFS ground
+// truth. -cluster-csv writes the EXPERIMENTS.md E16/E20 artefact row.
 //
 // Large-graph serving (the tables tier, DESIGN.md §15):
 //
@@ -120,18 +125,6 @@
 // answer checked against on-demand BFS ground truth — exiting non-zero on
 // any answer beyond stretch 3, an unreachable next hop, or a snapshot that
 // is not o(n²).
-//
-// Bigcluster mode (also the `make bigcluster` CI gate):
-//
-//	routetabd -bigcluster -n 4096 -seed 1 -replicas 2 -lookups 20000
-//
-// runs the tables-tier replicated chaos harness: a 3-member n=4096 landmark
-// cluster over a sparse topology surviving churn bursts, replica partitions,
-// a WAL corruption, a WAL truncation, and a primary kill + promotion — every
-// sampled answer spot-graded against BFS ground truth — exiting non-zero on
-// any spot-grade violation, sub-budget availability, or members whose
-// encoded scheme tables are not byte-identical at quiesce. -cluster-csv
-// writes the EXPERIMENTS.md E20 artefact row.
 //
 // Sharded cluster mode (DESIGN.md §17): the source keyspace split across
 // shard groups by a versioned consistent-hash shard map (RTSMAP1). Bootstrap
@@ -225,13 +218,12 @@ type config struct {
 	batch   int
 	persist string
 	// loadgen mode
-	loadgen    bool
-	lookups    uint64
-	duration   time.Duration
-	workers    int
-	swaps      int
-	bigsmoke   bool
-	bigcluster bool
+	loadgen  bool
+	lookups  uint64
+	duration time.Duration
+	workers  int
+	swaps    int
+	bigsmoke bool
 	// chaos mode
 	chaos       bool
 	chaosStalls int
@@ -281,7 +273,6 @@ func parseFlags(args []string) (*config, error) {
 	fs.StringVar(&cfg.persist, "persist", "", "snapshot persistence file: save every published snapshot, warm-boot from it on start")
 	fs.BoolVar(&cfg.loadgen, "loadgen", false, "run the closed-loop load generator instead of serving HTTP")
 	fs.BoolVar(&cfg.bigsmoke, "bigsmoke", false, "run the large-graph spot-graded smoke (tables-tier landmark over a sparse topology) instead of serving HTTP")
-	fs.BoolVar(&cfg.bigcluster, "bigcluster", false, "run the tables-tier replicated chaos harness (spot-graded large-graph cluster) instead of serving HTTP")
 	fs.BoolVar(&cfg.chaos, "chaos", false, "run the serve-layer chaos harness instead of serving HTTP")
 	fs.IntVar(&cfg.chaosStalls, "chaos-stalls", 2, "chaos: shard stall injections (-1 disables)")
 	fs.IntVar(&cfg.chaosDrops, "chaos-drops", 2, "chaos: batch drop windows (-1 disables)")
@@ -396,8 +387,6 @@ func run(args []string, out *os.File) error {
 		return runInitMap(cfg, out)
 	case cfg.bigsmoke:
 		return runBigSmoke(cfg, out)
-	case cfg.bigcluster:
-		return runBigCluster(cfg, out)
 	case cfg.join != "":
 		return runReplica(cfg, out)
 	}
@@ -470,19 +459,7 @@ func runCrashGate(cfg *config, out *os.File) error {
 		Seed:   cfg.seed,
 		Scheme: cfg.scheme,
 	})
-	if rep == nil {
-		return err
-	}
-	blob, merr := json.MarshalIndent(rep, "", "  ")
-	if merr != nil {
-		return merr
-	}
-	fmt.Fprintln(out, string(blob))
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "crash ok: %s\n", rep)
-	return nil
+	return verdict(out, "crash", rep, err, "", nil)
 }
 
 // runReplica joins the primary at cfg.join and serves its replicated tables
@@ -541,39 +518,20 @@ func runPromote(cfg *config, out *os.File) error {
 	return nil
 }
 
-// runClusterChaos executes the replicated chaos harness in-process and
-// renders a pass/fail verdict, mirroring runChaos.
+// runClusterChaos executes the replicated chaos harness in-process (the
+// `make cluster` and `make bigcluster` CI gates) and renders a pass/fail
+// verdict.
 func runClusterChaos(cfg *config, out *os.File) error {
-	// MaxUnavailableFrac is left at the harness default (0.01): the cluster
-	// gate's contract is ≥99% availability, not the single-node budget.
 	rep, err := chaos.RunCluster(chaos.ClusterConfig{
 		N:        cfg.n,
+		AvgDeg:   cfg.avgdeg,
 		Seed:     cfg.seed,
 		Scheme:   cfg.scheme,
 		Replicas: cfg.replicas,
 		Lookups:  cfg.lookups,
 		Workers:  cfg.workers,
 	})
-	if rep == nil {
-		return err
-	}
-	blob, merr := json.MarshalIndent(rep, "", "  ")
-	if merr != nil {
-		return merr
-	}
-	fmt.Fprintln(out, string(blob))
-	if cfg.clusterCSV != "" {
-		if werr := appendCSV(cfg.clusterCSV, func(w io.Writer) error {
-			return chaos.WriteClusterCSV(w, []*chaos.ClusterReport{rep})
-		}); werr != nil {
-			return werr
-		}
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "cluster chaos ok: %s\n", rep)
-	return nil
+	return verdict(out, "cluster chaos", rep, err, cfg.clusterCSV, chaos.WriteClusterCSV)
 }
 
 // openEngine builds the serving engine, warm-booting from the persistence
@@ -791,8 +749,7 @@ func runSplitMap(cfg *config, out *os.File) error {
 }
 
 // runShardChaos executes the partitioned-cluster chaos harness (the
-// `make shardchaos` CI gate) in-process and renders a pass/fail verdict,
-// mirroring runBigCluster.
+// `make shardchaos` CI gate) in-process and renders a pass/fail verdict.
 func runShardChaos(cfg *config, out *os.File) error {
 	rep, err := chaos.RunShard(chaos.ShardConfig{
 		N:        cfg.n,
@@ -803,26 +760,7 @@ func runShardChaos(cfg *config, out *os.File) error {
 		Lookups:  cfg.lookups,
 		Workers:  cfg.workers,
 	})
-	if rep == nil {
-		return err
-	}
-	blob, merr := json.MarshalIndent(rep, "", "  ")
-	if merr != nil {
-		return merr
-	}
-	fmt.Fprintln(out, string(blob))
-	if cfg.shardCSV != "" {
-		if werr := appendCSV(cfg.shardCSV, func(w io.Writer) error {
-			return chaos.WriteShardCSV(w, []*chaos.ShardReport{rep})
-		}); werr != nil {
-			return werr
-		}
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "shardchaos ok: %s\n", rep)
-	return nil
+	return verdict(out, "shardchaos", rep, err, cfg.shardCSV, chaos.WriteShardCSV)
 }
 
 // registerShardGauges exposes the daemon's shard placement on /metrics:
@@ -842,7 +780,7 @@ func registerShardGauges(a *api) {
 }
 
 // runBigSmoke executes the large-graph serving gate in-process and renders a
-// pass/fail verdict, mirroring runChaos: a tables-tier landmark build over a
+// pass/fail verdict: a tables-tier landmark build over a
 // sparse seeded topology, a spot-graded closed loop with hot swaps, and an
 // o(n²) space check.
 func runBigSmoke(cfg *config, out *os.File) error {
@@ -854,50 +792,7 @@ func runBigSmoke(cfg *config, out *os.File) error {
 		Workers: cfg.workers,
 		Swaps:   cfg.swaps,
 	})
-	if err != nil {
-		return err
-	}
-	blob, merr := json.MarshalIndent(rep, "", "  ")
-	if merr != nil {
-		return merr
-	}
-	fmt.Fprintln(out, string(blob))
-	fmt.Fprintf(out, "bigsmoke ok: %s\n", rep)
-	return nil
-}
-
-// runBigCluster executes the tables-tier replicated chaos harness (the
-// `make bigcluster` CI gate) in-process and renders a pass/fail verdict,
-// mirroring runClusterChaos.
-func runBigCluster(cfg *config, out *os.File) error {
-	rep, err := chaos.RunBigCluster(chaos.BigClusterConfig{
-		N:        cfg.n,
-		AvgDeg:   cfg.avgdeg,
-		Seed:     cfg.seed,
-		Replicas: cfg.replicas,
-		Lookups:  cfg.lookups,
-		Workers:  cfg.workers,
-	})
-	if rep == nil {
-		return err
-	}
-	blob, merr := json.MarshalIndent(rep, "", "  ")
-	if merr != nil {
-		return merr
-	}
-	fmt.Fprintln(out, string(blob))
-	if cfg.clusterCSV != "" {
-		if werr := appendCSV(cfg.clusterCSV, func(w io.Writer) error {
-			return chaos.WriteBigClusterCSV(w, []*chaos.BigClusterReport{rep})
-		}); werr != nil {
-			return werr
-		}
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "bigcluster ok: %s\n", rep)
-	return nil
+	return verdict(out, "bigsmoke", rep, err, "", nil)
 }
 
 // runChaos executes the chaos harness in-process and renders a pass/fail
@@ -916,24 +811,7 @@ func runChaos(cfg *config, out *os.File) error {
 		PersistPath:        cfg.persist,
 		MaxUnavailableFrac: cfg.chaosBudget,
 	})
-	if rep == nil {
-		return err
-	}
-	blob, merr := json.MarshalIndent(rep, "", "  ")
-	if merr != nil {
-		return merr
-	}
-	fmt.Fprintln(out, string(blob))
-	if cfg.chaosCSV != "" {
-		if werr := writeChaosCSV(cfg.chaosCSV, rep); werr != nil {
-			return werr
-		}
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "chaos ok: %s\n", rep)
-	return nil
+	return verdict(out, "chaos", rep, err, cfg.chaosCSV, chaos.WriteCSV)
 }
 
 // runWireChaos executes the mixed-protocol chaos phase (the `make verify`
@@ -949,6 +827,16 @@ func runWireChaos(cfg *config, out *os.File) error {
 		Lookups:         cfg.lookups,
 		Swaps:           cfg.swaps,
 	})
+	return verdict(out, "wire chaos", rep, err, "", nil)
+}
+
+// verdict renders one harness run: the JSON report always prints, the CSV
+// artefact row is appended to csvPath when it is set, a broken invariant
+// exits non-zero, and a pass prints "<name> ok: <headline>".
+func verdict[R interface {
+	*T
+	fmt.Stringer
+}, T any](out io.Writer, name string, rep R, err error, csvPath string, writeCSV func(io.Writer, []R) error) error {
 	if rep == nil {
 		return err
 	}
@@ -957,19 +845,16 @@ func runWireChaos(cfg *config, out *os.File) error {
 		return merr
 	}
 	fmt.Fprintln(out, string(blob))
+	if csvPath != "" {
+		if werr := appendCSV(csvPath, func(w io.Writer) error { return writeCSV(w, []R{rep}) }); werr != nil {
+			return werr
+		}
+	}
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "wire chaos ok: %s\n", rep)
+	fmt.Fprintf(out, "%s ok: %s\n", name, rep)
 	return nil
-}
-
-// writeChaosCSV appends rep to path, writing the header only when the file
-// is new — so a sweep over schemes accumulates one artefact.
-func writeChaosCSV(path string, rep *chaos.Report) error {
-	return appendCSV(path, func(w io.Writer) error {
-		return chaos.WriteCSV(w, []*chaos.Report{rep})
-	})
 }
 
 // appendCSV appends the rows produced by write (header + body) to path,

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"routetab/internal/gengraph"
-	"routetab/internal/graph"
 	"routetab/internal/serve"
 	"routetab/internal/serve/loadgen"
 	"routetab/internal/serve/spotgrade"
@@ -29,8 +28,6 @@ type BigConfig struct {
 	// Swaps is how many hot topology swaps fire mid-load (default 2). Each
 	// toggles an initially-absent edge, so connectivity is never at risk.
 	Swaps int
-	// SampleEvery grades ~1/SampleEvery of answers (default 1: grade all).
-	SampleEvery int
 }
 
 func (c *BigConfig) setDefaults() {
@@ -45,9 +42,6 @@ func (c *BigConfig) setDefaults() {
 	}
 	if c.Workers < 1 {
 		c.Workers = 4
-	}
-	if c.SampleEvery < 1 {
-		c.SampleEvery = 1
 	}
 }
 
@@ -88,39 +82,23 @@ func RunBig(cfg BigConfig) (*BigReport, error) {
 	}
 	build := time.Since(t0)
 	snap := eng.Current()
-	size := snap.ArenaSize()
-	// Asymptotic space gate: below ~1024 nodes the fixed graph/ports sections
-	// dominate and the ratio is meaningless.
-	if cfg.N >= 1024 && uint64(size)*2 >= uint64(cfg.N)*uint64(cfg.N) {
-		return nil, fmt.Errorf("chaos: tables-tier snapshot is %d bytes for n=%d — not o(n²)", size, cfg.N)
+	if err := checkSubQuadratic(snap); err != nil {
+		return nil, err
 	}
 
 	// The hot-swap edge: initially absent, toggled add/remove, so the graph
-	// stays connected through every swap (removing an edge we added cannot
-	// disconnect; landmark builds reject disconnected topologies).
-	u, v := 1, 0
-	for w := 3; w <= cfg.N; w++ {
-		if !g.HasEdge(u, w) {
-			v = w
-			break
+	// stays connected through every swap.
+	var swap func() error
+	if e := absentEdges(g, 1); len(e) > 0 {
+		swap = func() error {
+			_, err := eng.Mutate(toggle(e[0]))
+			return err
 		}
-	}
-	swap := func() error {
-		_, err := eng.Mutate(func(g *graph.Graph) error {
-			if g.HasEdge(u, v) {
-				return g.RemoveEdge(u, v)
-			}
-			return g.AddEdge(u, v)
-		})
-		return err
-	}
-	if v == 0 {
-		swap = nil // complete graph around node 1; skip swaps
 	}
 
 	srv := serve.NewServer(eng, serve.ServerOptions{StretchSampleEvery: -1})
 	defer srv.Close()
-	grader := spotgrade.New(eng, spotgrade.Config{Seed: cfg.Seed, SampleEvery: cfg.SampleEvery})
+	grader := spotgrade.New(eng, spotgrade.Config{Seed: cfg.Seed, SampleEvery: 1})
 	lrep, err := loadgen.Run(srv, loadgen.Config{
 		Workers:  cfg.Workers,
 		Lookups:  cfg.Lookups,
@@ -137,6 +115,7 @@ func RunBig(cfg BigConfig) (*BigReport, error) {
 		return nil, fmt.Errorf("chaos: no answers were spot-graded (lookups=%d)", lrep.Lookups)
 	}
 
+	size := snap.ArenaSize()
 	rep := &BigReport{
 		N:             cfg.N,
 		BuildTime:     build,

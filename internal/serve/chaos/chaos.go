@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -222,12 +221,6 @@ func (c *controller) hook(shard int) bool {
 		}
 	}
 	return false
-}
-
-// phase is one scheduled injection, fired at a lookup-progress milestone.
-type phase struct {
-	name string
-	run  func() error
 }
 
 // Run executes one chaos run and grades every answer. The returned report is
@@ -440,8 +433,7 @@ func (h *harness) surge(shard int, seed int64) {
 					dst++
 				}
 				res := h.srv.Load().NextHop(src, dst)
-				h.answered.Add(1)
-				if b := h.grade(&res); b > 0 {
+				if b := h.grade(&res, nil); b > 0 {
 					if b > time.Millisecond {
 						b = time.Millisecond
 					}
@@ -507,124 +499,24 @@ func (h *harness) killRestore() error {
 	return nil
 }
 
-// drive runs the closed-loop workers and fires each phase at its progress
-// milestone, then assembles and grades the final report.
+// drive runs the batched closed loop through phases, then assembles and
+// grades the final report.
 func (h *harness) drive(phases []phase) (*Report, error) {
 	cfg := h.cfg
-	stop := make(chan struct{})
-	var once sync.Once
-	halt := func() { once.Do(func() { close(stop) }) }
-
-	var issued atomic.Uint64
-	// Phase k fires once answered lookups pass milestone(k). gate is the
-	// milestone of the next phase not yet fired: workers hold there until
-	// the controller fires it, so each phase starts at its milestone however
-	// late the controller goroutine is scheduled.
-	total := len(phases)
-	milestone := func(k int) uint64 {
-		if k >= total {
-			return math.MaxUint64
-		}
-		return cfg.Lookups * uint64(k+1) / uint64(total+1)
-	}
-	var gate atomic.Uint64
-	gate.Store(milestone(0))
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(w)*7919))
-			pairs := make([][2]int, cfg.BatchSize)
-			out := make([]serve.Result, cfg.BatchSize)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if h.answered.Load() >= gate.Load() {
-					time.Sleep(20 * time.Microsecond)
-					continue
-				}
-				if issued.Add(uint64(cfg.BatchSize)) > cfg.Lookups {
-					halt()
-					return
-				}
-				for i := range pairs {
-					src := rng.Intn(cfg.N) + 1
-					dst := rng.Intn(cfg.N-1) + 1
-					if dst >= src {
-						dst++
-					}
-					pairs[i] = [2]int{src, dst}
-				}
-				srv := h.srv.Load()
-				if err := srv.LookupBatch(pairs, out); err != nil {
-					halt()
-					return
-				}
-				h.answered.Add(uint64(len(out)))
-				backoff := time.Duration(0)
-				for i := range out {
-					if b := h.grade(&out[i]); b > backoff {
-						backoff = b
-					}
-				}
-				if backoff > 0 {
-					// Honour the shed's retry-after hint (clamped so a
-					// stall cannot park the whole closed loop).
-					if backoff > 2*time.Millisecond {
-						backoff = 2 * time.Millisecond
-					}
-					time.Sleep(backoff)
-				}
+	elapsed, phaseErr := loop{
+		n: cfg.N, workers: cfg.Workers, batch: cfg.BatchSize, seed: cfg.Seed, lookups: cfg.Lookups,
+		answered: &h.answered, maxBackoff: 2 * time.Millisecond,
+		serve: func(pairs [][2]int, out []serve.Result) (time.Duration, error) {
+			if err := h.srv.Load().LookupBatch(pairs, out); err != nil {
+				return 0, err
 			}
-		}()
-	}
-
-	// Controller: fire phase k once answered lookups pass its milestone.
-	ctlErr := make(chan error, 1)
-	var ctlWG sync.WaitGroup
-	ctlWG.Add(1)
-	go func() {
-		defer ctlWG.Done()
-		defer gate.Store(math.MaxUint64) // a failed phase must not park the workers
-		for k, ph := range phases {
-			for h.answered.Load() < milestone(k) {
-				select {
-				case <-stop:
-					// Workers hit the target early (or failed): run the
-					// remaining phases back-to-back so the configured fault
-					// schedule always completes.
-				case <-time.After(100 * time.Microsecond):
-					continue
-				}
-				break
+			var backoff time.Duration
+			for i := range out {
+				backoff = max(backoff, h.grade(&out[i], nil))
 			}
-			gate.Store(milestone(k + 1))
-			if err := ph.run(); err != nil {
-				select {
-				case ctlErr <- fmt.Errorf("chaos phase %q: %w", ph.name, err):
-				default:
-				}
-				return
-			}
-		}
-	}()
-
-	wg.Wait()
-	halt()
-	ctlWG.Wait()
-	elapsed := time.Since(start)
-
-	var phaseErr error
-	select {
-	case phaseErr = <-ctlErr:
-	default:
-	}
+			return backoff, nil
+		},
+	}.run(phases)
 
 	// Self-heal check: every fault repaired and incorporated, the serving
 	// topology must be byte-identically back to the pre-chaos matrix.

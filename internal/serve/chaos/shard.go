@@ -58,29 +58,28 @@ type ShardConfig struct {
 	Lookups uint64
 	// Workers is the closed-loop client count (default 4).
 	Workers int
-	// Corruptions is how many replica WAL fetches are bit-flipped on the wire
-	// (default 1; each must end in a clean state-fetch fallback).
-	Corruptions int
 	// SkipSplit disables the live split phase.
 	SkipSplit bool
-	// SplitFrom is the group the split carves from (default 0).
-	SplitFrom int
 	// SkipKill disables the shard-primary kill + promotion phase.
 	SkipKill bool
-	// KillGroup is the group whose primary is killed (default 0).
-	KillGroup int
-	// MinAvailability is the per-shard availability floor at quiesce
-	// (default 0.99).
-	MinAvailability float64
-	// SyncInterval paces the replication pump (default 1ms).
-	SyncInterval time.Duration
-	// SampleEvery grades ~1/SampleEvery of answers per member (default 1:
-	// grade all).
-	SampleEvery int
-	// WalkSamples is how many full cross-shard route walks are graded per
-	// group at quiesce (default 8).
-	WalkSamples int
 }
+
+// The fixed parts of the shard fault schedule.
+const (
+	// shardCorruptions is how many replica WAL fetches are bit-flipped on
+	// the wire; each must end in a clean state-fetch fallback.
+	shardCorruptions = 1
+	// splitGroup is the group the live split carves from, and killGroup the
+	// group whose primary is killed.
+	splitGroup, killGroup = 0, 0
+	// minShardAvailability is the per-shard availability floor at quiesce.
+	minShardAvailability = 0.99
+	// shardSyncInterval paces the replication pump.
+	shardSyncInterval = time.Millisecond
+	// walkSamples is how many full cross-shard route walks are graded per
+	// group at quiesce.
+	walkSamples = 8
+)
 
 func (c *ShardConfig) setDefaults() {
 	if c.N < 8 {
@@ -100,23 +99,6 @@ func (c *ShardConfig) setDefaults() {
 	}
 	if c.Workers < 1 {
 		c.Workers = 4
-	}
-	if c.Corruptions < 0 {
-		c.Corruptions = 0
-	} else if c.Corruptions == 0 {
-		c.Corruptions = 1
-	}
-	if c.MinAvailability <= 0 {
-		c.MinAvailability = 0.99
-	}
-	if c.SyncInterval <= 0 {
-		c.SyncInterval = time.Millisecond
-	}
-	if c.SampleEvery < 1 {
-		c.SampleEvery = 1
-	}
-	if c.WalkSamples <= 0 {
-		c.WalkSamples = 8
 	}
 }
 
@@ -146,10 +128,8 @@ type ShardReport struct {
 	Unavailable uint64 `json:"unavailable"`
 	Errored     uint64 `json:"errored"`
 
-	SpotGraded          uint64 `json:"spot_graded"`
-	SpotViolations      uint64 `json:"spot_violations"`
-	SpotMaxStretchMilli int64  `json:"spot_max_stretch_milli"`
-	WalksGraded         int    `json:"walks_graded"`
+	SpotTotals
+	WalksGraded int `json:"walks_graded"`
 
 	ChurnRounds int    `json:"churn_rounds"`
 	Partitions  int    `json:"partitions"`
@@ -185,44 +165,14 @@ func (r *ShardReport) String() string {
 		r.DigestsConverged, r.TablesIdentical, r.TopologiesEqual)
 }
 
-// shardMember wraps one group member's backend with its chaos gate and spot
-// grader. The grader is bound after construction (and after a split, for the
-// new group's members); lookups served before binding pass ungraded.
-type shardMember struct {
-	name   string
-	gate   *gate
-	inner  cluster.Backend
-	grader atomic.Pointer[spotgrade.Grader]
-}
-
-func (m *shardMember) Name() string { return m.name }
-
-func (m *shardMember) Lookup(src, dst int) (serve.Result, error) {
-	if m.gate.down.Load() {
-		return serve.Result{}, errUnreachable
-	}
-	res, err := m.inner.Lookup(src, dst)
-	if err == nil {
-		if g := m.grader.Load(); g != nil {
-			g.Observe(src, dst, &res)
-		}
-	}
-	return res, err
-}
-
 // shardHarness is one run's mutable state.
 type shardHarness struct {
 	cfg ShardConfig
-
-	answered    atomic.Uint64
-	served      atomic.Uint64
-	rejected    atomic.Uint64
-	unavailable atomic.Uint64
-	errored     atomic.Uint64
+	tally
 
 	mu      sync.Mutex
 	gates   map[string]*gate
-	members map[string]*shardMember
+	members map[string]*member
 	sources map[string]*chaosSource
 	nsrc    int64
 
@@ -267,9 +217,7 @@ func (h *shardHarness) bindGraders(id int) {
 		m := h.members[name]
 		h.mu.Unlock()
 		if m != nil && m.grader.Load() == nil {
-			m.grader.Store(spotgrade.New(eng, spotgrade.Config{
-				Seed: h.cfg.Seed, SampleEvery: h.cfg.SampleEvery,
-			}))
+			m.grader.Store(spotgrade.New(eng, spotgrade.Config{Seed: h.cfg.Seed, SampleEvery: 1}))
 		}
 	}
 	bind(fmt.Sprintf("g%d-m0", id), grp.Primary.Engine())
@@ -294,7 +242,7 @@ func RunShard(cfg ShardConfig) (*ShardReport, error) {
 	h := &shardHarness{
 		cfg:     cfg,
 		gates:   make(map[string]*gate),
-		members: make(map[string]*shardMember),
+		members: make(map[string]*member),
 		sources: make(map[string]*chaosSource),
 	}
 	h.toggles = absentEdges(g, 8)
@@ -305,7 +253,7 @@ func RunShard(cfg ShardConfig) (*ShardReport, error) {
 	c, err := shard.NewCluster(g, m, shard.ClusterOptions{
 		Replicas: cfg.Replicas,
 		Server:   serve.ServerOptions{Shards: 2, QueueCap: cfg.Workers * 4, StretchSampleEvery: -1},
-		Replica:  cluster.ReplicaOptions{SyncInterval: cfg.SyncInterval},
+		Replica:  cluster.ReplicaOptions{SyncInterval: shardSyncInterval},
 		GroupRouter: cluster.RouterOptions{
 			HedgeAfter: 500 * time.Microsecond,
 			ProbeAfter: 2 * time.Millisecond,
@@ -321,7 +269,7 @@ func RunShard(cfg ShardConfig) (*ShardReport, error) {
 			return cs
 		},
 		WrapBackend: func(group int, name string, b cluster.Backend) cluster.Backend {
-			sm := &shardMember{name: name, gate: h.gateFor(name), inner: b}
+			sm := &member{name: name, gate: h.gateFor(name), inner: b}
 			h.mu.Lock()
 			h.members[name] = sm
 			h.mu.Unlock()
@@ -342,14 +290,7 @@ func RunShard(cfg ShardConfig) (*ShardReport, error) {
 // churn publishes one deterministic topology toggle through every group
 // primary in lockstep; each costs a full restricted rebuild per member.
 func (h *shardHarness) churn(round int) error {
-	e := h.toggles[round%len(h.toggles)]
-	err := h.c.Mutate(func(gr *graph.Graph) error {
-		if gr.HasEdge(e[0], e[1]) {
-			return gr.RemoveEdge(e[0], e[1])
-		}
-		return gr.AddEdge(e[0], e[1])
-	})
-	if err != nil {
+	if err := h.c.Mutate(toggle(h.toggles[round%len(h.toggles)])); err != nil {
 		return err
 	}
 	h.churnDone++
@@ -419,14 +360,14 @@ func (h *shardHarness) buildPhases() []phase {
 			if err := churnN(1)(); err != nil {
 				return err
 			}
-			time.Sleep(4 * h.cfg.SyncInterval)
+			time.Sleep(4 * shardSyncInterval)
 			h.gateFor(name).down.Store(false)
 			h.settle(10 * time.Second)
 			return nil
 		}})
 	}
 
-	for c := 0; c < h.cfg.Corruptions; c++ {
+	for c := 0; c < shardCorruptions; c++ {
 		name := fmt.Sprintf("g%d-m1", initial[c%len(initial)])
 		ps = append(ps, phase{name: fmt.Sprintf("wire corruption %s", name), run: func() error {
 			h.mu.Lock()
@@ -435,9 +376,7 @@ func (h *shardHarness) buildPhases() []phase {
 			if cs == nil {
 				return fmt.Errorf("chaos: no replication source for %s", name)
 			}
-			cs.mu.Lock()
-			cs.corruptNext = true
-			cs.mu.Unlock()
+			cs.armCorruption(true)
 			if err := churnN(1)(); err != nil {
 				return err
 			}
@@ -468,7 +407,7 @@ func (h *shardHarness) buildPhases() []phase {
 				}
 			}()
 			start := time.Now()
-			newID, err := h.c.Split(h.cfg.SplitFrom)
+			newID, err := h.c.Split(splitGroup)
 			close(stopChurn)
 			wg.Wait()
 			if err != nil {
@@ -504,7 +443,7 @@ func (h *shardHarness) buildPhases() []phase {
 // answer for a key that shard owns.
 func (h *shardHarness) killPromote() error {
 	h.settle(10 * time.Second)
-	id := h.cfg.KillGroup
+	id := killGroup
 	grp := h.c.Group(id)
 	if grp == nil || len(grp.Replicas()) == 0 {
 		return fmt.Errorf("%w: group %d has no replica to promote", ErrFailover, id)
@@ -532,7 +471,7 @@ func (h *shardHarness) killPromote() error {
 	h.promoted = true
 	for {
 		res, err := h.front.Lookup(probeSrc, probeDst)
-		h.tally(res, err)
+		h.count(&res, err)
 		if err == nil && res.Err == nil {
 			break
 		}
@@ -546,46 +485,16 @@ func (h *shardHarness) killPromote() error {
 	return nil
 }
 
-// tally grades one front-door lookup's availability outcome; answer
-// correctness is the per-member spot graders' and the quiesce walks' job.
-func (h *shardHarness) tally(res serve.Result, err error) time.Duration {
-	h.answered.Add(1)
-	if err != nil {
-		h.errored.Add(1)
-		return 0
-	}
-	var oe *serve.OverloadedError
-	switch {
-	case res.Err == nil:
-		h.served.Add(1)
-	case errors.As(res.Err, &oe):
-		h.rejected.Add(1)
-		return oe.RetryAfter
-	case errors.Is(res.Err, serve.ErrOverloaded), errors.Is(res.Err, serve.ErrClosed):
-		h.rejected.Add(1)
-		return 500 * time.Microsecond
-	case errors.Is(res.Err, shard.ErrShardUnavailable), errors.Is(res.Err, serve.ErrUnavailable):
-		h.unavailable.Add(1)
-	default:
-		h.errored.Add(1)
-	}
-	return 0
-}
-
 // drive runs the closed-loop workers against the front, a replication pump,
 // and the phase controller, then quiesces and grades convergence end to end.
 func (h *shardHarness) drive() (*ShardReport, error) {
 	cfg := h.cfg
-	stop := make(chan struct{})
-	var once sync.Once
-	halt := func() { once.Do(func() { close(stop) }) }
-
 	pumpStop := make(chan struct{})
 	var pumpWG sync.WaitGroup
 	pumpWG.Add(1)
 	go func() {
 		defer pumpWG.Done()
-		t := time.NewTicker(cfg.SyncInterval)
+		t := time.NewTicker(shardSyncInterval)
 		defer t.Stop()
 		for {
 			select {
@@ -598,79 +507,15 @@ func (h *shardHarness) drive() (*ShardReport, error) {
 		}
 	}()
 
-	var issued atomic.Uint64
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(w)*7919))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if issued.Add(1) > cfg.Lookups {
-					halt()
-					return
-				}
-				src := rng.Intn(cfg.N) + 1
-				dst := rng.Intn(cfg.N-1) + 1
-				if dst >= src {
-					dst++
-				}
-				res, err := h.front.Lookup(src, dst)
-				if b := h.tally(res, err); b > 0 {
-					if b > time.Millisecond {
-						b = time.Millisecond
-					}
-					time.Sleep(b)
-				}
-			}
-		}()
-	}
-
-	phases := h.buildPhases()
-	ctlErr := make(chan error, 1)
-	var ctlWG sync.WaitGroup
-	ctlWG.Add(1)
-	go func() {
-		defer ctlWG.Done()
-		total := len(phases)
-		for k, ph := range phases {
-			threshold := cfg.Lookups * uint64(k+1) / uint64(total+1)
-			for h.answered.Load() < threshold {
-				select {
-				case <-stop:
-				case <-time.After(100 * time.Microsecond):
-					continue
-				}
-				break
-			}
-			if err := ph.run(); err != nil {
-				select {
-				case ctlErr <- fmt.Errorf("chaos shard phase %q: %w", ph.name, err):
-				default:
-				}
-				halt()
-				return
-			}
-		}
-	}()
-
-	wg.Wait()
-	halt()
-	ctlWG.Wait()
-	elapsed := time.Since(start)
-
-	var phaseErr error
-	select {
-	case phaseErr = <-ctlErr:
-	default:
-	}
+	elapsed, phaseErr := loop{
+		n: cfg.N, workers: cfg.Workers, batch: 1, seed: cfg.Seed, lookups: cfg.Lookups,
+		answered: &h.answered, maxBackoff: time.Millisecond,
+		serve: func(pairs [][2]int, out []serve.Result) (time.Duration, error) {
+			res, err := h.front.Lookup(pairs[0][0], pairs[0][1])
+			backoff, _ := h.count(&res, err)
+			return backoff, nil
+		},
+	}.run(h.buildPhases())
 
 	// Quiesce: heal every gate, disarm corruption, stop the pump, then force
 	// convergence and prove it.
@@ -684,9 +529,7 @@ func (h *shardHarness) drive() (*ShardReport, error) {
 	}
 	h.mu.Unlock()
 	for _, cs := range srcs {
-		cs.mu.Lock()
-		cs.corruptNext = false
-		cs.mu.Unlock()
+		cs.armCorruption(false)
 	}
 	close(pumpStop)
 	pumpWG.Wait()
@@ -756,14 +599,9 @@ func (h *shardHarness) drive() (*ShardReport, error) {
 	}
 	corruptions := 0
 	for _, cs := range srcs {
-		cs.mu.Lock()
-		corruptions += cs.corrupted
-		cs.mu.Unlock()
+		corruptions += cs.corruptions()
 	}
 
-	var spotGraded, spotViolations uint64
-	var spotMax int64
-	var firstSpotErr error
 	h.mu.Lock()
 	graders := make([]*spotgrade.Grader, 0, len(h.members))
 	for _, m := range h.members {
@@ -772,16 +610,7 @@ func (h *shardHarness) drive() (*ShardReport, error) {
 		}
 	}
 	h.mu.Unlock()
-	for _, g := range graders {
-		spotGraded += g.Graded()
-		spotViolations += g.Violations()
-		if ms := g.MaxStretchMilli(); ms > spotMax {
-			spotMax = ms
-		}
-		if firstSpotErr == nil {
-			firstSpotErr = g.Err()
-		}
-	}
+	spot, firstSpotErr := spotTotals(graders)
 
 	rep := &ShardReport{
 		N:                       cfg.N,
@@ -795,9 +624,7 @@ func (h *shardHarness) drive() (*ShardReport, error) {
 		Rejected:                h.rejected.Load(),
 		Unavailable:             h.unavailable.Load(),
 		Errored:                 h.errored.Load(),
-		SpotGraded:              spotGraded,
-		SpotViolations:          spotViolations,
-		SpotMaxStretchMilli:     spotMax,
+		SpotTotals:              spot,
 		WalksGraded:             walked,
 		ChurnRounds:             h.churnDone,
 		Partitions:              h.partitions,
@@ -834,9 +661,9 @@ func (h *shardHarness) drive() (*ShardReport, error) {
 		return rep, fmt.Errorf("chaos: no answers were spot-graded (lookups=%d)", rep.Lookups)
 	case rep.WalksGraded == 0:
 		return rep, fmt.Errorf("chaos: no quiesce route walks were graded")
-	case minAvail < cfg.MinAvailability:
+	case minAvail < minShardAvailability:
 		return rep, fmt.Errorf("%w: worst shard availability %.3f%% (floor %.1f%%)",
-			ErrBudget, 100*minAvail, 100*cfg.MinAvailability)
+			ErrBudget, 100*minAvail, 100*minShardAvailability)
 	case !converged || !identical || !topoEqual:
 		return rep, fmt.Errorf("%w: digests converged=%v, tables identical=%v, topologies equal=%v",
 			ErrDiverged, converged, identical, topoEqual)
@@ -858,7 +685,7 @@ func (h *shardHarness) walkGrade(truth *graph.Graph) (int, error) {
 	bySrc := make(map[int][]int)
 	for u := 1; u <= truth.N(); u++ {
 		g := m.GroupFor(u)
-		if len(bySrc[g]) < h.cfg.WalkSamples {
+		if len(bySrc[g]) < walkSamples {
 			bySrc[g] = append(bySrc[g], u)
 		}
 	}

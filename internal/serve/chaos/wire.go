@@ -279,10 +279,7 @@ func (g *gradedTarget) LookupBatch(pairs [][2]int, out []serve.Result) error {
 	}
 	var backoff time.Duration
 	for i := range out {
-		g.gr.answered.Add(1)
-		if d := g.gr.grade(&out[i]); d > backoff {
-			backoff = d
-		}
+		backoff = max(backoff, g.gr.grade(&out[i], nil))
 		if out[i].Err == nil {
 			g.seqs.add(out[i].Seq)
 		}
