@@ -373,15 +373,18 @@ func RunCluster(cfg ClusterConfig) (*ClusterReport, error) {
 func (h *clusterHarness) boot(fs faultinject.FS) (*cluster.Primary, *cluster.RecoveryReport, error) {
 	rng := rand.New(rand.NewSource(h.cfg.Seed))
 	var g *graph.Graph
-	var eng *serve.Engine
 	var err error
+	newEngine := serve.NewEngine
 	if h.strict {
-		if g, err = gengraph.GnHalf(h.cfg.N, rng); err == nil {
-			eng, err = serve.NewEngine(g, h.cfg.Scheme)
-		}
-	} else if g, err = gengraph.SparseConnected(h.cfg.N, h.cfg.AvgDeg, rng); err == nil {
-		eng, err = serve.NewTieredEngine(g, h.cfg.Scheme)
+		g, err = gengraph.GnHalf(h.cfg.N, rng)
+	} else {
+		g, err = gengraph.SparseConnected(h.cfg.N, h.cfg.AvgDeg, rng)
+		newEngine = serve.NewTieredEngine
 	}
+	if err != nil {
+		return nil, nil, err
+	}
+	eng, err := newEngine(g, h.cfg.Scheme)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -436,42 +439,50 @@ func (h *clusterHarness) judge(res *serve.Result, err error) time.Duration {
 
 // churn publishes one deterministic topology change through the primary. On
 // the tables tier the round's toggle edge is added if absent and removed if
-// present — every churn a full landmark rebuild on each member. On the full
-// tier even rounds toggle an existing edge via Mutate (never disconnecting),
-// odd rounds run a link fail + heal cycle through the repairer (exercising
-// RecLink shipping and overlay reconciliation on replicas).
+// present — every churn a full landmark rebuild on each member.
 func (h *clusterHarness) churn(round int) error {
 	var err error
-	switch {
-	case !h.strict:
+	if h.strict {
+		err = h.churnFull(round)
+	} else {
 		_, err = h.primary.Mutate(toggle(h.toggles[round%len(h.toggles)]))
-	case round%2 == 0:
-		edges := h.primary.Engine().Current().Graph.Edges()
-		e := edges[(round*2654435761)%len(edges)]
-		_, err = h.primary.Mutate(func(gr *graph.Graph) error {
-			if !gr.HasEdge(e[0], e[1]) {
-				return gr.AddEdge(e[0], e[1])
-			}
-			if err := gr.RemoveEdge(e[0], e[1]); err != nil {
-				return err
-			}
-			if !gr.IsConnected() {
-				return gr.AddEdge(e[0], e[1]) // keep connected: no-op round
-			}
-			return nil
-		})
-	default:
-		edges := h.primary.Engine().Current().Graph.Edges()
-		e := edges[(round*2654435761)%len(edges)]
-		if err = h.primary.SetLinkDown(e[0], e[1], true); err == nil {
-			err = h.primary.SetLinkDown(e[0], e[1], false)
-		}
 	}
 	if err != nil {
 		return err
 	}
 	h.churnDone++
 	return nil
+}
+
+// churnFull is the full tier's churn: even rounds toggle an existing edge via
+// Mutate (never disconnecting), odd rounds run a link fail + heal cycle
+// through the repairer (exercising RecLink shipping and overlay
+// reconciliation on replicas).
+func (h *clusterHarness) churnFull(round int) error {
+	edges := h.primary.Engine().Current().Graph.Edges()
+	if len(edges) == 0 {
+		return errors.New("chaos: topology ran out of edges")
+	}
+	e := edges[(round*2654435761)%len(edges)]
+	if round%2 == 1 {
+		if err := h.primary.SetLinkDown(e[0], e[1], true); err != nil {
+			return err
+		}
+		return h.primary.SetLinkDown(e[0], e[1], false)
+	}
+	_, err := h.primary.Mutate(func(gr *graph.Graph) error {
+		if !gr.HasEdge(e[0], e[1]) {
+			return gr.AddEdge(e[0], e[1])
+		}
+		if err := gr.RemoveEdge(e[0], e[1]); err != nil {
+			return err
+		}
+		if !gr.IsConnected() {
+			return gr.AddEdge(e[0], e[1]) // keep connected: no-op round
+		}
+		return nil
+	})
+	return err
 }
 
 // sampleLag folds the replicas' current replay lag into the running max.
@@ -716,23 +727,24 @@ func (h *clusterHarness) killPromote() error {
 // primary, proves convergence, and assembles the graded report.
 func (h *clusterHarness) quiesce(elapsed time.Duration, phaseErr error) (*ClusterReport, error) {
 	cfg := h.cfg
-	for i, cs := range h.sources {
+	for _, cs := range h.sources {
 		cs.gate.down.Store(false)
-		if !(h.promoted && i == 0) {
-			_ = h.replicas[i].Sync()
-		}
+	}
+	live := h.liveReplicas()
+	for _, r := range live {
+		_ = r.Sync() // a failed pull shows up in the convergence check below
 	}
 	h.settle()
 
-	live := h.liveReplicas()
 	converged, _, entErr := cluster.CheckEntropy(h.primary, live...)
 	if entErr != nil && phaseErr == nil {
 		phaseErr = entErr
 	}
 	finalSnap := h.primary.Engine().Current()
+	want := tableBytes(finalSnap)
 	identical := true
 	for _, r := range live {
-		if !bytes.Equal(tableBytes(r.Engine().Current()), tableBytes(finalSnap)) {
+		if !bytes.Equal(tableBytes(r.Engine().Current()), want) {
 			identical = false
 		}
 	}
