@@ -12,13 +12,12 @@ import (
 	"net"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"routetab/internal/gengraph"
-	"routetab/internal/graph"
 	"routetab/internal/serve"
 	"routetab/internal/serve/httpapi"
-	"routetab/internal/serve/loadgen"
 	"routetab/internal/serve/wire"
 )
 
@@ -30,10 +29,12 @@ type WireConfig struct {
 	Seed int64
 	// Scheme must be shortest-path for strict grading (default fulltable).
 	Scheme string
-	// WorkersPerProto is the closed-loop client count on each protocol
-	// (default 2: two JSON + two binary workers).
+	// WorkersPerProto is the closed-loop client count per protocol
+	// (default 2): 2×WorkersPerProto workers alternate their batches
+	// between JSON and binary.
 	WorkersPerProto int
-	// Lookups is the per-protocol lookup target (default 20_000).
+	// Lookups is the per-protocol lookup target (default 20_000): the
+	// closed loop issues 2×Lookups, half over each protocol.
 	Lookups uint64
 	// BatchSize is pairs per client batch (default 16).
 	BatchSize int
@@ -121,8 +122,8 @@ func (s *seqSet) count() int {
 
 // RunWire stands up one engine behind both a real HTTP listener (the pooled
 // httpapi batch handler) and a real RTBIN1 TCP listener, then races JSON and
-// binary closed-loop clients against progress-paced snapshot swaps, grading
-// every answer.
+// binary batches of one closed loop against progress-paced snapshot swaps,
+// grading every answer.
 func RunWire(cfg WireConfig) (*WireReport, error) {
 	cfg.setDefaults()
 	if !serve.IsShortestPath(cfg.Scheme) {
@@ -164,81 +165,53 @@ func RunWire(cfg WireConfig) (*WireReport, error) {
 	}
 	defer binClient.Close()
 
+	// One closed loop alternates its batches between the two protocols, so
+	// both race every swap, and feeds the shared strict grader.
 	gr := &grader{}
 	seqs := &seqSet{}
-	var wg sync.WaitGroup
-	errs := make(chan error, 2)
-	var jsonAnswered, binAnswered uint64
+	protos := [2]struct {
+		lookupBatch func([][2]int, []serve.Result) error
+		answered    atomic.Uint64
+	}{{lookupBatch: jsonClient.LookupBatch}, {lookupBatch: binClient.LookupBatch}}
+	var calls atomic.Uint64
 
-	// Both protocols run the same seeded closed loop (different seed bases
-	// so the query mixes differ), each validating off but feeding the shared
-	// strict grader through graded targets.
-	runProto := func(tgt loadgen.Target, seedBase int64, answered *uint64) {
-		defer wg.Done()
-		rep, err := loadgen.RunTarget(
-			&gradedTarget{tgt: tgt, gr: gr, seqs: seqs},
-			loadgen.TargetMeta{Scheme: cfg.Scheme, N: cfg.N},
-			loadgen.Config{
-				Workers:   cfg.WorkersPerProto,
-				Lookups:   cfg.Lookups,
-				BatchSize: cfg.BatchSize,
-				Seed:      seedBase,
-				Validate:  loadgen.ValidateOff, // the chaos grader judges
-			})
-		if err != nil {
-			errs <- err
-			return
-		}
-		*answered = rep.Lookups
-	}
-
-	start := time.Now()
-	wg.Add(2)
-	go runProto(jsonClient, cfg.Seed, &jsonAnswered)
-	go runProto(binClient, cfg.Seed+1, &binAnswered)
-
-	// Progress-paced swapper over the grader's total: each swap toggles edge
-	// (1,2) — a full off-path rebuild + atomic publish — spread across the
-	// combined lookup target so both protocols race it mid-load.
-	total := 2 * cfg.Lookups
-	swapsDone := uint64(0)
-	swapStop := make(chan struct{})
-	var swapWG sync.WaitGroup
-	swapWG.Add(1)
-	go func() {
-		defer swapWG.Done()
-		for i := 0; i < cfg.Swaps; i++ {
-			threshold := total * uint64(i+1) / uint64(cfg.Swaps+1)
-			for gr.answered.Load() < threshold {
-				select {
-				case <-swapStop:
-					return
-				case <-time.After(50 * time.Microsecond):
-				}
-			}
-			_, err := eng.Mutate(func(g *graph.Graph) error {
-				if g.HasEdge(1, 2) {
-					return g.RemoveEdge(1, 2)
-				}
-				return g.AddEdge(1, 2)
-			})
-			if err != nil {
-				return
+	// Each swap toggles edge (1,2) — a full off-path rebuild + atomic
+	// publish — at a milestone of the combined lookup target.
+	var swapsDone uint64
+	phases := make([]phase, cfg.Swaps)
+	for i := range phases {
+		phases[i] = phase{name: fmt.Sprintf("swap %d", i), run: func() error {
+			if _, err := eng.Mutate(toggle([2]int{1, 2})); err != nil {
+				return err
 			}
 			swapsDone++
-		}
-	}()
-
-	wg.Wait()
-	close(swapStop)
-	swapWG.Wait()
-	elapsed := time.Since(start)
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			return nil, err
-		}
+			return nil
+		}}
 	}
+
+	elapsed, err := loop{
+		n: cfg.N, workers: 2 * cfg.WorkersPerProto, batch: cfg.BatchSize, seed: cfg.Seed,
+		lookups: 2 * cfg.Lookups, answered: &gr.answered, maxBackoff: 2 * time.Millisecond,
+		serve: func(pairs [][2]int, out []serve.Result) (time.Duration, error) {
+			p := &protos[calls.Add(1)%2]
+			if err := p.lookupBatch(pairs, out); err != nil {
+				return 0, err
+			}
+			p.answered.Add(uint64(len(pairs)))
+			var backoff time.Duration
+			for i := range out {
+				backoff = max(backoff, gr.grade(&out[i], nil))
+				if out[i].Err == nil {
+					seqs.add(out[i].Seq)
+				}
+			}
+			return backoff, nil
+		},
+	}.run(phases)
+	if err != nil {
+		return nil, err
+	}
+	jsonAnswered, binAnswered := protos[0].answered.Load(), protos[1].answered.Load()
 
 	rep := &WireReport{
 		Scheme:      cfg.Scheme,
@@ -262,30 +235,4 @@ func RunWire(cfg WireConfig) (*WireReport, error) {
 		return rep, fmt.Errorf("chaos: wire phase failed: %s", rep)
 	}
 	return rep, nil
-}
-
-// gradedTarget wraps a transport target so every answer flows through the
-// shared chaos grader (strict, swap-sound) and the seq tracker before
-// returning to the closed loop. Rejections honour the server's backoff hint.
-type gradedTarget struct {
-	tgt  loadgen.Target
-	gr   *grader
-	seqs *seqSet
-}
-
-func (g *gradedTarget) LookupBatch(pairs [][2]int, out []serve.Result) error {
-	if err := g.tgt.LookupBatch(pairs, out); err != nil {
-		return err
-	}
-	var backoff time.Duration
-	for i := range out {
-		backoff = max(backoff, g.gr.grade(&out[i], nil))
-		if out[i].Err == nil {
-			g.seqs.add(out[i].Seq)
-		}
-	}
-	if backoff > 0 {
-		time.Sleep(backoff)
-	}
-	return nil
 }
