@@ -506,7 +506,7 @@ func (h *harness) drive(phases []phase) (*Report, error) {
 	elapsed, phaseErr := loop{
 		n: cfg.N, workers: cfg.Workers, batch: cfg.BatchSize, seed: cfg.Seed, lookups: cfg.Lookups,
 		answered: &h.answered, maxBackoff: 2 * time.Millisecond,
-		serve: func(pairs [][2]int, out []serve.Result) (time.Duration, error) {
+		lookup: func(pairs [][2]int, out []serve.Result) (time.Duration, error) {
 			if err := h.srv.Load().LookupBatch(pairs, out); err != nil {
 				return 0, err
 			}

@@ -23,10 +23,10 @@ type phase struct {
 	run  func() error
 }
 
-// loop is the closed-loop load every harness drives: workers seeded clients
-// draw uniform (src, dst) pairs over 1..n, batch pairs per request, until
-// lookups pairs are issued, while a controller fires the phase schedule at
-// progress milestones of answered.
+// loop is the closed-loop load the Run, RunCluster, RunShard and RunWire
+// harnesses drive: workers seeded clients draw uniform (src, dst) pairs over
+// 1..n, batch pairs per request, until lookups pairs are issued, while a
+// controller fires the phase schedule at progress milestones of answered.
 type loop struct {
 	n, workers, batch int
 	seed              int64
@@ -35,10 +35,10 @@ type loop struct {
 	// maxBackoff clamps a shed's retry-after hint so a stalled member
 	// cannot park the whole closed loop.
 	maxBackoff time.Duration
-	// serve answers one request into out (counting every answer into
+	// lookup answers one request into out (counting every answer into
 	// answered) and returns the backoff the answers asked for; an error
 	// halts the load.
-	serve func(pairs [][2]int, out []serve.Result) (time.Duration, error)
+	lookup func(pairs [][2]int, out []serve.Result) (time.Duration, error)
 }
 
 // run drives the load through phases and returns its wall time. Phase k fires
@@ -97,7 +97,7 @@ func (l loop) run(phases []phase) (time.Duration, error) {
 					}
 					pairs[i] = [2]int{src, dst}
 				}
-				backoff, err := l.serve(pairs, out)
+				backoff, err := l.lookup(pairs, out)
 				if err != nil {
 					fail(err)
 					return

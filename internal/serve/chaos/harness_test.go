@@ -17,7 +17,7 @@ func testLoop(answered *atomic.Uint64, served *atomic.Uint64, count bool) loop {
 	return loop{
 		n: 16, workers: 3, batch: 4, seed: 1, lookups: 4_000,
 		answered: answered, maxBackoff: time.Millisecond,
-		serve: func(pairs [][2]int, out []serve.Result) (time.Duration, error) {
+		lookup: func(pairs [][2]int, out []serve.Result) (time.Duration, error) {
 			served.Add(uint64(len(pairs)))
 			if count {
 				answered.Add(uint64(len(pairs)))

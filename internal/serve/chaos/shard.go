@@ -510,7 +510,7 @@ func (h *shardHarness) drive() (*ShardReport, error) {
 	elapsed, phaseErr := loop{
 		n: cfg.N, workers: cfg.Workers, batch: 1, seed: cfg.Seed, lookups: cfg.Lookups,
 		answered: &h.answered, maxBackoff: time.Millisecond,
-		serve: func(pairs [][2]int, out []serve.Result) (time.Duration, error) {
+		lookup: func(pairs [][2]int, out []serve.Result) (time.Duration, error) {
 			res, err := h.front.Lookup(pairs[0][0], pairs[0][1])
 			backoff, _ := h.count(&res, err)
 			return backoff, nil

@@ -192,7 +192,7 @@ func RunWire(cfg WireConfig) (*WireReport, error) {
 	elapsed, err := loop{
 		n: cfg.N, workers: 2 * cfg.WorkersPerProto, batch: cfg.BatchSize, seed: cfg.Seed,
 		lookups: 2 * cfg.Lookups, answered: &gr.answered, maxBackoff: 2 * time.Millisecond,
-		serve: func(pairs [][2]int, out []serve.Result) (time.Duration, error) {
+		lookup: func(pairs [][2]int, out []serve.Result) (time.Duration, error) {
 			p := &protos[calls.Add(1)%2]
 			if err := p.lookupBatch(pairs, out); err != nil {
 				return 0, err
