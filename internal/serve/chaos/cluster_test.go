@@ -128,12 +128,29 @@ func TestRunClusterNoKill(t *testing.T) {
 	}
 }
 
+// TestWriteClusterCSV writes one row per tier into the shared CSV layout.
 func TestWriteClusterCSV(t *testing.T) {
-	var reports []*ClusterReport
-	for _, cfg := range []ClusterConfig{
+	checkClusterCSV(t, []ClusterConfig{
 		{N: 16, Seed: 3, Scheme: "fulltable", Replicas: 1, Lookups: 8_000, Workers: 2, SkipKill: true},
 		{N: 96, Seed: 3, Scheme: "landmark", Replicas: 1, Lookups: 2_500, Workers: 2, SkipKill: true},
-	} {
+	}, []string{"fulltable,full,", "landmark,tables,"})
+}
+
+// TestWriteBigClusterCSV checks that a tables-tier report alone fills the
+// shared CSV layout: the row is tagged with its tier and has every column.
+func TestWriteBigClusterCSV(t *testing.T) {
+	checkClusterCSV(t, []ClusterConfig{
+		{N: 96, Seed: 3, Scheme: "landmark", Replicas: 1, Lookups: 2_500, Workers: 2, SkipKill: true},
+	}, []string{"landmark,tables,"})
+}
+
+// checkClusterCSV runs each config, writes the reports as CSV, and checks the
+// header and that row i starts with prefixes[i] (scheme and tier) and has as
+// many columns as the header.
+func checkClusterCSV(t *testing.T, cfgs []ClusterConfig, prefixes []string) {
+	t.Helper()
+	var reports []*ClusterReport
+	for _, cfg := range cfgs {
 		rep, err := RunCluster(cfg)
 		if err != nil {
 			t.Fatalf("%s run: %v\nreport: %v", cfg.Scheme, err, rep)
@@ -145,16 +162,16 @@ func TestWriteClusterCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("csv lines = %d, want 3", len(lines))
+	if len(lines) != len(cfgs)+1 {
+		t.Fatalf("csv lines = %d, want %d", len(lines), len(cfgs)+1)
 	}
 	if lines[0] != ClusterCSVHeader {
 		t.Fatalf("header mismatch: %q", lines[0])
 	}
-	for i, tier := range []string{"fulltable,full,", "landmark,tables,"} {
+	for i, prefix := range prefixes {
 		row := lines[i+1]
-		if !strings.HasPrefix(row, tier) {
-			t.Errorf("row %d = %q, want prefix %q", i+1, row, tier)
+		if !strings.HasPrefix(row, prefix) {
+			t.Errorf("row %d = %q, want prefix %q", i+1, row, prefix)
 		}
 		if got := strings.Count(row, ","); got != strings.Count(ClusterCSVHeader, ",") {
 			t.Fatalf("row %d has %d commas, header %d", i+1, got, strings.Count(ClusterCSVHeader, ","))
