@@ -50,11 +50,12 @@ smoke:
 		-out $(or $(TMPDIR),/tmp)/resilience_smoke.csv
 
 # One-iteration pass over every benchmarked path (BFS kernels, distance
-# cache, E13 sweep, serving-layer load); keeps the bench harness from
-# rotting between releases.
+# cache, E13 sweep, serving-layer load, and the scheme builders' Go
+# benchmarks); keeps the bench harness from rotting between releases.
 benchsmoke:
 	$(GO) run ./cmd/benchjson -quick -sections bfs,cache,resilience,serve,chaos,cluster,wal,wire,big,bigcluster,shard \
 		-out $(or $(TMPDIR),/tmp)/bench_smoke.json
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/schemes/...
 
 # Seconds-scale serving smoke through routetabd's loadgen mode: fixed seed,
 # tiny graph, two mid-load hot-swaps; exits non-zero on any incorrect,

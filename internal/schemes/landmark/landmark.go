@@ -25,6 +25,20 @@
 // d(u, ℓ(v)) + d(ℓ(v), v) ≤ 3·d(u, v) when v is outside u's cluster — the
 // classic stretch-3 argument.
 //
+// Build runs each step once. One FIFO BFS over sorted neighbour lists from
+// each landmark a fills a's landmark-table column: the port stored at u is
+// the edge to u's parent in that BFS tree (not, in general, the port to u's
+// smallest-id neighbour closer to a). The same BFS carries a's first port
+// down the tree, so eport(v) follows the shortestpath.FirstHopRow rule — the
+// port toward the smallest-id neighbour of ℓ(v) on a shortest path to v —
+// and picks ℓ(v) by scanning landmarks in ascending order, keeping strict
+// improvements only. Then a BFS from every destination v, truncated at depth
+// home(v)−1, emits v's cluster entries; the port stored at w is the edge to
+// w's parent in that BFS. A per-build CSR index of the sorted adjacency,
+// holding the port at both ends of every edge, answers every port lookup,
+// and since destinations are visited in ascending order a stable counting
+// sort by holder lays the entries out as CSR rows directly.
+//
 // Space. E[Σ_v |C(v)|] ≈ n²/(k+1) for a random landmark sample, so total
 // space is O(n·k + n²/k) = O(n^{3/2}) at k = √n — o(n²), the whole point.
 // All stored distances are exact int32 BFS distances: the packed uint8
@@ -37,6 +51,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"routetab/internal/bitio"
@@ -44,7 +59,6 @@ import (
 	"routetab/internal/keyspace"
 	"routetab/internal/models"
 	"routetab/internal/routing"
-	"routetab/internal/shortestpath"
 )
 
 // Errors.
@@ -152,70 +166,14 @@ func Build(g *graph.Graph, ports *graph.Ports, opt Options) (*Scheme, error) {
 		s.lmIdx[a] = int32(j)
 	}
 
-	// Pass 1: one BFS per landmark fills the distance/port columns.
-	for j, a := range s.landmarks {
-		res, err := shortestpath.BFS(g, int(a))
-		if err != nil {
-			return nil, fmt.Errorf("landmark: %w", err)
-		}
-		for u := 1; u <= n; u++ {
-			d := res.Dist[u]
-			if d == shortestpath.Unreachable {
-				return nil, fmt.Errorf("%w: node %d cannot reach landmark %d", ErrDisconnected, u, a)
-			}
-			at := (u-1)*k + j
-			s.lmDist[at] = int32(d)
-			if u != int(a) {
-				// Parent[u] is u's neighbour one step closer to the landmark.
-				port, err := ports.PortTo(u, res.Parent[u])
-				if err != nil {
-					return nil, fmt.Errorf("landmark: %w", err)
-				}
-				s.lmPort[at] = int32(port)
-			}
-		}
-	}
-
-	// Nearest landmark per node; ties resolve to the smallest landmark id
-	// because landmarks are sorted and the scan keeps strict improvements.
-	for v := 1; v <= n; v++ {
-		best := int32(0)
-		for j := 1; j < k; j++ {
-			if s.lmDist[(v-1)*k+j] < s.lmDist[(v-1)*k+int(best)] {
-				best = int32(j)
-			}
-		}
-		s.homeIdx[v] = best
-		s.homeDist[v] = s.lmDist[(v-1)*k+int(best)]
-	}
-
-	// Pass 2: one more BFS per landmark recovers eport(v) — the first hop at
-	// ℓ(v) toward v — for the nodes homed there, by walking the BFS parent
-	// chain from v up to the landmark's child.
-	for j, a := range s.landmarks {
-		res, err := shortestpath.BFS(g, int(a))
-		if err != nil {
-			return nil, fmt.Errorf("landmark: %w", err)
-		}
-		for v := 1; v <= n; v++ {
-			if s.homeIdx[v] != int32(j) || v == int(a) {
-				continue
-			}
-			x := v
-			for res.Parent[x] != int(a) {
-				x = res.Parent[x]
-			}
-			port, err := ports.PortTo(int(a), x)
-			if err != nil {
-				return nil, fmt.Errorf("landmark: %w", err)
-			}
-			s.eport[v] = int32(port)
-		}
-	}
-
-	if err := s.buildClusters(g, ports); err != nil {
+	x, err := newPortIndex(g, ports)
+	if err != nil {
 		return nil, err
 	}
+	if err := s.buildLandmarkColumns(x); err != nil {
+		return nil, err
+	}
+	s.buildClusters(x)
 	s.buildLabels()
 	return s, nil
 }
@@ -234,84 +192,179 @@ func sampleLandmarks(n, k int, seed int64) []int32 {
 	return lm
 }
 
-// clusterEntry is one (holder, destination) pair during construction.
-type clusterEntry struct{ w, v, port, dist int32 }
+// portIndex is a per-build CSR view of the adjacency with both ends' ports:
+// node u's neighbours, in increasing label order, are adj[off[u]:off[u+1]],
+// and for the edge at slot e, out[e] is the port at u leading to adj[e] and
+// back[e] the port at adj[e] leading back to u. Every port lookup of a build
+// is one array read; the index is dropped when Build returns, so it never
+// adds to a scheme's resident size.
+type portIndex struct {
+	off  []int
+	adj  []int32
+	out  []int32
+	back []int32
+}
+
+// newPortIndex builds the index in O(m log d): each port is placed by binary
+// search in the sorted neighbour row, and each back port by locating u in
+// the neighbour's row.
+func newPortIndex(g *graph.Graph, ports *graph.Ports) (*portIndex, error) {
+	n := g.N()
+	off := make([]int, n+2)
+	for u := 1; u <= n; u++ {
+		off[u+1] = off[u] + len(g.Neighbors(u))
+	}
+	m := off[n+1]
+	x := &portIndex{off: off, adj: make([]int32, m), out: make([]int32, m), back: make([]int32, m)}
+	for u := 1; u <= n; u++ {
+		nb := g.Neighbors(u)
+		row, out := x.adj[off[u]:off[u+1]], x.out[off[u]:off[u+1]]
+		for i, w := range nb {
+			row[i] = int32(w)
+		}
+		for p := 1; p <= len(nb); p++ {
+			w, err := ports.Neighbor(u, p)
+			if err != nil {
+				return nil, fmt.Errorf("landmark: %w", err)
+			}
+			out[sort.SearchInts(nb, w)] = int32(p)
+		}
+	}
+	for u := 1; u <= n; u++ {
+		for e := off[u]; e < off[u+1]; e++ {
+			w := x.adj[e]
+			i, _ := slices.BinarySearch(x.adj[off[w]:off[w+1]], int32(u))
+			x.back[e] = x.out[off[w]+i]
+		}
+	}
+	return x, nil
+}
+
+// buildLandmarkColumns runs one FIFO BFS over sorted neighbour rows from
+// each landmark a = landmarks[j]. Discovering w from u fills w's landmark
+// entry: the exact distance, and as port the edge to u, w's parent in a's
+// BFS tree. The same pass carries a's first port down the tree and streams
+// the nearest-landmark choice: landmarks are scanned in ascending order and
+// only a strictly closer one replaces the home, so ties keep the smallest
+// landmark id, and eport(v) is the port at ℓ(v) toward the first hop of its
+// BFS tree — the smallest-id neighbour of ℓ(v) on a shortest path to v.
+func (s *Scheme) buildLandmarkColumns(x *portIndex) error {
+	n, k := s.n, s.k
+	off, adj, out, back := x.off, x.adj, x.out, x.back
+	// Per-landmark columns, indexed by node: distance from a, port toward
+	// the BFS parent, and the port at a toward the node.
+	dist := make([]int32, n+1)
+	up := make([]int32, n+1)
+	hop := make([]int32, n+1)
+	queue := make([]int32, 0, n)
+	for j, a := range s.landmarks {
+		for i := range dist {
+			dist[i] = -1
+		}
+		dist[a], up[a], hop[a] = 0, 0, 0
+		queue = append(queue[:0], a)
+		for qi := 0; qi < len(queue); qi++ {
+			u := queue[qi]
+			du, hu := dist[u]+1, hop[u]
+			lo := off[u]
+			for e, w := range adj[lo:off[u+1]] {
+				if dist[w] >= 0 {
+					continue
+				}
+				dist[w], up[w] = du, back[lo+e]
+				if u == a {
+					hop[w] = out[lo+e]
+				} else {
+					hop[w] = hu
+				}
+				queue = append(queue, w)
+			}
+		}
+		for u := 1; u <= n; u++ {
+			d := dist[u]
+			if d < 0 {
+				return fmt.Errorf("%w: node %d cannot reach landmark %d", ErrDisconnected, u, a)
+			}
+			at := (u-1)*k + j
+			s.lmDist[at], s.lmPort[at] = d, up[u]
+			if j == 0 || d < s.homeDist[u] {
+				s.homeIdx[u], s.homeDist[u], s.eport[u] = int32(j), d, hop[u]
+			}
+		}
+	}
+	return nil
+}
 
 // buildClusters runs a truncated BFS from every destination v to depth
 // home(v)−1: each discovered node w with 2 ≤ d(v,w) < home(v) stores an
-// entry for v whose port is w's BFS parent edge (a first hop on a shortest
-// w→v path). Entries are then sorted into per-node CSR rows.
-func (s *Scheme) buildClusters(g *graph.Graph, ports *graph.Ports) error {
+// entry for v whose port is the edge to w's parent in that BFS (a first hop
+// on a shortest w→v path). Destinations are visited in ascending order, so
+// a stable counting sort by holder lays the entries out as per-node CSR rows
+// sorted by destination.
+func (s *Scheme) buildClusters(x *portIndex) {
 	n := s.n
+	off, adj, back := x.off, x.adj, x.back
 	dist := make([]int32, n+1)
-	parent := make([]int32, n+1)
 	queue := make([]int32, 0, n)
-	touched := make([]int32, 0, n)
 	for i := range dist {
 		dist[i] = -1
 	}
-	var entries []clusterEntry
-	for v := 1; v <= n; v++ {
+	// Entry i, in emission order, is held by eHolder[i] for destination
+	// eDst[i], with first port ePort[i] at distance eDist[i].
+	var eHolder, eDst, ePort, eDist []int32
+	for v := int32(1); v <= int32(n); v++ {
 		limit := s.homeDist[v] - 1
 		if limit < 2 {
 			continue // cluster holds only the neighbours, which store nothing
 		}
-		queue = queue[:0]
-		touched = touched[:0]
 		dist[v] = 0
-		queue = append(queue, int32(v))
-		touched = append(touched, int32(v))
+		queue = append(queue[:0], v)
 		for qi := 0; qi < len(queue); qi++ {
 			u := queue[qi]
-			du := dist[u]
-			if du == limit {
+			if dist[u] == limit {
 				continue
 			}
-			for _, w := range g.Neighbors(int(u)) {
+			du := dist[u] + 1
+			lo := off[u]
+			for e, w := range adj[lo:off[u+1]] {
 				if dist[w] >= 0 {
 					continue
 				}
-				dist[w] = du + 1
-				parent[w] = u
-				queue = append(queue, int32(w))
-				touched = append(touched, int32(w))
-				if dist[w] >= 2 {
-					port, err := ports.PortTo(w, int(parent[w]))
-					if err != nil {
-						return fmt.Errorf("landmark: %w", err)
-					}
-					entries = append(entries, clusterEntry{
-						w: int32(w), v: int32(v), port: int32(port), dist: dist[w],
-					})
+				dist[w] = du
+				queue = append(queue, w)
+				if du >= 2 {
+					eHolder = append(eHolder, w)
+					eDst = append(eDst, v)
+					ePort = append(ePort, back[lo+e])
+					eDist = append(eDist, du)
 				}
 			}
 		}
-		for _, t := range touched {
+		for _, t := range queue {
 			dist[t] = -1
 		}
 	}
-	// Canonical order: by holder, then destination. Keys are unique, so the
-	// result is deterministic regardless of discovery order.
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].w != entries[j].w {
-			return entries[i].w < entries[j].w
-		}
-		return entries[i].v < entries[j].v
-	})
+	// clusterStart[u] counts then prefix-sums to the end of u's row; next[u]
+	// is the write cursor of u's row during the stable scatter.
 	s.clusterStart = make([]int32, n+1)
-	s.clusterDst = make([]int32, len(entries))
-	s.clusterPort = make([]int32, len(entries))
-	s.clusterDist = make([]int32, len(entries))
-	for i, e := range entries {
-		s.clusterStart[e.w]++
-		s.clusterDst[i] = e.v
-		s.clusterPort[i] = e.port
-		s.clusterDist[i] = e.dist
+	for _, w := range eHolder {
+		s.clusterStart[w]++
 	}
 	for u := 1; u <= n; u++ {
 		s.clusterStart[u] += s.clusterStart[u-1]
 	}
-	return nil
+	next := make([]int32, n+1)
+	copy(next[1:], s.clusterStart[:n])
+	s.clusterDst = make([]int32, len(eHolder))
+	s.clusterPort = make([]int32, len(eHolder))
+	s.clusterDist = make([]int32, len(eHolder))
+	for i, w := range eHolder {
+		at := next[w]
+		next[w]++
+		s.clusterDst[at] = eDst[i]
+		s.clusterPort[at] = ePort[i]
+		s.clusterDist[at] = eDist[i]
+	}
 }
 
 // buildLabels pre-builds every node's label: ID v with Aux [ℓ(v), eport(v)].

@@ -325,3 +325,25 @@ func (fakeEnv) Degree() int                                   { return 0 }
 func (fakeEnv) NeighborLabelByPort(int) (routing.Label, bool) { return routing.Label{}, false }
 func (fakeEnv) PortOfNeighbor(int) (int, bool)                { return 0, false }
 func (fakeEnv) KnownNeighborIDs() ([]int, bool)               { return nil, false }
+
+var benchScheme *Scheme
+
+// BenchmarkBuildSparse4096 is the tables-tier rebuild a churn-shard-n4096
+// flip pays on every member: SparseConnected(4096, 8), sorted ports, default
+// options.
+func BenchmarkBuildSparse4096(b *testing.B) {
+	g, err := gengraph.SparseConnected(4096, 8, rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ports := graph.SortedPorts(g)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := Build(g, ports, DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchScheme = s
+	}
+}
