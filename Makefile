@@ -55,7 +55,7 @@ smoke:
 benchsmoke:
 	$(GO) run ./cmd/benchjson -quick -sections bfs,cache,resilience,serve,chaos,cluster,wal,wire,big,bigcluster,shard \
 		-out $(or $(TMPDIR),/tmp)/bench_smoke.json
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/schemes/...
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/schemes/... ./internal/cluster/...
 
 # Seconds-scale serving smoke through routetabd's loadgen mode: fixed seed,
 # tiny graph, two mid-load hot-swaps; exits non-zero on any incorrect,

@@ -7,11 +7,17 @@
 // first definite answer wins). Service-level errors other than overload
 // (ErrUnavailable, ErrSelfLookup) are answers, not failures: every member
 // would say the same thing, so they are returned, not retried.
+//
+// LookupBatch applies the same rules to a whole batch at once against
+// members that answer batches (BatchBackend): one member per attempt, one
+// hedge timer per batch, and per-key failover only for the keys a member
+// shed.
 package cluster
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -37,6 +43,14 @@ type Backend interface {
 type ContextBackend interface {
 	Backend
 	LookupCtx(ctx context.Context, src, dst int) (serve.Result, error)
+}
+
+// BatchBackend is a Backend that answers a whole batch in one call
+// (serve.Server, wire.Client and httpapi.BatchClient all have this method).
+// The error return fails the whole batch at the transport level; per-key
+// answers, sheds included, ride in out.
+type BatchBackend interface {
+	LookupBatch(pairs [][2]int, out []serve.Result) error
 }
 
 // RouterOptions configures a Router.
@@ -158,11 +172,11 @@ func (rt *Router) pick(now time.Time) []candidate {
 	return append(ready, demoted...)
 }
 
-func (rt *Router) noteOK(bs *backendState) {
+func (rt *Router) noteOK(bs *backendState, answered int) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	bs.downUntil = time.Time{}
-	bs.served++
+	bs.served += uint64(answered)
 }
 
 func (rt *Router) noteTransportFail(bs *backendState, now time.Time) {
@@ -249,7 +263,7 @@ func (rt *Router) Lookup(src, dst int) (serve.Result, error) {
 			default:
 				// A definite answer (including ErrUnavailable/ErrSelfLookup,
 				// which every member would repeat) wins.
-				rt.noteOK(a.bs)
+				rt.noteOK(a.bs, 1)
 				return a.res, nil
 			}
 			// The attempt failed over; try the next candidate immediately.
@@ -271,5 +285,209 @@ func (rt *Router) Lookup(src, dst int) (serve.Result, error) {
 				inflight++
 			}
 		}
+	}
+}
+
+// Per-key progress of a LookupBatch call.
+const (
+	keyPending  uint8 = iota // no answer yet
+	keyShed                  // out holds an overload answer; another member may still answer
+	keyAnswered              // out holds a definite answer
+)
+
+// batchAttempt is one batch sent to one member. It carries its own copy of
+// the keys and its own answers, so an attempt that loses a hedge, or
+// outlives the call, never touches the caller's slices.
+type batchAttempt struct {
+	c     candidate
+	bb    BatchBackend
+	keys  []int32 // caller indices, aligned with pairs and out
+	pairs [][2]int
+	out   []serve.Result
+	err   error
+}
+
+func (a *batchAttempt) run(done chan<- *batchAttempt) {
+	a.err = a.bb.LookupBatch(a.pairs, a.out)
+	done <- a
+}
+
+// batchCall is one LookupBatch call's working set.
+type batchCall struct {
+	state []uint8
+	// done receives every finished attempt. Its capacity covers every
+	// candidate, so an attempt that finishes after the call returned still
+	// completes its send and exits; a call that returns with attempts in
+	// flight is therefore never pooled.
+	done chan *batchAttempt
+}
+
+var (
+	attemptPool = sync.Pool{New: func() any { return new(batchAttempt) }}
+	callPool    = sync.Pool{New: func() any { return new(batchCall) }}
+)
+
+// LookupBatch answers a batch with the Lookup rules applied per batch: the
+// pending keys go to one member at a time; a transport error fails them all
+// over to the next candidate; keys a member shed go to the next candidate
+// while its Retry-After demotes it; and one hedge timer covers the batch,
+// each key taking the first definite answer. Keys no member could reach get
+// Result.Err = ErrNoBackends; the error return reports misuse only. When any
+// member lacks the batch method, the batch falls back to one Lookup per key.
+func (rt *Router) LookupBatch(pairs [][2]int, out []serve.Result) error {
+	if len(pairs) != len(out) {
+		return fmt.Errorf("cluster: LookupBatch pairs (%d) and out (%d) length mismatch", len(pairs), len(out))
+	}
+	if len(pairs) == 0 {
+		return nil
+	}
+	now := rt.opts.Clock()
+	order := rt.pick(now)
+	for _, c := range order {
+		if _, ok := c.b.(BatchBackend); !ok {
+			rt.lookupEach(pairs, out)
+			return nil
+		}
+	}
+	if len(order) == 0 {
+		for i := range out {
+			out[i] = serve.Result{Err: ErrNoBackends}
+		}
+		return nil
+	}
+
+	call := callPool.Get().(*batchCall)
+	if cap(call.state) < len(pairs) {
+		call.state = make([]uint8, len(pairs))
+	}
+	state := call.state[:len(pairs)]
+	for i := range state {
+		state[i] = keyPending
+	}
+	if cap(call.done) < len(order) {
+		call.done = make(chan *batchAttempt, len(order))
+	}
+	hedging := rt.opts.HedgeAfter > 0 && len(order) > 1
+	// launch sends every key not yet answered to c. Without hedging the
+	// attempt runs inline: its send lands in the buffered channel before
+	// the loop below reads it.
+	launch := func(c candidate) {
+		a := attemptPool.Get().(*batchAttempt)
+		a.c, a.bb = c, c.b.(BatchBackend)
+		a.keys, a.pairs = a.keys[:0], a.pairs[:0]
+		for i, st := range state {
+			if st != keyAnswered {
+				a.keys = append(a.keys, int32(i))
+				a.pairs = append(a.pairs, pairs[i])
+			}
+		}
+		if cap(a.out) < len(a.keys) {
+			a.out = make([]serve.Result, len(a.keys))
+		}
+		a.out = a.out[:len(a.keys)]
+		if hedging {
+			go a.run(call.done)
+		} else {
+			a.run(call.done)
+		}
+	}
+
+	next := 0
+	launch(order[next])
+	next++
+	inflight := 1
+
+	var hedgeC <-chan time.Time
+	if hedging {
+		hedge := time.NewTimer(rt.opts.HedgeAfter)
+		defer hedge.Stop()
+		hedgeC = hedge.C
+	}
+
+	pending := len(pairs)
+	for pending > 0 {
+		select {
+		case a := <-call.done:
+			inflight--
+			now = rt.opts.Clock()
+			if a.err != nil {
+				// The attempt's transport may still hold its buffers: drop
+				// them rather than pool them.
+				rt.noteTransportFail(a.c.bs, now)
+			} else {
+				answered, shed := 0, false
+				var retryAfter time.Duration
+				for j, k := range a.keys {
+					if state[k] == keyAnswered {
+						continue // an earlier attempt already answered this key
+					}
+					res := a.out[j]
+					out[k] = res
+					if errors.Is(res.Err, serve.ErrOverloaded) {
+						var oe *serve.OverloadedError
+						if errors.As(res.Err, &oe) && oe.RetryAfter > retryAfter {
+							retryAfter = oe.RetryAfter
+						}
+						state[k], shed = keyShed, true
+						continue
+					}
+					// A definite answer (including ErrUnavailable or
+					// ErrSelfLookup, which every member would repeat) wins.
+					state[k] = keyAnswered
+					answered++
+				}
+				pending -= answered
+				if answered > 0 {
+					rt.noteOK(a.c.bs, answered)
+				}
+				if shed {
+					// Any shed key demotes the member, for the largest hint.
+					rt.noteOverloaded(a.c.bs, now, retryAfter)
+				}
+				*a = batchAttempt{keys: a.keys, pairs: a.pairs, out: a.out}
+				attemptPool.Put(a)
+			}
+			if pending == 0 {
+				break
+			}
+			// Keys are still open: try the next candidate immediately.
+			if next < len(order) {
+				launch(order[next])
+				next++
+				inflight++
+			} else if inflight == 0 {
+				// Every candidate was tried: a shed key keeps its last
+				// overload answer, an unreached key gets ErrNoBackends.
+				for k, st := range state {
+					if st == keyPending {
+						out[k] = serve.Result{Err: ErrNoBackends}
+					}
+				}
+				pending = 0
+			}
+		case <-hedgeC:
+			hedgeC = nil
+			if next < len(order) {
+				launch(order[next])
+				next++
+				inflight++
+			}
+		}
+	}
+	if inflight == 0 {
+		callPool.Put(call)
+	}
+	return nil
+}
+
+// lookupEach answers a batch one Lookup at a time, for members that cannot
+// take a batch.
+func (rt *Router) lookupEach(pairs [][2]int, out []serve.Result) {
+	for i, p := range pairs {
+		res, err := rt.Lookup(p[0], p[1])
+		if err != nil {
+			res = serve.Result{Err: err}
+		}
+		out[i] = res
 	}
 }

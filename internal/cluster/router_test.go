@@ -288,3 +288,267 @@ func TestRouterSetBackendsPreservesHealth(t *testing.T) {
 		t.Fatalf("round robin skipped a healthy backend: %v", served)
 	}
 }
+
+// batchBackend is a scriptable member with the batch method: answer decides
+// each key's result, and every call is counted.
+type batchBackend struct {
+	name      string
+	transport error
+	delay     time.Duration
+	answer    func(src, dst int) serve.Result
+	// poison, if set, is written over every answer after delay — the
+	// shape of a loser whose late writes must never reach the caller.
+	poison  *serve.Result
+	done    chan struct{} // closed when a delayed call returns
+	batches atomic.Uint64
+	keys    atomic.Uint64
+}
+
+func (f *batchBackend) Name() string { return f.name }
+
+func (f *batchBackend) Lookup(src, dst int) (serve.Result, error) {
+	var out [1]serve.Result
+	err := f.LookupBatch([][2]int{{src, dst}}, out[:])
+	return out[0], err
+}
+
+func (f *batchBackend) LookupBatch(pairs [][2]int, out []serve.Result) error {
+	f.batches.Add(1)
+	f.keys.Add(uint64(len(pairs)))
+	if f.delay > 0 {
+		time.Sleep(f.delay)
+	}
+	if f.transport != nil {
+		return f.transport
+	}
+	for i, p := range pairs {
+		out[i] = f.answer(p[0], p[1])
+		if f.poison != nil {
+			out[i] = *f.poison
+		}
+	}
+	if f.done != nil {
+		close(f.done)
+	}
+	return nil
+}
+
+// answerNext answers every key with next hop dst+offset.
+func answerNext(offset int) func(src, dst int) serve.Result {
+	return func(_, dst int) serve.Result { return okResult(dst + offset) }
+}
+
+func testPairs(n int) [][2]int {
+	pairs := make([][2]int, n)
+	for i := range pairs {
+		pairs[i] = [2]int{1, i + 2}
+	}
+	return pairs
+}
+
+func TestRouterBatchFailsOverOnTransportError(t *testing.T) {
+	a := &batchBackend{name: "a", transport: errConnRefused}
+	b := &batchBackend{name: "b", answer: answerNext(100)}
+	rt := NewRouter([]Backend{a, b}, RouterOptions{HedgeAfter: -1, ProbeAfter: time.Hour})
+
+	pairs := testPairs(16)
+	for round := 0; round < 4; round++ {
+		out := make([]serve.Result, len(pairs))
+		if err := rt.LookupBatch(pairs, out); err != nil {
+			t.Fatal(err)
+		}
+		for i, res := range out {
+			if res.Err != nil || res.Next != pairs[i][1]+100 {
+				t.Fatalf("round %d key %d: %+v", round, i, res)
+			}
+		}
+	}
+	// One failed batch demotes a for an hour: the whole batch failed over
+	// once, and every later batch went straight to b.
+	if got := a.batches.Load(); got != 1 {
+		t.Fatalf("demoted backend tried %d times, want 1", got)
+	}
+	if got := b.batches.Load(); got != 4 {
+		t.Fatalf("b took %d batches, want 4 (one per call)", got)
+	}
+	if served := rt.Served(); served["b"] != 64 || served["a"] != 0 {
+		t.Fatalf("served = %v", served)
+	}
+
+	// Every member down: each key reports ErrNoBackends.
+	b.transport = errConnRefused
+	out := make([]serve.Result, len(pairs))
+	if err := rt.LookupBatch(pairs, out); err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range out {
+		if !errors.Is(res.Err, ErrNoBackends) {
+			t.Fatalf("key %d with every member down: %+v", i, res)
+		}
+	}
+}
+
+func TestRouterBatchReroutesShedKeys(t *testing.T) {
+	now := time.Unix(4000, 0)
+	clock := func() time.Time { return now }
+	shed := serve.Result{Err: &serve.OverloadedError{Shard: 1, RetryAfter: 25 * time.Millisecond}}
+	// a sheds every odd destination, with a shorter hint on dst 3 — the
+	// member's demotion honours the largest hint in the batch.
+	a := &batchBackend{name: "a", answer: func(src, dst int) serve.Result {
+		switch {
+		case dst == 3:
+			return serve.Result{Err: &serve.OverloadedError{RetryAfter: time.Millisecond}}
+		case dst%2 == 1:
+			return shed
+		}
+		return okResult(dst + 10)
+	}}
+	b := &batchBackend{name: "b", answer: answerNext(20)}
+	rt := NewRouter([]Backend{a, b}, RouterOptions{HedgeAfter: -1, ProbeAfter: time.Millisecond, Clock: clock})
+
+	pairs := testPairs(8) // dst 2..9
+	out := make([]serve.Result, len(pairs))
+	if err := rt.LookupBatch(pairs, out); err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range out {
+		dst := pairs[i][1]
+		want := dst + 10
+		if dst%2 == 1 {
+			want = dst + 20 // shed by a, re-sent to b
+		}
+		if res.Err != nil || res.Next != want {
+			t.Fatalf("key %d (dst %d): %+v, want next %d", i, dst, res, want)
+		}
+	}
+	if got := b.keys.Load(); got != 4 {
+		t.Fatalf("b got %d keys, want only the 4 shed ones", got)
+	}
+
+	// Inside the 25ms hint a is skipped even though ProbeAfter (1ms) and
+	// the smaller 1ms hint have passed.
+	now = now.Add(5 * time.Millisecond)
+	aBatches := a.batches.Load()
+	for i := 0; i < 4; i++ {
+		if err := rt.LookupBatch(pairs, out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a.batches.Load() != aBatches {
+		t.Fatal("backend retried inside its Retry-After window")
+	}
+
+	// Past the hint it takes traffic again.
+	now = now.Add(30 * time.Millisecond)
+	a.answer = answerNext(10)
+	for i := 0; i < 4; i++ {
+		if err := rt.LookupBatch(pairs, out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a.batches.Load() == aBatches {
+		t.Fatal("backend never recovered after Retry-After elapsed")
+	}
+
+	// Every member shedding: each key keeps its overload answer.
+	a.answer = func(int, int) serve.Result { return shed }
+	b.answer = a.answer
+	now = now.Add(time.Hour)
+	if err := rt.LookupBatch(pairs, out); err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range out {
+		if !errors.Is(res.Err, serve.ErrOverloaded) {
+			t.Fatalf("key %d with every member shedding: %+v", i, res)
+		}
+	}
+}
+
+// TestRouterBatchHedgeLoserNeverWritesOut: a slow member is hedged and
+// answers every key with a poisoned result. When the fast member answers
+// everything, the slow member's late writes must land in its attempt's own
+// scratch, never in the caller's out — under -race, such a write would also
+// be reported as a race with the reads below. When the fast member sheds
+// the odd destinations, the slow member's answers decide those keys only:
+// keys the fast member already answered keep its answers.
+func TestRouterBatchHedgeLoserNeverWritesOut(t *testing.T) {
+	poison := serve.Result{Next: -7}
+	for _, shedOdd := range []bool{false, true} {
+		hedged := false
+		for round := 0; round < 8 && !hedged; round++ {
+			slow := &batchBackend{name: "slow", delay: 50 * time.Millisecond, answer: answerNext(1),
+				poison: &poison, done: make(chan struct{})}
+			fast := &batchBackend{name: "fast", answer: func(_, dst int) serve.Result {
+				if shedOdd && dst%2 == 1 {
+					return serve.Result{Err: &serve.OverloadedError{}}
+				}
+				return okResult(dst + 2)
+			}}
+			rt := NewRouter([]Backend{slow, fast}, RouterOptions{HedgeAfter: 100 * time.Microsecond})
+
+			pairs := testPairs(32)
+			out := make([]serve.Result, len(pairs))
+			if err := rt.LookupBatch(pairs, out); err != nil {
+				t.Fatal(err)
+			}
+			if slow.batches.Load() == 0 {
+				continue // the rotation started on the fast member: no hedge
+			}
+			hedged = true
+			<-slow.done // the loser has written everything it ever will
+			for i, res := range out {
+				want := pairs[i][1] + 2
+				if shedOdd && pairs[i][1]%2 == 1 {
+					want = poison.Next
+				}
+				if res.Err != nil || res.Next != want {
+					t.Fatalf("shedOdd=%v key %d: %+v, want next %d", shedOdd, i, res, want)
+				}
+			}
+		}
+		if !hedged {
+			t.Fatalf("shedOdd=%v: the slow member was never tried first", shedOdd)
+		}
+	}
+}
+
+// hiddenBatch wraps a member in a Backend that hides its batch method, as a
+// counting wrapper that embeds only Backend does.
+type hiddenBatch struct {
+	Backend
+	calls *atomic.Uint64
+}
+
+func (h hiddenBatch) Lookup(src, dst int) (serve.Result, error) {
+	h.calls.Add(1)
+	return h.Backend.Lookup(src, dst)
+}
+
+func TestRouterBatchFallsBackPerKey(t *testing.T) {
+	var calls atomic.Uint64
+	inner := &batchBackend{name: "a", answer: answerNext(5)}
+	b := &batchBackend{name: "b", answer: answerNext(5)}
+	// One member without the batch method sends the whole batch through
+	// the per-key loop.
+	rt := NewRouter([]Backend{hiddenBatch{Backend: inner, calls: &calls}, b}, RouterOptions{HedgeAfter: -1})
+
+	pairs := testPairs(10)
+	out := make([]serve.Result, len(pairs))
+	if err := rt.LookupBatch(pairs, out); err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range out {
+		if res.Err != nil || res.Next != pairs[i][1]+5 {
+			t.Fatalf("key %d: %+v", i, res)
+		}
+	}
+	if got := calls.Load() + b.batches.Load(); got != uint64(len(pairs)) {
+		t.Fatalf("%d per-key calls, want %d", got, len(pairs))
+	}
+	if got := b.keys.Load(); got != b.batches.Load() {
+		t.Fatalf("b answered %d keys in %d calls: the batch was not split per key", got, b.batches.Load())
+	}
+	if err := rt.LookupBatch(pairs, out[:1]); err == nil {
+		t.Fatal("length mismatch not reported")
+	}
+}

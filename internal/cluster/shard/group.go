@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"routetab/internal/cluster"
@@ -93,6 +94,12 @@ type localBackend struct {
 func (b *localBackend) Name() string { return b.name }
 func (b *localBackend) Lookup(src, dst int) (serve.Result, error) {
 	return b.srv.NextHop(src, dst), nil
+}
+
+// LookupBatch implements cluster.BatchBackend: the whole sub-batch goes to
+// the member's server in one call.
+func (b *localBackend) LookupBatch(pairs [][2]int, out []serve.Result) error {
+	return b.srv.LookupBatch(pairs, out)
 }
 
 // member is one serving seat in a group.
@@ -273,16 +280,7 @@ func (c *Cluster) Group(id int) *Group {
 func (c *Cluster) GroupIDs() []int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ids := make([]int, 0, len(c.groups))
-	for id := range c.groups {
-		ids = append(ids, id)
-	}
-	for i := 1; i < len(ids); i++ { // insertion sort: tiny, no extra import
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	return ids
+	return c.groupIDsLocked()
 }
 
 // Mutate applies one topology mutation to every group, in group order under
@@ -307,11 +305,7 @@ func (c *Cluster) groupIDsLocked() []int {
 	for id := range c.groups {
 		ids = append(ids, id)
 	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
+	slices.Sort(ids)
 	return ids
 }
 

@@ -207,26 +207,26 @@ func (r *Router) Stats() map[int]GroupStats {
 	return out
 }
 
-// plan captures the routing decision for one key under the mutex: candidate
-// groups in try order with their routers.
+// plan is the routing decision for one group's keys, made under the mutex:
+// candidate groups in try order (the mapped group, then the handoff source
+// while the dual-read window is open) with their routers and breaker
+// verdicts.
 type plan struct {
-	ids  []int
-	rts  []*cluster.Router
-	skip []bool // breaker said no (and no probe slot): skip without an attempt
+	n    int
+	ids  [2]int
+	rts  [2]*cluster.Router
+	skip [2]bool // breaker said no (and no probe slot): skip without an attempt
 }
 
-func (r *Router) planFor(src int, now time.Time) plan {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g := r.smap.GroupFor(src)
-	ids := []int{g}
+func (r *Router) planLocked(g int, now time.Time) plan {
+	p := plan{n: 1, ids: [2]int{g}}
 	if r.handoffActive && g == r.handoffTo {
-		ids = append(ids, r.handoffFrom)
+		p.ids[1] = r.handoffFrom
+		p.n = 2
 	}
-	p := plan{ids: ids}
-	for _, id := range ids {
-		p.rts = append(p.rts, r.groups[id])
-		p.skip = append(p.skip, !r.admitLocked(id, now))
+	for i, id := range p.ids[:p.n] {
+		p.rts[i] = r.groups[id]
+		p.skip[i] = !r.admitLocked(id, now)
 	}
 	return p
 }
@@ -249,13 +249,25 @@ func (r *Router) admitLocked(id int, now time.Time) bool {
 	return false
 }
 
-func (r *Router) noteShardOK(id int) {
+// noteShardOK books served keys answered by group id and closes its breaker.
+func (r *Router) noteShardOK(id, served int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if b := r.breaker[id]; b != nil {
 		b.fails, b.probing = 0, false
 	}
-	r.statLocked(id).Served++
+	r.statLocked(id).Served += uint64(served)
+}
+
+// releaseProbe frees group id's half-open probe slot after an admitted
+// attempt that only drew ErrWrongShard: that answer neither closes nor
+// re-arms the breaker, and a slot left taken would keep it open for good.
+func (r *Router) releaseProbe(id int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if b := r.breaker[id]; b != nil {
+		b.probing = false
+	}
 }
 
 func (r *Router) noteShardFail(id int, now time.Time) {
@@ -273,10 +285,10 @@ func (r *Router) noteShardFail(id int, now time.Time) {
 	}
 }
 
-func (r *Router) noteKeyFailed(id int) {
+func (r *Router) noteKeysFailed(id, failed int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.statLocked(id).Failed++
+	r.statLocked(id).Failed += uint64(failed)
 }
 
 func (r *Router) statLocked(id int) *GroupStats {
@@ -306,8 +318,10 @@ func (r *Router) retryDelay(attempt int) time.Duration {
 // semantics.
 func (r *Router) Lookup(src, dst int) (serve.Result, error) {
 	now := r.opts.Clock()
-	p := r.planFor(src, now)
-	for ci, id := range p.ids {
+	r.mu.Lock()
+	p := r.planLocked(r.smap.GroupFor(src), now)
+	r.mu.Unlock()
+	for ci, id := range p.ids[:p.n] {
 		rt := p.rts[ci]
 		if rt == nil || p.skip[ci] {
 			continue
@@ -316,16 +330,17 @@ func (r *Router) Lookup(src, dst int) (serve.Result, error) {
 			res, err := rt.Lookup(src, dst)
 			switch {
 			case err == nil && res.Err == nil:
-				r.noteShardOK(id)
+				r.noteShardOK(id, 1)
 				return res, nil
 			case err == nil && errors.Is(res.Err, serve.ErrWrongShard):
 				// A correct answer from the wrong group — a stale map or a
 				// mid-handoff race, not a failure. Fall through to the next
 				// candidate group without charging the breaker.
+				r.releaseProbe(id)
 			case err == nil && !errors.Is(res.Err, serve.ErrOverloaded):
 				// A definite service-level answer (unavailable destination,
 				// self-lookup): every member of every group agrees, return it.
-				r.noteShardOK(id)
+				r.noteShardOK(id, 1)
 				return res, nil
 			default:
 				// Transport-level exhaustion (ErrNoBackends) or overload:
@@ -339,14 +354,33 @@ func (r *Router) Lookup(src, dst int) (serve.Result, error) {
 			break
 		}
 	}
-	r.noteKeyFailed(p.ids[0])
+	r.noteKeysFailed(p.ids[0], 1)
 	return serve.Result{Err: fmt.Errorf("%w: group %d", ErrShardUnavailable, p.ids[0])}, nil
 }
 
-// LookupBatch scatter-gathers a batch: keys are fanned to their shards (one
-// goroutine per shard touched), answers land at their key's index, and a
-// shard that stays down after retries yields ErrShardUnavailable for exactly
-// its keys.
+// frontScratch is one LookupBatch call's pooled working set: the batch
+// grouped by source group with a counting sort (idx holds caller indices,
+// pairs and out the gathered sub-batches, all aligned), and one plan per
+// group touched.
+type frontScratch struct {
+	group []int32 // per key: its source group
+	ends  []int32 // per group: end of its run in idx
+	plans []plan
+	idx   []int32
+	pairs [][2]int
+	out   []serve.Result
+	wg    sync.WaitGroup
+}
+
+var frontPool = sync.Pool{New: func() any { return new(frontScratch) }}
+
+// LookupBatch scatter-gathers a batch. Under one mutex acquisition it reads
+// the map, groups the keys by source group, and plans each group once
+// (candidates, handoff fallback, breaker admission). Each group's keys then
+// travel as one sub-batch through its failover router — the last group on
+// the calling goroutine, the others on their own. Answers land at their
+// key's index; a group that stays down after retries yields
+// ErrShardUnavailable for exactly its keys.
 func (r *Router) LookupBatch(pairs [][2]int, out []serve.Result) error {
 	if len(pairs) != len(out) {
 		return fmt.Errorf("shard: LookupBatch pairs (%d) and out (%d) length mismatch", len(pairs), len(out))
@@ -354,26 +388,136 @@ func (r *Router) LookupBatch(pairs [][2]int, out []serve.Result) error {
 	if len(pairs) == 0 {
 		return nil
 	}
-	m := r.Map()
-	byGroup := make(map[int][]int)
-	for i, pr := range pairs {
-		g := m.GroupFor(pr[0])
-		byGroup[g] = append(byGroup[g], i)
+	sc := frontPool.Get().(*frontScratch)
+	n := len(pairs)
+	if cap(sc.idx) < n {
+		sc.group = make([]int32, n)
+		sc.idx = make([]int32, n)
+		sc.pairs = make([][2]int, n)
+		sc.out = make([]serve.Result, n)
 	}
-	var wg sync.WaitGroup
-	for _, idxs := range byGroup {
-		wg.Add(1)
-		go func(idxs []int) {
-			defer wg.Done()
-			for _, i := range idxs {
-				res, err := r.Lookup(pairs[i][0], pairs[i][1])
-				if err != nil {
-					res = serve.Result{Err: err}
-				}
-				out[i] = res
-			}
-		}(idxs)
+	group, idx, sub, subOut := sc.group[:n], sc.idx[:n], sc.pairs[:n], sc.out[:n]
+
+	now := r.opts.Clock()
+	r.mu.Lock()
+	m := r.smap
+	if cap(sc.ends) < m.Groups {
+		sc.ends = make([]int32, m.Groups)
+		sc.plans = make([]plan, m.Groups)
 	}
-	wg.Wait()
+	ends, plans := sc.ends[:m.Groups], sc.plans[:m.Groups]
+	clear(ends)
+	for i, p := range pairs {
+		g := int32(m.GroupFor(p[0]))
+		group[i] = g
+		ends[g]++
+	}
+	sum, last := int32(0), 0
+	for g, c := range ends {
+		if c > 0 {
+			plans[g] = r.planLocked(g, now)
+			last = g
+		}
+		ends[g] = sum // the run's start, advanced to its end by the scatter
+		sum += c
+	}
+	r.mu.Unlock()
+	for i, g := range group {
+		pos := ends[g]
+		idx[pos], sub[pos] = int32(i), pairs[i]
+		ends[g]++
+	}
+
+	// Every group but the last non-empty one runs on its own goroutine.
+	lo := int32(0)
+	for g, hi := range ends {
+		if hi == lo {
+			continue
+		}
+		if g == last {
+			r.lookupGroup(plans[g], idx[lo:hi], sub[lo:hi], subOut[lo:hi], pairs, out)
+			break
+		}
+		sc.wg.Add(1)
+		go func(p plan, idx []int32, sub [][2]int, subOut []serve.Result) {
+			defer sc.wg.Done()
+			r.lookupGroup(p, idx, sub, subOut, pairs, out)
+		}(plans[g], idx[lo:hi], sub[lo:hi], subOut[lo:hi])
+		lo = hi
+	}
+	sc.wg.Wait()
+	clear(subOut) // pooled scratch must not pin answers' errors
+	frontPool.Put(sc)
 	return nil
+}
+
+// lookupGroup answers one group's keys: idx holds their caller indices,
+// sub their pairs, and subOut receives the group routers' answers. The keys
+// go as one sub-batch to the plan's first candidate; keys it leaves
+// overloaded or unreached are retried as a shrinking sub-batch within the
+// retry budget, then handed to the next candidate, and whatever is left
+// degrades to ErrShardUnavailable. Each failed attempt is one breaker
+// failure. Keys answered ErrWrongShard (the plan's map went stale, or the
+// handoff window) take the per-key Lookup at the end, which plans them
+// afresh.
+func (r *Router) lookupGroup(p plan, idx []int32, sub [][2]int, subOut []serve.Result, pairs [][2]int, out []serve.Result) {
+	var wrong []int32 // keys answered ErrWrongShard; rare, so allocated on demand
+	defer func() {
+		for _, k := range wrong {
+			out[k], _ = r.Lookup(pairs[k][0], pairs[k][1])
+		}
+	}()
+	for ci, id := range p.ids[:p.n] {
+		rt := p.rts[ci]
+		if rt == nil || p.skip[ci] {
+			continue
+		}
+		for attempt := 0; ; attempt++ {
+			_ = rt.LookupBatch(sub, subOut) // lengths match by construction
+			served, failed := 0, 0
+			for j, k := range idx {
+				res := subOut[j]
+				switch {
+				case res.Err == nil:
+					out[k] = res
+					served++
+				case errors.Is(res.Err, serve.ErrWrongShard):
+					// A correct answer from the wrong group — not a failure,
+					// so the breaker is not charged. The key is re-planned
+					// once this group's attempts are booked.
+					wrong = append(wrong, k)
+				case !errors.Is(res.Err, serve.ErrOverloaded) && !errors.Is(res.Err, cluster.ErrNoBackends):
+					// A definite service-level answer (unavailable
+					// destination, self-lookup): every member agrees.
+					out[k] = res
+					served++
+				default:
+					// Overloaded or unreached: keep it for the next attempt.
+					idx[failed], sub[failed] = k, sub[j]
+					failed++
+				}
+			}
+			idx, sub, subOut = idx[:failed], sub[:failed], subOut[:failed]
+			if served > 0 {
+				r.noteShardOK(id, served)
+			}
+			if failed == 0 {
+				if served == 0 {
+					r.releaseProbe(id)
+				}
+				return
+			}
+			r.noteShardFail(id, r.opts.Clock())
+			if attempt < r.opts.Retries {
+				time.Sleep(r.retryDelay(attempt + 1))
+				continue
+			}
+			break
+		}
+	}
+	r.noteKeysFailed(p.ids[0], len(idx))
+	err := fmt.Errorf("%w: group %d", ErrShardUnavailable, p.ids[0])
+	for _, k := range idx {
+		out[k] = serve.Result{Err: err}
+	}
 }

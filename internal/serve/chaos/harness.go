@@ -85,10 +85,18 @@ func (l loop) run(phases []phase) (time.Duration, error) {
 					time.Sleep(20 * time.Microsecond)
 					continue
 				}
-				if issued.Add(uint64(l.batch)) > l.lookups {
-					halt()
-					return
+				// The request that crosses the target is cut short, so
+				// exactly lookups pairs are issued whatever the batch size.
+				size := l.batch
+				if end := issued.Add(uint64(l.batch)); end > l.lookups {
+					over := end - l.lookups
+					if over >= uint64(l.batch) {
+						halt()
+						return
+					}
+					size -= int(over)
 				}
+				pairs, out := pairs[:size], out[:size]
 				for i := range pairs {
 					src := rng.Intn(l.n) + 1
 					dst := rng.Intn(l.n-1) + 1
@@ -333,6 +341,37 @@ func (m *member) Lookup(src, dst int) (serve.Result, error) {
 		g.Observe(src, dst, &res)
 	}
 	return res, nil
+}
+
+// LookupBatch implements cluster.BatchBackend: a partitioned or dead member
+// fails the whole batch at the transport; otherwise the batch goes in one
+// call to the inner backend or the local server, and every answer is
+// spot-graded.
+func (m *member) LookupBatch(pairs [][2]int, out []serve.Result) error {
+	if m.gate.down.Load() {
+		return errUnreachable
+	}
+	var err error
+	if m.inner != nil {
+		bb, ok := m.inner.(cluster.BatchBackend)
+		if !ok {
+			return errors.New("chaos: inner backend has no batch method")
+		}
+		err = bb.LookupBatch(pairs, out)
+	} else if srv := m.srv.Load(); srv != nil {
+		err = srv.LookupBatch(pairs, out)
+	} else {
+		return errUnreachable
+	}
+	if err != nil {
+		return err
+	}
+	if g := m.grader.Load(); g != nil {
+		for i, p := range pairs {
+			g.Observe(p[0], p[1], &out[i])
+		}
+	}
+	return nil
 }
 
 // chaosSource wraps a replica's upstream with the harness's failure

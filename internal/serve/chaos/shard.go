@@ -74,6 +74,8 @@ const (
 	splitGroup, killGroup = 0, 0
 	// minShardAvailability is the per-shard availability floor at quiesce.
 	minShardAvailability = 0.99
+	// frontBatch is the keys per closed-loop request.
+	frontBatch = 8
 	// shardSyncInterval paces the replication pump.
 	shardSyncInterval = time.Millisecond
 	// walkSamples is how many full cross-shard route walks are graded per
@@ -507,12 +509,30 @@ func (h *shardHarness) drive() (*ShardReport, error) {
 		}
 	}()
 
+	// Requests alternate between the front's two entry points: frontBatch
+	// keys one at a time through Lookup, then frontBatch keys in one
+	// LookupBatch, so every phase exercises both paths.
+	var requests atomic.Uint64
 	elapsed, phaseErr := loop{
-		n: cfg.N, workers: cfg.Workers, batch: 1, seed: cfg.Seed, lookups: cfg.Lookups,
+		n: cfg.N, workers: cfg.Workers, batch: frontBatch, seed: cfg.Seed, lookups: cfg.Lookups,
 		answered: &h.answered, maxBackoff: time.Millisecond,
 		lookup: func(pairs [][2]int, out []serve.Result) (time.Duration, error) {
-			res, err := h.front.Lookup(pairs[0][0], pairs[0][1])
-			backoff, _ := h.count(&res, err)
+			var backoff time.Duration
+			if requests.Add(1)%2 == 0 {
+				if err := h.front.LookupBatch(pairs, out); err != nil {
+					return 0, err
+				}
+				for i := range out {
+					b, _ := h.count(&out[i], nil)
+					backoff = max(backoff, b)
+				}
+				return backoff, nil
+			}
+			for _, p := range pairs {
+				res, err := h.front.Lookup(p[0], p[1])
+				b, _ := h.count(&res, err)
+				backoff = max(backoff, b)
+			}
 			return backoff, nil
 		},
 	}.run(h.buildPhases())
