@@ -1216,7 +1216,7 @@ func (a *api) healthz(w http.ResponseWriter, _ *http.Request) {
 		"tier":                  snap.Tier,
 		"n":                     snap.N(),
 		"snapshot_seq":          snap.Seq,
-		"snapshot_codec":        eng.Codec(),
+		"snapshot_codec":        serve.CodecArena,
 		"swaps":                 eng.Swaps(),
 		"space_bits":            snap.SpaceBits(),
 		"snapshot_bytes":        snap.ArenaSize(),

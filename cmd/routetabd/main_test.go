@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -237,6 +239,79 @@ func TestPersistWarmBoot(t *testing.T) {
 			t.Fatalf("run %d output missing %q: %s", i, want, buf.String())
 		}
 		out.Close()
+	}
+}
+
+// TestRTSNAP1FileColdBuilds: the retired RTSNAP1 snapshot layout no longer
+// decodes — a well-formed RTSNAP1 file fails with ErrBadSnapshotFile on both
+// the stream and the file path — and a daemon whose -persist file holds one
+// cold-builds and overwrites it with an arena.
+func TestRTSNAP1FileColdBuilds(t *testing.T) {
+	g, err := gengraph.GnHalf(32, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := serve.NewEngine(g, "fulltable")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// RTSNAP1: magic, then HEAD (seq, n, scheme), EGRF (m, E(G) bits), PORT
+	// (per node: degree, neighbours in port order) and DIST (packed matrix)
+	// frames.
+	cur := eng.Current()
+	le := binary.LittleEndian
+	head := le.AppendUint64(nil, cur.Seq)
+	head = le.AppendUint32(head, uint32(g.N()))
+	head = le.AppendUint16(head, uint16(len(cur.Scheme)))
+	head = append(head, cur.Scheme...)
+	egrf := append(le.AppendUint32(nil, uint32(g.M())), g.EncodeBytes()...)
+	var ports []byte
+	for u := 1; u <= g.N(); u++ {
+		row := cur.Ports.NeighborsByPort(u)
+		ports = le.AppendUint32(ports, uint32(len(row)))
+		for _, v := range row {
+			ports = le.AppendUint32(ports, uint32(v))
+		}
+	}
+	var old bytes.Buffer
+	old.WriteString("RTSNAP1\n")
+	for _, f := range []struct {
+		tag     string
+		payload []byte
+	}{{"HEAD", head}, {"EGRF", egrf}, {"PORT", ports}, {"DIST", cur.Dist.Packed()}} {
+		if err := serve.WriteFrame(&old, [4]byte([]byte(f.tag)), f.payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := serve.DecodeSnapshot(bytes.NewReader(old.Bytes())); !errors.Is(err, serve.ErrBadSnapshotFile) {
+		t.Fatalf("stream decode: err = %v, want ErrBadSnapshotFile", err)
+	}
+	dir := t.TempDir()
+	snap := dir + "/snap.rtsnap"
+	if err := os.WriteFile(snap, old.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := serve.LoadSnapshot(snap); !errors.Is(err, serve.ErrBadSnapshotFile) {
+		t.Fatalf("file load: err = %v, want ErrBadSnapshotFile", err)
+	}
+	out, err := os.CreateTemp(dir, "out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	if err := run([]string{"-loadgen", "-n", "32", "-seed", "1", "-lookups", "200",
+		"-workers", "2", "-scheme", "fulltable", "-persist", snap}, out); err != nil {
+		t.Fatal(err)
+	}
+	log, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(log), "cold-building") {
+		t.Fatalf("daemon did not cold-build: %s", log)
+	}
+	if _, err := serve.LoadSnapshot(snap); err != nil {
+		t.Fatalf("persist file not rewritten as an arena: %v", err)
 	}
 }
 

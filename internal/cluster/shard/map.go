@@ -12,8 +12,8 @@
 // other group's placement is untouched.
 //
 // The map itself is replicated state: it is versioned by an epoch that bumps
-// on every reshape, and it travels in the same CRC-32C framing as the WAL and
-// snapshots (serve.WriteFrame), so a torn or bit-flipped map is rejected
+// on every reshape, and it travels in the same CRC-32C framing as the WAL
+// (serve.WriteFrame), so a torn or bit-flipped map is rejected
 // loudly and never partially adopted — the codec returns either a fully
 // validated map or an error, nothing in between.
 package shard
@@ -207,7 +207,7 @@ func (m *Map) validate() error {
 }
 
 // mapMagic is the codec preamble; frameTag frames the payload in the shared
-// snapshot/WAL CRC framing.
+// WAL CRC framing.
 var (
 	mapMagic = []byte("RTSMAP1\n")
 	frameTag = [4]byte{'S', 'M', 'A', 'P'}

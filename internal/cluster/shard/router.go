@@ -15,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"routetab/internal/breaker"
 	"routetab/internal/cluster"
 	"routetab/internal/serve"
 )
@@ -69,13 +70,6 @@ func (o *RouterOptions) setDefaults() {
 	}
 }
 
-// breaker is one shard's circuit breaker, guarded by the router mutex.
-type breaker struct {
-	fails     int
-	openUntil time.Time
-	probing   bool
-}
-
 // GroupStats is one shard's serving record as the router saw it.
 type GroupStats struct {
 	Served uint64 `json:"served"`
@@ -97,7 +91,7 @@ type Router struct {
 	mu      sync.Mutex
 	smap    *Map
 	groups  map[int]*cluster.Router
-	breaker map[int]*breaker
+	breaker map[int]*breaker.Breaker
 	stats   map[int]*GroupStats
 	rng     *rand.Rand
 	// handoffTo/handoffFrom describe the dual-read window of a live split:
@@ -123,7 +117,7 @@ func NewRouter(m *Map, groups map[int]*cluster.Router, opts RouterOptions) (*Rou
 		opts:    opts,
 		smap:    m,
 		groups:  make(map[int]*cluster.Router, len(groups)),
-		breaker: make(map[int]*breaker),
+		breaker: make(map[int]*breaker.Breaker),
 		stats:   make(map[int]*GroupStats),
 		rng:     rand.New(rand.NewSource(opts.Seed)),
 	}
@@ -226,36 +220,26 @@ func (r *Router) planLocked(g int, now time.Time) plan {
 	}
 	for i, id := range p.ids[:p.n] {
 		p.rts[i] = r.groups[id]
-		p.skip[i] = !r.admitLocked(id, now)
+		p.skip[i] = !r.breakerLocked(id).Allow(now.UnixNano())
 	}
 	return p
 }
 
-// admitLocked consults group id's breaker: closed admits, open rejects, and
-// at cooldown expiry exactly one caller wins the half-open probe.
-func (r *Router) admitLocked(id int, now time.Time) bool {
+// breakerLocked returns group id's breaker, creating it closed on first use.
+func (r *Router) breakerLocked(id int) *breaker.Breaker {
 	b := r.breaker[id]
 	if b == nil {
-		b = &breaker{}
+		b = &breaker.Breaker{Threshold: r.opts.BreakerThreshold, Cooldown: r.opts.BreakerCooldown}
 		r.breaker[id] = b
 	}
-	if b.fails < r.opts.BreakerThreshold {
-		return true
-	}
-	if !now.Before(b.openUntil) && !b.probing {
-		b.probing = true
-		return true
-	}
-	return false
+	return b
 }
 
 // noteShardOK books served keys answered by group id and closes its breaker.
 func (r *Router) noteShardOK(id, served int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if b := r.breaker[id]; b != nil {
-		b.fails, b.probing = 0, false
-	}
+	r.breakerLocked(id).Success()
 	r.statLocked(id).Served += uint64(served)
 }
 
@@ -265,24 +249,13 @@ func (r *Router) noteShardOK(id, served int) {
 func (r *Router) releaseProbe(id int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if b := r.breaker[id]; b != nil {
-		b.probing = false
-	}
+	r.breakerLocked(id).Release()
 }
 
 func (r *Router) noteShardFail(id int, now time.Time) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	b := r.breaker[id]
-	if b == nil {
-		b = &breaker{}
-		r.breaker[id] = b
-	}
-	b.fails++
-	b.probing = false
-	if b.fails >= r.opts.BreakerThreshold {
-		b.openUntil = now.Add(r.opts.BreakerCooldown)
-	}
+	r.breakerLocked(id).Failure(now.UnixNano())
 }
 
 func (r *Router) noteKeysFailed(id, failed int) {

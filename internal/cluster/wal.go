@@ -10,9 +10,9 @@
 //
 // The WAL is dense-sequenced and bounded: records carry consecutive Seq
 // numbers, a replica that asks for records the log has truncated away gets
-// ErrGone and falls back to a full state fetch, and every frame reuses the
-// CRC-32C section framing of the RTSNAP1 snapshot format so torn or
-// bit-flipped records are rejected by the same code path everywhere.
+// ErrGone and falls back to a full state fetch, and every frame is a
+// serve.WriteFrame CRC-32C frame so torn or bit-flipped records are rejected
+// by the same code path everywhere.
 package cluster
 
 import (
@@ -148,7 +148,7 @@ type Record struct {
 	Owned  []uint64
 }
 
-// Frame tags for the WAL codec, disjoint from the RTSNAP1 section tags.
+// Frame tags for the WAL codec, disjoint from every other frame tag.
 var (
 	tagRec      = [4]byte{'W', 'R', 'E', 'C'}
 	tagBatchHdr = [4]byte{'W', 'H', 'D', 'R'}
@@ -460,8 +460,7 @@ type State struct {
 // EncodeState frames a State: CHDR (epoch, wal seq), OVLY (overlay), then
 // the snapshot as one contiguous RTARENA1 arena — a bootstrapping replica
 // receives the O(n²) payload as a single CRC-guarded buffer and adopts its
-// distance matrix in place. DecodeState sniffs the snapshot magic, so states
-// shipped by pre-arena primaries (RTSNAP1 bodies) still decode.
+// distance matrix in place. DecodeState accepts arena bodies only.
 func EncodeState(w io.Writer, st *State) error {
 	var hdr bytes.Buffer
 	var tmp [binary.MaxVarintLen64]byte

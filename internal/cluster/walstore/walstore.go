@@ -2,9 +2,9 @@
 // segment files, giving the primary's replication log a disk life that
 // survives the process. Each segment is RTWALS1 magic, an SHDR header frame
 // (epoch, first sequence, writer fsync policy), then WENT entry frames
-// (sequence + opaque record payload), all framed by the same CRC-32C section
-// codec as RTSNAP1 snapshots — torn and bit-flipped frames are rejected by
-// the identical code path everywhere.
+// (sequence + opaque record payload), all in the serve.WriteFrame CRC-32C
+// framing the WAL's wire records use — torn and bit-flipped frames are
+// rejected by the identical code path everywhere.
 //
 // Recovery is the crash half of the contract: Open scans segments in name
 // order (names embed the first sequence, so name order is sequence order),

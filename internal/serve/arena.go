@@ -1,9 +1,8 @@
-// RTARENA1: the zero-copy snapshot codec. Where RTSNAP1 frames four separate
-// sections a decoder must parse, copy, and re-materialise, the arena is one
-// contiguous 8-byte-aligned buffer — a 96-byte header with an offsets table,
-// then the adjacency bitset rows, the port tables, the packed uint8 distance
-// matrix, and the scheme-name blob — guarded by a single CRC-32C over the
-// whole body. Saving a snapshot is one contiguous write; loading is one
+// RTARENA1: the zero-copy snapshot codec. The arena is one contiguous
+// 8-byte-aligned buffer — a 96-byte header with an offsets table, then the
+// adjacency bitset rows, the port tables, the packed uint8 distance matrix,
+// and the scheme-name blob — guarded by a single CRC-32C over the whole
+// body. Saving a snapshot is one contiguous write; loading is one
 // ReadFile; adoption serves the O(n²) distance matrix *in place*, aliased by
 // shortestpath.FromPacked rather than copied.
 //
@@ -30,9 +29,8 @@
 //
 // Determinism: EncodeArena is a pure function of the snapshot's logical
 // content — two engines that published byte-identical tables encode
-// byte-identical arenas, and the packed distance bytes (hence cluster.DistCRC)
-// are bit-for-bit the bytes RTSNAP1's DIST section carries, which is the
-// arena-vs-legacy contract the tests pin.
+// byte-identical arenas, and the DIST section is bit-for-bit the packed
+// matrix cluster.DistCRC fingerprints.
 package serve
 
 import (
@@ -45,11 +43,9 @@ import (
 	"routetab/internal/shortestpath"
 )
 
-// Codec names, reported by Engine.Codec and the daemon's /healthz.
-const (
-	CodecArena  = "arena"
-	CodecLegacy = "legacy"
-)
+// CodecArena names the snapshot codec in the RTBIN1 Info frame and the
+// daemon's /healthz.
+const CodecArena = "arena"
 
 // arenaMagic identifies arena layout version 1; bump arenaVersion (and the
 // magic, for loud incompatibility) on any layout change.
@@ -320,8 +316,7 @@ func (a *Arena) Bytes() []byte { return a.buf }
 func (a *Arena) Version() int { return a.version }
 
 // PackedDist returns the n² packed distance bytes, aliasing the arena — the
-// zero-copy payload, byte-identical to the legacy DIST section. Nil on v2
-// arenas, which carry Tables instead.
+// zero-copy payload. Nil on v2 arenas, which carry Tables instead.
 func (a *Arena) PackedDist() []byte { return a.dist }
 
 // Tables returns the scheme table blob of a v2 arena (nil on v1), aliasing

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/crc32"
 	"math/rand"
 	"os"
 	"testing"
@@ -70,52 +69,6 @@ func TestArenaRoundTrip(t *testing.T) {
 		if &got.Dist.Packed()[0] != &a.PackedDist()[0] {
 			t.Fatalf("%s: materialised distances are a copy, want arena alias", scheme)
 		}
-	}
-}
-
-// TestArenaMatchesLegacy pins the cross-codec determinism contract: the same
-// logical snapshot carried by RTARENA1 and RTSNAP1 must restore with the same
-// Seq and the same packed-distance CRC, so a replica adopting an arena body
-// converges to the same anti-entropy fingerprint as one replaying legacy
-// frames.
-func TestArenaMatchesLegacy(t *testing.T) {
-	sd := snapshotData(t, 32, 7, "fulltable")
-
-	var legacy bytes.Buffer
-	if err := EncodeSnapshotData(&legacy, sd); err != nil {
-		t.Fatal(err)
-	}
-	fromLegacy, codec, err := DecodeSnapshotCodec(bytes.NewReader(legacy.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if codec != CodecLegacy {
-		t.Fatalf("legacy decode reported codec %q", codec)
-	}
-
-	fromArena, codec, err := DecodeSnapshotCodec(bytes.NewReader(EncodeArena(sd)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if codec != CodecArena {
-		t.Fatalf("arena decode reported codec %q", codec)
-	}
-
-	if fromArena.Seq != fromLegacy.Seq {
-		t.Fatalf("seq: arena %d, legacy %d", fromArena.Seq, fromLegacy.Seq)
-	}
-	aCRC := crc32.Checksum(fromArena.Dist.Packed(), crcTable)
-	lCRC := crc32.Checksum(fromLegacy.Dist.Packed(), crcTable)
-	if aCRC != lCRC {
-		t.Fatalf("packed-distance CRC: arena %08x, legacy %08x", aCRC, lCRC)
-	}
-	if !fromArena.Graph.Equal(fromLegacy.Graph) {
-		t.Fatal("graphs differ across codecs")
-	}
-	// Re-encoding the legacy-restored snapshot as an arena must be
-	// byte-identical to encoding the original — restore loses nothing.
-	if !bytes.Equal(EncodeArena(fromLegacy), EncodeArena(sd)) {
-		t.Fatal("legacy round-trip changes the arena encoding")
 	}
 }
 

@@ -205,12 +205,12 @@ func (s *Server) runBatch(shard int, batch []any) {
 	}
 	s.batches.Inc()
 	s.batchSz.Observe(int64(total))
-	s.lookups.Add(uint64(total))
 }
 
 // runJob answers one job's pairs under snap and releases its waiter, counting
-// the pairs answered. A panic inside one lookup fails that job's remaining
-// pairs but not the rest of the batch.
+// the pairs answered before the release so a caller that got its answers
+// also sees them counted. A panic inside one lookup fails that job's
+// remaining pairs but not the rest of the batch.
 func (s *Server) runJob(snap *Snapshot, j *job) int {
 	n := j.len()
 	k := 0
@@ -230,6 +230,7 @@ func (s *Server) runJob(snap *Snapshot, j *job) int {
 		p := j.pairs[j.pos(k)]
 		j.out[j.pos(k)] = s.answer(snap, p[0], p[1])
 	}
+	s.lookups.Add(uint64(n))
 	return n
 }
 

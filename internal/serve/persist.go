@@ -1,23 +1,13 @@
-// Snapshot persistence: deterministic binary codecs for serving snapshots
-// plus crash-safe save/load, so a restarted daemon recovers the last
-// published snapshot byte-identically instead of cold-rebuilding it.
-//
-// Two codecs share this file's entry points, distinguished by their 8-byte
-// magic. RTARENA1 (arena.go) is what the engine writes: one contiguous
-// CRC-32C-guarded buffer whose distance matrix is served in place after load.
-// RTSNAP1 is the legacy framed layout — a magic string followed by four
-// framed sections, HEAD (seq, scheme, n), EGRF (the paper's canonical E(G)
-// edge bits), PORT (the per-node port→neighbour tables), DIST (the packed
-// all-pairs byte matrix), each carrying its own length and CRC-32C — still
-// decoded so pre-arena snapshot files warm-boot, and still encodable because
-// the arena-vs-legacy determinism cross-check pins both. Writes go through a
+// Snapshot persistence: crash-safe save/load of serving snapshots in the
+// arena codec (arena.go), so a restarted daemon recovers the last published
+// snapshot byte-identically instead of cold-rebuilding it. Saves go through a
 // temp file and an atomic rename: a crash mid-save can never corrupt the
-// previous good file.
+// previous good file. Bytes that do not open as an arena — a truncated or
+// bit-flipped file, or one in a pre-arena layout — fail with
+// ErrBadSnapshotFile.
 //
-// Determinism: both encoders are pure functions of the snapshot's logical
-// content (little-endian, no maps iterated, no timestamps), so golden-file
-// tests pin each format and two engines that published byte-identical tables
-// persist byte-identical files.
+// This file also holds the CRC-32C frame (WriteFrame/ReadFrame) that the
+// cluster WAL, its on-disk segments and the shard map are written in.
 package serve
 
 import (
@@ -40,23 +30,11 @@ import (
 // checksum validation.
 var ErrBadSnapshotFile = errors.New("serve: bad snapshot file")
 
-// snapMagic identifies format version 1; bump it on any layout change.
-var snapMagic = [8]byte{'R', 'T', 'S', 'N', 'A', 'P', '1', '\n'}
-
 // crcTable is the Castagnoli polynomial, hardware-accelerated on amd64/arm64.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Section tags, in mandatory file order.
-var (
-	tagHead = [4]byte{'H', 'E', 'A', 'D'}
-	tagGraf = [4]byte{'E', 'G', 'R', 'F'}
-	tagPort = [4]byte{'P', 'O', 'R', 'T'}
-	tagDist = [4]byte{'D', 'I', 'S', 'T'}
-)
-
-// maxSectionLen bounds a section frame so a corrupt length field cannot ask
-// the decoder to allocate gigabytes (n=4096 DIST is 16 MiB; 256 MiB is head
-// room, not a target).
+// maxSectionLen bounds a frame so a corrupt length field cannot ask the
+// decoder to allocate gigabytes (256 MiB is head room, not a target).
 const maxSectionLen = 256 << 20
 
 // SnapshotData is the decoded content of a persisted snapshot: everything a
@@ -75,22 +53,10 @@ type SnapshotData struct {
 }
 
 // WriteFrame writes one CRC-framed payload: tag, little-endian length,
-// CRC-32C (Castagnoli), bytes. It is the one framing primitive shared by the
-// snapshot codec and the cluster WAL (internal/cluster), so torn or
-// bit-flipped sections are rejected identically everywhere.
+// CRC-32C (Castagnoli), bytes. The cluster WAL, its segment files and the
+// shard map all use it, so torn or bit-flipped frames are rejected
+// identically everywhere.
 func WriteFrame(w io.Writer, tag [4]byte, payload []byte) error {
-	return writeSection(w, tag, payload)
-}
-
-// ReadFrame reads and checksums one framed payload, enforcing the tag. A
-// short read, wrong tag, oversized length claim, or checksum mismatch returns
-// an error wrapping ErrBadSnapshotFile.
-func ReadFrame(r io.Reader, tag [4]byte) ([]byte, error) {
-	return readSection(r, tag)
-}
-
-// writeSection frames one payload: tag, length, CRC-32C, bytes.
-func writeSection(w io.Writer, tag [4]byte, payload []byte) error {
 	var hdr [12]byte
 	copy(hdr[:4], tag[:])
 	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(payload)))
@@ -102,8 +68,10 @@ func writeSection(w io.Writer, tag [4]byte, payload []byte) error {
 	return err
 }
 
-// readSection reads and checksums one framed payload, enforcing the tag.
-func readSection(r io.Reader, tag [4]byte) ([]byte, error) {
+// ReadFrame reads and checksums one framed payload, enforcing the tag. A
+// short read, wrong tag, oversized length claim, or checksum mismatch returns
+// an error wrapping ErrBadSnapshotFile.
+func ReadFrame(r io.Reader, tag [4]byte) ([]byte, error) {
 	var hdr [12]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("%w: section %s header: %v", ErrBadSnapshotFile, tag, err)
@@ -125,213 +93,23 @@ func readSection(r io.Reader, tag [4]byte) ([]byte, error) {
 	return payload, nil
 }
 
-// EncodeSnapshot writes s in the persistent format. The output is a pure
-// function of (Seq, Scheme, graph, ports, distances).
-func EncodeSnapshot(w io.Writer, s *Snapshot) error {
-	return EncodeSnapshotData(w, &SnapshotData{
-		Seq: s.Seq, Scheme: s.Scheme, Graph: s.Graph, Ports: s.Ports, Dist: s.Dist, Tables: s.tables,
-	})
-}
-
-// EncodeSnapshotData writes the decoded form in the same persistent format —
-// the replication layer ships fetched cluster state through it without first
-// rebuilding a serving snapshot.
-func EncodeSnapshotData(w io.Writer, s *SnapshotData) error {
-	if s.Dist == nil {
-		// The framed legacy layout predates tiering and has no TBLS section;
-		// tiered snapshots persist through the arena codec only.
-		return fmt.Errorf("serve: legacy codec cannot encode a tables-tier snapshot (use EncodeArena)")
-	}
-	if _, err := w.Write(snapMagic[:]); err != nil {
-		return err
-	}
-	n := s.Graph.N()
-
-	head := make([]byte, 0, 16+len(s.Scheme))
-	head = binary.LittleEndian.AppendUint64(head, s.Seq)
-	head = binary.LittleEndian.AppendUint32(head, uint32(n))
-	head = binary.LittleEndian.AppendUint16(head, uint16(len(s.Scheme)))
-	head = append(head, s.Scheme...)
-	if err := writeSection(w, tagHead, head); err != nil {
-		return err
-	}
-
-	code := s.Graph.EncodeBytes()
-	egrf := make([]byte, 0, 4+len(code))
-	egrf = binary.LittleEndian.AppendUint32(egrf, uint32(s.Graph.M()))
-	egrf = append(egrf, code...)
-	if err := writeSection(w, tagGraf, egrf); err != nil {
-		return err
-	}
-
-	var ports []byte
-	for u := 1; u <= n; u++ {
-		row := s.Ports.NeighborsByPort(u)
-		ports = binary.LittleEndian.AppendUint32(ports, uint32(len(row)))
-		for _, v := range row {
-			ports = binary.LittleEndian.AppendUint32(ports, uint32(v))
-		}
-	}
-	if err := writeSection(w, tagPort, ports); err != nil {
-		return err
-	}
-
-	return writeSection(w, tagDist, s.Dist.Packed())
-}
-
-// DecodeSnapshot parses and validates a persisted snapshot, sniffing the
-// 8-byte magic to dispatch between the arena codec (RTARENA1, what the
-// engine writes) and the legacy framed codec (RTSNAP1, pre-arena files).
-// Every structural claim is checked (magic, lengths, CRCs, port-table
-// consistency against the decoded graph), so feeding it arbitrary bytes
-// returns an error, never a corrupt serving state.
+// DecodeSnapshot reads one arena from r, the stream form cluster state
+// bodies carry. Every structural claim is checked (magic, lengths, CRC,
+// port-table consistency against the decoded graph), so feeding it
+// arbitrary bytes returns an error, never a corrupt serving state.
 func DecodeSnapshot(r io.Reader) (*SnapshotData, error) {
-	sd, _, err := DecodeSnapshotCodec(r)
-	return sd, err
-}
-
-// DecodeSnapshotCodec is DecodeSnapshot, additionally reporting which codec
-// (CodecArena or CodecLegacy) the bytes carried.
-func DecodeSnapshotCodec(r io.Reader) (*SnapshotData, string, error) {
 	var magic [8]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, "", fmt.Errorf("%w: magic: %v", ErrBadSnapshotFile, err)
+		return nil, fmt.Errorf("%w: magic: %v", ErrBadSnapshotFile, err)
 	}
-	switch magic {
-	case arenaMagic, arena2Magic:
-		a, err := readArena(r, magic)
-		if err != nil {
-			return nil, "", err
-		}
-		sd, err := a.SnapshotData()
-		if err != nil {
-			return nil, "", err
-		}
-		return sd, CodecArena, nil
-	case snapMagic:
-		sd, err := decodeLegacyBody(r)
-		if err != nil {
-			return nil, "", err
-		}
-		return sd, CodecLegacy, nil
+	if magic != arenaMagic && magic != arena2Magic {
+		return nil, fmt.Errorf("%w: magic %q", ErrBadSnapshotFile, magic[:])
 	}
-	return nil, "", fmt.Errorf("%w: magic %q", ErrBadSnapshotFile, magic[:])
-}
-
-// decodeLegacyBody parses the RTSNAP1 framed sections after the magic has
-// been consumed.
-func decodeLegacyBody(r io.Reader) (*SnapshotData, error) {
-	head, err := readSection(r, tagHead)
+	a, err := readArena(r, magic)
 	if err != nil {
 		return nil, err
 	}
-	if len(head) < 14 {
-		return nil, fmt.Errorf("%w: HEAD of %d bytes", ErrBadSnapshotFile, len(head))
-	}
-	seq := binary.LittleEndian.Uint64(head[0:8])
-	n := int(binary.LittleEndian.Uint32(head[8:12]))
-	schemeLen := int(binary.LittleEndian.Uint16(head[12:14]))
-	if len(head) != 14+schemeLen {
-		return nil, fmt.Errorf("%w: HEAD of %d bytes, want %d", ErrBadSnapshotFile, len(head), 14+schemeLen)
-	}
-	scheme := string(head[14:])
-	if !KnownScheme(scheme) {
-		return nil, fmt.Errorf("%w: unknown scheme %q", ErrBadSnapshotFile, scheme)
-	}
-	// n=4096 (the largest sweep scale) costs a 16 MiB DIST section; cap well
-	// above it so a corrupt HEAD cannot demand absurd allocations.
-	if n < 0 || n > 1<<16 {
-		return nil, fmt.Errorf("%w: n = %d", ErrBadSnapshotFile, n)
-	}
-
-	egrf, err := readSection(r, tagGraf)
-	if err != nil {
-		return nil, err
-	}
-	wantBytes := (graph.EdgeCodeLen(n) + 7) / 8
-	if len(egrf) != 4+wantBytes {
-		return nil, fmt.Errorf("%w: EGRF of %d bytes, want %d", ErrBadSnapshotFile, len(egrf), 4+wantBytes)
-	}
-	m := int(binary.LittleEndian.Uint32(egrf[0:4]))
-	g, err := graph.DecodeBytes(egrf[4:], n)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSnapshotFile, err)
-	}
-	if g.M() != m {
-		return nil, fmt.Errorf("%w: %d edges decoded, header says %d", ErrBadSnapshotFile, g.M(), m)
-	}
-
-	portsRaw, err := readSection(r, tagPort)
-	if err != nil {
-		return nil, err
-	}
-	ports, err := decodePorts(g, portsRaw)
-	if err != nil {
-		return nil, err
-	}
-
-	distRaw, err := readSection(r, tagDist)
-	if err != nil {
-		return nil, err
-	}
-	if len(distRaw) != n*n {
-		return nil, fmt.Errorf("%w: DIST of %d bytes, want %d", ErrBadSnapshotFile, len(distRaw), n*n)
-	}
-	dm, err := shortestpath.FromPacked(n, distRaw)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSnapshotFile, err)
-	}
-
-	return &SnapshotData{Seq: seq, Scheme: scheme, Graph: g, Ports: ports, Dist: dm}, nil
-}
-
-// decodePorts rebuilds a port assignment from its wire form, expressing it as
-// per-node permutations of the sorted neighbour list so graph.PermutedPorts
-// performs the bijection validation.
-func decodePorts(g *graph.Graph, raw []byte) (*graph.Ports, error) {
-	n := g.N()
-	perms := make([][]int, n+1)
-	off := 0
-	u32 := func() (uint32, bool) {
-		if off+4 > len(raw) {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint32(raw[off : off+4])
-		off += 4
-		return v, true
-	}
-	for u := 1; u <= n; u++ {
-		deg, ok := u32()
-		if !ok || int(deg) != g.Degree(u) {
-			return nil, fmt.Errorf("%w: PORT degree of node %d", ErrBadSnapshotFile, u)
-		}
-		sorted := g.Neighbors(u)
-		index := make(map[int]int, len(sorted))
-		for i, v := range sorted {
-			index[v] = i
-		}
-		perm := make([]int, deg)
-		for i := range perm {
-			v, ok := u32()
-			if !ok {
-				return nil, fmt.Errorf("%w: PORT truncated at node %d", ErrBadSnapshotFile, u)
-			}
-			idx, adj := index[int(v)]
-			if !adj {
-				return nil, fmt.Errorf("%w: PORT of node %d lists non-neighbour %d", ErrBadSnapshotFile, u, v)
-			}
-			perm[i] = idx
-		}
-		perms[u] = perm
-	}
-	if off != len(raw) {
-		return nil, fmt.Errorf("%w: PORT has %d trailing bytes", ErrBadSnapshotFile, len(raw)-off)
-	}
-	ports, err := graph.PermutedPorts(g, perms)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSnapshotFile, err)
-	}
-	return ports, nil
+	return a.SnapshotData()
 }
 
 // SaveSnapshot writes s to path crash-safely in the arena codec: encode to
@@ -374,33 +152,19 @@ func SaveSnapshot(path string, s *Snapshot) error {
 	return nil
 }
 
-// LoadSnapshot reads and validates the snapshot file at path.
-func LoadSnapshot(path string) (*SnapshotData, error) {
-	sd, _, err := LoadSnapshotCodec(path)
-	return sd, err
-}
-
-// LoadSnapshotCodec reads and validates the snapshot file at path, reporting
-// the codec it was written in. Arena files take the zero-copy path: the whole
+// LoadSnapshot reads and validates the snapshot file at path. The whole
 // file lands in memory with one ReadFile, is validated in place, and its
 // distance matrix is served aliased to that buffer — no second copy.
-func LoadSnapshotCodec(path string) (*SnapshotData, string, error) {
+func LoadSnapshot(path string) (*SnapshotData, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	if len(buf) >= 8 && ([8]byte(buf[:8]) == arenaMagic || [8]byte(buf[:8]) == arena2Magic) {
-		a, err := OpenArena(buf)
-		if err != nil {
-			return nil, "", err
-		}
-		sd, err := a.SnapshotData()
-		if err != nil {
-			return nil, "", err
-		}
-		return sd, CodecArena, nil
+	a, err := OpenArena(buf)
+	if err != nil {
+		return nil, err
 	}
-	return DecodeSnapshotCodec(bytes.NewReader(buf))
+	return a.SnapshotData()
 }
 
 // Adopt atomically replaces the engine's topology and published snapshot
@@ -490,11 +254,9 @@ func snapshotFromData(sd *SnapshotData) (*Snapshot, error) {
 }
 
 // RestoreEngine rebuilds a serving engine from a persisted snapshot without
-// recomputing distances — see NewEngineFromSnapshot for the contract. The
-// engine's Codec reports which codec the file carried (a legacy warm boot
-// still writes arena files from its next save on).
+// recomputing distances — see NewEngineFromSnapshot for the contract.
 func RestoreEngine(path string) (*Engine, error) {
-	sd, codec, err := LoadSnapshotCodec(path)
+	sd, err := LoadSnapshot(path)
 	if err != nil {
 		return nil, err
 	}
@@ -502,7 +264,6 @@ func RestoreEngine(path string) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: restoring %s: %w", path, err)
 	}
-	eng.codec = codec
 	return eng, nil
 }
 
@@ -522,7 +283,6 @@ func NewEngineFromSnapshot(sd *SnapshotData) (*Engine, error) {
 		g:      sd.Graph,
 		scheme: sd.Scheme,
 		tier:   snap.Tier,
-		codec:  CodecArena,
 		cache:  shortestpath.NewCache(2),
 		owned:  snap.owned,
 	}

@@ -2,8 +2,8 @@ package serve
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -21,84 +21,6 @@ func buildTestEngine(t *testing.T, n int, seed int64, scheme string) *Engine {
 		t.Fatal(err)
 	}
 	return eng
-}
-
-// TestSnapshotRoundTrip: encode → decode must reproduce graph, ports, packed
-// distances, scheme, and Seq exactly, and encoding must be deterministic
-// (byte-identical on re-encode) — the property the kill+restore recovery
-// leans on.
-func TestSnapshotRoundTrip(t *testing.T) {
-	for _, scheme := range []string{"fulltable", "compact"} {
-		eng := buildTestEngine(t, 48, 3, scheme)
-		snap := eng.Current()
-
-		var buf bytes.Buffer
-		if err := EncodeSnapshot(&buf, snap); err != nil {
-			t.Fatal(err)
-		}
-		sd, err := DecodeSnapshot(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("%s: decode: %v", scheme, err)
-		}
-		if sd.Seq != snap.Seq || sd.Scheme != snap.Scheme {
-			t.Fatalf("%s: head (%d,%q), want (%d,%q)", scheme, sd.Seq, sd.Scheme, snap.Seq, snap.Scheme)
-		}
-		if !sd.Graph.Equal(snap.Graph) {
-			t.Fatalf("%s: graph does not round-trip", scheme)
-		}
-		if !bytes.Equal(sd.Dist.Packed(), snap.Dist.Packed()) {
-			t.Fatalf("%s: packed distances do not round-trip", scheme)
-		}
-		for u := 1; u <= snap.Graph.N(); u++ {
-			a, b := snap.Ports.NeighborsByPort(u), sd.Ports.NeighborsByPort(u)
-			if len(a) != len(b) {
-				t.Fatalf("%s: node %d port count %d vs %d", scheme, u, len(a), len(b))
-			}
-			for p := range a {
-				if a[p] != b[p] {
-					t.Fatalf("%s: node %d port %d: %d vs %d", scheme, u, p, a[p], b[p])
-				}
-			}
-		}
-
-		var again bytes.Buffer
-		if err := EncodeSnapshot(&again, snap); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf.Bytes(), again.Bytes()) {
-			t.Fatalf("%s: encoding is not deterministic", scheme)
-		}
-	}
-}
-
-// TestSnapshotGoldenFile pins the on-disk format: a checked-in snapshot of a
-// small seeded topology must stay decodable, so a format change that breaks
-// old files fails loudly here instead of at a production restart.
-func TestSnapshotGoldenFile(t *testing.T) {
-	const golden = "testdata/snapshot_n16_seed2_fulltable.rtsnap"
-	eng := buildTestEngine(t, 16, 2, "fulltable")
-	snap := eng.Current()
-
-	if os.Getenv("UPDATE_GOLDEN") != "" {
-		if err := SaveSnapshot(golden, snap); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sd, err := LoadSnapshot(golden)
-	if err != nil {
-		t.Fatalf("golden file unreadable (regenerate with UPDATE_GOLDEN=1): %v", err)
-	}
-	if sd.Scheme != "fulltable" || sd.Graph.N() != 16 {
-		t.Fatalf("golden header: scheme=%q n=%d", sd.Scheme, sd.Graph.N())
-	}
-	// The golden topology is the same pure function of (n, seed) this test
-	// just rebuilt, so the persisted bytes must match the fresh build.
-	if !sd.Graph.Equal(snap.Graph) {
-		t.Fatal("golden graph differs from seeded rebuild")
-	}
-	if !bytes.Equal(sd.Dist.Packed(), snap.Dist.Packed()) {
-		t.Fatal("golden distances differ from seeded rebuild")
-	}
 }
 
 // TestSaveLoadAtomicOverwrite: repeated saves to one path leave a readable,
@@ -176,34 +98,38 @@ func TestRestoreEngine(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsCorruption: every single-byte corruption of a valid file
-// must fail decoding (checksummed framing), never silently yield a snapshot.
+// TestDecodeRejectsCorruption: every truncation and every single-bit flip of
+// a valid arena must fail the stream decoder — the path cluster state bodies
+// take through readArena — never silently yield a snapshot. Both layouts are
+// covered: a v1 full-matrix arena and a v2 tables-tier arena.
 func TestDecodeRejectsCorruption(t *testing.T) {
-	eng := buildTestEngine(t, 16, 2, "fulltable")
-	var buf bytes.Buffer
-	if err := EncodeSnapshot(&buf, eng.Current()); err != nil {
-		t.Fatal(err)
-	}
-	valid := buf.Bytes()
-	// Truncations at every prefix length.
-	for cut := 0; cut < len(valid); cut += 97 {
-		if _, err := DecodeSnapshot(bytes.NewReader(valid[:cut])); err == nil {
-			t.Fatalf("truncation at %d decoded successfully", cut)
+	snap := tieredEngine(t, 40, 6).Current()
+	for name, valid := range map[string][]byte{
+		"v1": EncodeArena(snapshotData(t, 16, 2, "fulltable")),
+		"v2": EncodeArena(&SnapshotData{
+			Seq: snap.Seq, Scheme: snap.Scheme, Graph: snap.Graph, Ports: snap.Ports, Tables: snap.TablesBytes(),
+		}),
+	} {
+		if _, err := DecodeSnapshot(bytes.NewReader(valid)); err != nil {
+			t.Fatalf("%s: valid arena: %v", name, err)
 		}
-	}
-	// Bit flips sampled across the file.
-	for off := 0; off < len(valid); off += 13 {
-		mut := append([]byte(nil), valid...)
-		mut[off] ^= 0x40
-		if sd, err := DecodeSnapshot(bytes.NewReader(mut)); err == nil {
-			// The only acceptable silent flip is none: CRC must catch it.
-			t.Fatalf("bit flip at %d decoded to %+v", off, sd)
+		for cut := 0; cut < len(valid); cut++ {
+			if _, err := DecodeSnapshot(bytes.NewReader(valid[:cut])); !errors.Is(err, ErrBadSnapshotFile) {
+				t.Fatalf("%s: truncation at %d: err = %v", name, cut, err)
+			}
+		}
+		for off := 0; off < len(valid); off++ {
+			mut := bytes.Clone(valid)
+			mut[off] ^= 1 << uint(off%8)
+			if sd, err := DecodeSnapshot(bytes.NewReader(mut)); !errors.Is(err, ErrBadSnapshotFile) {
+				t.Fatalf("%s: bit flip at %d decoded to %+v, err = %v", name, off, sd, err)
+			}
 		}
 	}
 }
 
-// FuzzDecodeSnapshot: arbitrary bytes must never panic the decoder, and
-// anything that decodes must be internally consistent enough to re-encode.
+// FuzzDecodeSnapshot: arbitrary bytes must never panic the stream decoder,
+// and anything that decodes must be internally consistent.
 func FuzzDecodeSnapshot(f *testing.F) {
 	eng, err := func() (*Engine, error) {
 		g, err := gengraph.GnHalf(12, rand.New(rand.NewSource(1)))
@@ -215,24 +141,23 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := EncodeSnapshot(&buf, eng.Current()); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
+	snap := eng.Current()
+	valid := EncodeArena(&SnapshotData{
+		Seq: snap.Seq, Scheme: snap.Scheme, Graph: snap.Graph, Ports: snap.Ports, Dist: snap.Dist,
+	})
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
-	f.Add([]byte("RTSNAP1\n"))
+	f.Add([]byte("RTARENA1"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sd, err := DecodeSnapshot(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		if sd.Graph == nil || sd.Ports == nil || sd.Dist == nil {
-			t.Fatalf("decode returned nil fields without error")
+		if sd.Graph == nil || sd.Ports == nil || (sd.Dist == nil) == (sd.Tables == nil) {
+			t.Fatalf("decode returned inconsistent fields without error")
 		}
-		if sd.Graph.N() != sd.Dist.N() {
+		if sd.Dist != nil && sd.Graph.N() != sd.Dist.N() {
 			t.Fatalf("decoded n mismatch: graph %d, dist %d", sd.Graph.N(), sd.Dist.N())
 		}
 	})

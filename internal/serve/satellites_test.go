@@ -3,81 +3,9 @@ package serve
 import (
 	"os"
 	"path/filepath"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
-
-// TestHalfOpenSingleProbe pins the breaker's half-open contract under
-// concurrent submitters: once the cooldown expires, exactly one caller is
-// admitted as the probe while every concurrent rival keeps seeing the breaker
-// open; the probe's outcome then either closes the breaker for everyone or
-// re-arms the cooldown with the probing flag released. Run with -race.
-func TestHalfOpenSingleProbe(t *testing.T) {
-	s := newTestServer(t, 32, 7, "fulltable", ServerOptions{
-		Shards:           2,
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Millisecond,
-	})
-	now := time.Now().UnixNano()
-
-	// Trip shard 0's breaker.
-	s.noteSubmitFail(0, now)
-	s.noteSubmitFail(0, now)
-	if !s.breakerOpen(0, now) {
-		t.Fatal("breaker not open after threshold failures")
-	}
-
-	// Past the cooldown deadline: N concurrent submitters race for the probe.
-	after := now + s.opts.BreakerCooldown.Nanoseconds() + 1
-	const rivals = 64
-	var admitted atomic.Int32
-	var wg sync.WaitGroup
-	for i := 0; i < rivals; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if !s.breakerOpen(0, after) {
-				admitted.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := admitted.Load(); got != 1 {
-		t.Fatalf("half-open admitted %d probes, want exactly 1", got)
-	}
-
-	// Probe fails: cooldown re-arms, and after it expires again exactly one
-	// new probe is admitted (the probing flag was released, not leaked).
-	s.noteSubmitFail(0, after)
-	if !s.breakerOpen(0, after) {
-		t.Fatal("breaker not re-armed after failed probe")
-	}
-	later := after + s.opts.BreakerCooldown.Nanoseconds() + 1
-	admitted.Store(0)
-	for i := 0; i < rivals; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if !s.breakerOpen(0, later) {
-				admitted.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := admitted.Load(); got != 1 {
-		t.Fatalf("second half-open admitted %d probes, want exactly 1", got)
-	}
-
-	// Probe succeeds: the breaker closes for everyone.
-	s.noteSubmitOK(0)
-	for i := 0; i < rivals; i++ {
-		if s.breakerOpen(0, later) {
-			t.Fatal("breaker still open after successful probe")
-		}
-	}
-}
 
 // TestRetryAfterJitterBounds pins the shed hint's jitter band: every draw
 // stays within ×0.75…×1.25 of the un-jittered drain estimate (before the

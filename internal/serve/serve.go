@@ -213,11 +213,6 @@ type Engine struct {
 	// owned is the keyspace shard this engine serves (shard.go); nil means
 	// unrestricted. Guarded by mu; every rebuild snapshots it.
 	owned *keyspace.Set
-	// codec names the snapshot codec behind the engine's initial state:
-	// CodecArena for cold builds and arena warm boots, CodecLegacy when the
-	// engine was restored from a pre-arena RTSNAP1 file. Set at construction,
-	// immutable afterwards (saves always write arena either way).
-	codec string
 
 	// Crash-safe persistence (EnablePersist): every published snapshot is
 	// saved to persistPath via an atomic temp-file rename. A failed save
@@ -240,7 +235,6 @@ func NewEngine(g *graph.Graph, schemeName string) (*Engine, error) {
 		g:      g.Clone(),
 		scheme: schemeName,
 		tier:   TierFull,
-		codec:  CodecArena,
 		// Capacity 2: the outgoing snapshot's matrix plus the one being
 		// built; older matrices are garbage the LRU can drop.
 		cache: shortestpath.NewCache(2),
@@ -264,7 +258,6 @@ func NewTieredEngine(g *graph.Graph, schemeName string) (*Engine, error) {
 		g:      g.Clone(),
 		scheme: schemeName,
 		tier:   TierTables,
-		codec:  CodecArena,
 		cache:  shortestpath.NewCache(2),
 	}
 	if _, err := e.rebuildLocked(); err != nil {
@@ -287,10 +280,6 @@ func (e *Engine) Scheme() string { return e.scheme }
 
 // Tier reports the engine's snapshot tier (TierFull or TierTables).
 func (e *Engine) Tier() string { return e.tier }
-
-// Codec reports the snapshot codec behind the engine's initial state —
-// CodecArena unless the engine warm-booted from a legacy RTSNAP1 file.
-func (e *Engine) Codec() string { return e.codec }
 
 // Mutate applies fn to a private clone of the current topology, rebuilds
 // scheme and distances off the hot path, and atomically publishes the result.

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"routetab/internal/breaker"
 	"routetab/internal/par"
 	"routetab/internal/serve/metrics"
 	"routetab/internal/shortestpath"
@@ -31,9 +32,9 @@ type ServerOptions struct {
 	// full route costs stretch× the table reads of a next-hop answer.
 	StretchSampleEvery int
 	// BreakerThreshold is how many consecutive failed submissions trip a
-	// shard's circuit breaker open (default 16; negative disables the
-	// breaker). While open, that shard's lookups shed to sibling shards —
-	// a stalled worker degrades throughput instead of cliffing it.
+	// shard's circuit breaker open (default 16). While open, that shard's
+	// lookups shed to sibling shards — a stalled worker degrades
+	// throughput instead of cliffing it.
 	BreakerThreshold int
 	// BreakerCooldown is how long a tripped breaker stays open before the
 	// next submission probes the shard again (default 5ms).
@@ -62,7 +63,7 @@ func (o *ServerOptions) setDefaults() {
 	if o.StretchSampleEvery < 0 {
 		o.StretchSampleEvery = 0
 	}
-	if o.BreakerThreshold == 0 {
+	if o.BreakerThreshold <= 0 {
 		o.BreakerThreshold = 16
 	}
 	if o.BreakerCooldown <= 0 {
@@ -87,18 +88,6 @@ type Result struct {
 	Err      error
 }
 
-// breaker is one shard's circuit breaker: consecutive submission failures
-// trip it open until a cooldown deadline. The first submission at or past the
-// deadline wins the probing flag and becomes the half-open probe — exactly
-// one probe is ever in flight, concurrent submitters keep shedding sideways
-// until it resolves. Probe success closes the breaker; probe failure re-arms
-// the cooldown.
-type breaker struct {
-	fails     atomic.Int32
-	openUntil atomic.Int64 // unix nanos; 0 = closed
-	probing   atomic.Bool  // a half-open probe is in flight
-}
-
 // Server is the sharded, batching query front end over an Engine. Submit
 // with NextHop or LookupBatch; Close drains accepted work before returning.
 type Server struct {
@@ -113,7 +102,7 @@ type Server struct {
 	// atomic load.
 	overlay atomic.Pointer[overlay]
 
-	breakers  []breaker
+	breakers  []breaker.Breaker
 	avgJobNs  atomic.Int64  // EWMA of per-job handler service time
 	jitterCtr atomic.Uint64 // sequences retry-after jitter draws
 	// scratch pools per-call lookup state (jobs, shard counters, index
@@ -148,7 +137,7 @@ func NewServer(eng *Engine, opts ServerOptions) *Server {
 		eng:         eng,
 		opts:        opts,
 		reg:         reg,
-		breakers:    make([]breaker, opts.Shards),
+		breakers:    make([]breaker.Breaker, opts.Shards),
 		lookups:     reg.Counter("serve_lookups_total"),
 		rejects:     reg.Counter("serve_rejects_total"),
 		errored:     reg.Counter("serve_errors_total"),
@@ -168,13 +157,16 @@ func NewServer(eng *Engine, opts ServerOptions) *Server {
 	for i := range s.shardSheds {
 		s.shardSheds[i] = reg.Counter(fmt.Sprintf("serve_sheds_shard_%d", i))
 	}
+	for i := range s.breakers {
+		s.breakers[i].Threshold, s.breakers[i].Cooldown = opts.BreakerThreshold, opts.BreakerCooldown
+	}
 	reg.GaugeFunc("serve_snapshot_seq", func() int64 { return int64(eng.Current().Seq) })
 	reg.GaugeFunc("serve_swaps", func() int64 { return int64(eng.Swaps()) })
 	reg.GaugeFunc("serve_breakers_open", func() int64 {
 		now := time.Now().UnixNano()
 		open := int64(0)
 		for i := range s.breakers {
-			if u := s.breakers[i].openUntil.Load(); u != 0 && now < u {
+			if s.breakers[i].Open(now) {
 				open++
 			}
 		}
@@ -222,57 +214,6 @@ func (s *Server) LookupBatch(pairs [][2]int, out []Result) error {
 	return nil
 }
 
-// breakerOpen reports whether shard's breaker currently rejects submissions.
-// At or past the cooldown deadline the caller that wins the probing flag is
-// admitted as the single half-open probe; everyone else keeps seeing the
-// breaker open until that probe resolves through noteSubmitOK/Fail.
-func (s *Server) breakerOpen(shard int, now int64) bool {
-	b := &s.breakers[shard]
-	u := b.openUntil.Load()
-	if u == 0 {
-		return false
-	}
-	if now < u {
-		return true
-	}
-	// Cooldown expired: admit exactly one probe.
-	return !b.probing.CompareAndSwap(false, true)
-}
-
-// noteSubmitOK records a successful submission: consecutive-failure count
-// resets and an open breaker (half-open probe succeeded) closes.
-func (s *Server) noteSubmitOK(shard int) {
-	b := &s.breakers[shard]
-	b.fails.Store(0)
-	if b.openUntil.Load() != 0 {
-		b.openUntil.Store(0)
-	}
-	b.probing.Store(false)
-}
-
-// noteSubmitFail records a failed submission; consecutive failures reaching
-// the threshold — or a failed half-open probe — trip the breaker open.
-func (s *Server) noteSubmitFail(shard int, now int64) {
-	if s.opts.BreakerThreshold < 0 {
-		return
-	}
-	b := &s.breakers[shard]
-	if b.probing.Load() {
-		// The half-open probe failed: re-arm the cooldown, release the
-		// probing flag last so no second probe slips in between.
-		b.fails.Store(0)
-		b.openUntil.Store(now + s.opts.BreakerCooldown.Nanoseconds())
-		s.trips.Inc()
-		b.probing.Store(false)
-		return
-	}
-	if int(b.fails.Add(1)) >= s.opts.BreakerThreshold {
-		b.fails.Store(0)
-		b.openUntil.Store(now + s.opts.BreakerCooldown.Nanoseconds())
-		s.trips.Inc()
-	}
-}
-
 // submit queues j on its primary shard, falls back to sibling shards while
 // the primary's breaker is open (or its queue full), and on total
 // backpressure fails the job's pairs in place with a structured overload
@@ -281,27 +222,32 @@ func (s *Server) submit(shard int, j *job) {
 	j.wg.Add(1)
 	if !s.closed.Load() {
 		now := time.Now().UnixNano()
-		if !s.breakerOpen(shard, now) {
+		if b := &s.breakers[shard]; b.Allow(now) {
 			if s.pool.TrySubmit(shard, j) {
-				s.noteSubmitOK(shard)
+				b.Success()
 				return
 			}
-			s.noteSubmitFail(shard, now)
+			if b.Failure(now) {
+				s.trips.Inc()
+			}
 		}
 		// Primary unavailable (open breaker or full queue): shed sideways.
 		// Sibling shards run independent workers, so a single stalled shard
 		// degrades locality, not availability.
 		for off := 1; off < s.opts.Shards; off++ {
 			sib := (shard + off) % s.opts.Shards
-			if s.breakerOpen(sib, now) {
+			b := &s.breakers[sib]
+			if !b.Allow(now) {
 				continue
 			}
 			if s.pool.TrySubmit(sib, j) {
-				s.noteSubmitOK(sib)
+				b.Success()
 				s.shunts.Inc()
 				return
 			}
-			s.noteSubmitFail(sib, now)
+			if b.Failure(now) {
+				s.trips.Inc()
+			}
 		}
 	}
 	// Shed: answer every pair right here — the caller always gets a

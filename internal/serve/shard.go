@@ -72,7 +72,6 @@ func NewShardEngine(g *graph.Graph, schemeName, tier string, owned *keyspace.Set
 		g:      g.Clone(),
 		scheme: schemeName,
 		tier:   tier,
-		codec:  CodecArena,
 		cache:  shortestpath.NewCache(2),
 		owned:  owned,
 	}

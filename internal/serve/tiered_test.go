@@ -227,8 +227,7 @@ func TestTieredArenaRejectsCorruption(t *testing.T) {
 
 // TestArenaVersionNegotiation pins cross-version behaviour: full-tier
 // snapshots still encode as RTARENA1 byte-for-byte (a pre-tiering reader
-// keeps working), tables-tier snapshots announce RTARENA2, and the legacy
-// framed codec refuses tables-tier data outright.
+// keeps working), and tables-tier snapshots announce RTARENA2.
 func TestArenaVersionNegotiation(t *testing.T) {
 	full := snapshotData(t, 24, 6, "fulltable")
 	fb := EncodeArena(full)
@@ -250,9 +249,6 @@ func TestArenaVersionNegotiation(t *testing.T) {
 	tb := EncodeArena(tsd)
 	if string(tb[:8]) != "RTARENA2" {
 		t.Fatalf("tables-tier magic %q", tb[:8])
-	}
-	if err := EncodeSnapshotData(&bytes.Buffer{}, tsd); err == nil {
-		t.Fatal("legacy framed codec accepted a tables-tier snapshot")
 	}
 	// Magic/version cross-wiring must fail: v2 bytes claiming v1 magic and
 	// vice versa die on the version field (and then the CRC).

@@ -143,7 +143,7 @@ func (s *Server) handleInfo(cs *connState, h frameHeader) error {
 	le.PutUint32(tmp[8:], uint32(snap.Graph.N()))
 	cs.wbuf = append(cs.wbuf, tmp[:]...)
 	cs.wbuf = appendString(cs.wbuf, snap.Scheme)
-	cs.wbuf = appendString(cs.wbuf, eng.Codec())
+	cs.wbuf = appendString(cs.wbuf, serve.CodecArena)
 	return s.writeFrame(cs, typeInfoResp, 0, h.id, cs.wbuf)
 }
 
