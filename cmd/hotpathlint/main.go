@@ -7,6 +7,8 @@
 //     quietly regresses (fmt.Errorf on error paths is fine: errors are cold).
 //   - range over a map — hides a hash-table walk with randomized order
 //     behind innocent syntax; hot paths index slices.
+//   - indexing a map, comma-ok form included — a hash and probe per lookup
+//     where a dense slice indexed by the key is one load.
 //
 // Usage: hotpathlint [dir ...] (default "."). The tool scans every non-test
 // .go file under the roots (skipping testdata), type-checks each package
@@ -154,7 +156,8 @@ func lintDir(dir string, tagged map[string]bool) ([]string, error) {
 	return violations, nil
 }
 
-// lintFile reports every fmt.Sprintf call and map range in one tagged file.
+// lintFile reports every fmt.Sprintf call, map range and map index in one
+// tagged file.
 func lintFile(fset *token.FileSet, info *types.Info, f *ast.File) []string {
 	var out []string
 	report := func(pos token.Pos, msg string) {
@@ -169,15 +172,27 @@ func lintFile(fset *token.FileSet, info *types.Info, f *ast.File) []string {
 				}
 			}
 		case *ast.RangeStmt:
-			if tv, ok := info.Types[n.X]; ok && tv.Type != nil {
-				if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-					report(n.Pos(), "map iteration in "+tag+" file (hash walk, randomized order; index a slice instead)")
-				}
+			if isMap(info, n.X) {
+				report(n.Pos(), "map iteration in "+tag+" file (hash walk, randomized order; index a slice instead)")
+			}
+		case *ast.IndexExpr:
+			if isMap(info, n.X) {
+				report(n.Pos(), "map index in "+tag+" file (hash and probe per lookup; index a dense slice instead)")
 			}
 		}
 		return true
 	})
 	return out
+}
+
+// isMap reports whether e has a map type.
+func isMap(info *types.Info, e ast.Expr) bool {
+	tv, ok := info.Types[e]
+	if !ok || tv.Type == nil {
+		return false
+	}
+	_, m := tv.Type.Underlying().(*types.Map)
+	return m
 }
 
 // isPackage reports whether id resolves to the named imported package.

@@ -62,3 +62,25 @@ func TestFindTaggedSkipsTestdata(t *testing.T) {
 		}
 	}
 }
+
+func TestLintDirFindsMapIndexing(t *testing.T) {
+	dir := filepath.Join("testdata", "hotpkg")
+	tagged := map[string]bool{filepath.Clean(filepath.Join(dir, "index.go")): true}
+	vs, err := lintDir(dir, tagged)
+	if err != nil {
+		t.Fatalf("lintDir: %v", err)
+	}
+	var lines []string
+	for _, v := range vs {
+		if !strings.Contains(v, "index.go") || !strings.Contains(v, "map index") {
+			t.Errorf("unexpected finding: %s", v)
+		}
+		lines = append(lines, filepath.Base(v[:strings.Index(v, ": ")]))
+	}
+	// A read, the comma-ok form, and a write; the slice index and the
+	// generic instantiation are not findings.
+	want := []string{"index.go:8:7", "index.go:9:14", "index.go:12:2"}
+	if strings.Join(lines, " ") != strings.Join(want, " ") {
+		t.Fatalf("findings at %v, want %v:\n%s", lines, want, strings.Join(vs, "\n"))
+	}
+}

@@ -191,8 +191,9 @@ func TestValidateErrorBranches(t *testing.T) {
 				t.Fatal(err)
 			}
 		}, "graph: port 1 of 1 leads to non-neighbour 2"},
-		{"two ports", func(_ *testing.T, _ *Graph, p *Ports) {
-			p.toNeighbor[3] = []int{2, 2}
+		{"two ports", func(_ *testing.T, g *Graph, p *Ports) {
+			*p = *permuted(g)
+			p.byPort[p.off[3]+1] = 0 // port 2 of node 3 now also leads to neighbour 2
 		}, "graph: neighbour 2 behind two ports of 3"},
 	}
 	for _, tc := range cases {

@@ -556,3 +556,53 @@ func TestFuncSchemeAdapter(t *testing.T) {
 		t.Fatal("label bits wrong")
 	}
 }
+
+// TestSimLabelIDs covers the dense label table: IDs that permute the nodes,
+// as interval's DFS numbers do, resolve to their nodes in Route and in the
+// env's neighbour probe, and duplicate or out-of-range IDs are rejected.
+func TestSimLabelIDs(t *testing.T) {
+	g, ports := chainFixture(t, 6)
+	table := newTableScheme(t, g, ports)
+	reversed := &FuncScheme{
+		Nodes:   6,
+		Needs:   models.Requirements{NeighborsKnown: true},
+		LabelFn: func(u int) Label { return Label{ID: 7 - u} },
+		RouteFn: func(u int, env Env, dest Label, hdr uint64, arrival int) (int, uint64, error) {
+			return table.Route(u, env, Label{ID: 7 - dest.ID}, hdr, arrival)
+		},
+	}
+	sim, err := NewSim(g, ports, reversed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for dest := 1; dest <= 6; dest++ {
+		tr, err := sim.Route(1, 7-dest, 10)
+		if err != nil || tr.Dest != dest || tr.Hops != dest-1 {
+			t.Fatalf("Route(1, ID %d) = %+v, %v; want node %d", 7-dest, tr, err, dest)
+		}
+	}
+	// Node 2 (ID 5) is behind node 1's only port; node 3 (ID 4) is not adjacent.
+	if port, ok := sim.envs[1].PortOfNeighbor(5); !ok || port != 1 {
+		t.Fatalf("PortOfNeighbor(5) at node 1 = %d, %v; want 1, true", port, ok)
+	}
+	if _, ok := sim.envs[1].PortOfNeighbor(4); ok {
+		t.Fatal("PortOfNeighbor(4) at node 1: non-neighbour resolved")
+	}
+	for _, id := range []int{-1, 0, 7} {
+		if _, err := sim.Route(1, id, 10); !errors.Is(err, ErrBadDestination) {
+			t.Errorf("Route(1, ID %d): err = %v, want ErrBadDestination", id, err)
+		}
+		if _, ok := sim.envs[1].PortOfNeighbor(id); ok {
+			t.Errorf("PortOfNeighbor(%d) resolved", id)
+		}
+	}
+
+	dup := &FuncScheme{Nodes: 6, LabelFn: func(u int) Label { return Label{ID: 1 + u%5} }}
+	if _, err := NewSim(g, ports, dup); err == nil || !strings.Contains(err.Error(), "non-unique") {
+		t.Errorf("duplicate IDs: err = %v", err)
+	}
+	shifted := &FuncScheme{Nodes: 6, LabelFn: func(u int) Label { return Label{ID: u - 1} }}
+	if _, err := NewSim(g, ports, shifted); err == nil || !strings.Contains(err.Error(), "outside [1,6]") {
+		t.Errorf("ID 0: err = %v", err)
+	}
+}

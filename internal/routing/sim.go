@@ -1,3 +1,7 @@
+//rt:hotpath — the env accessors below answer every served lookup through
+// Snapshot.NextHop, so this file holds no maps and must not allocate on
+// success paths.
+
 package routing
 
 import (
@@ -16,7 +20,7 @@ type Sim struct {
 	ports   *graph.Ports
 	scheme  Scheme
 	grantII bool
-	labels  map[int]int // label ID → node (IDs are original labels, so identity)
+	nodeOf  []int32 // nodeOf[id] = the node labelled id, for every id in 1…n
 
 	// envs pre-boxes one Env per node at construction: the serving hot path
 	// (FirstHop) would otherwise box a fresh env value into the interface on
@@ -36,19 +40,23 @@ func NewSim(g *graph.Graph, ports *graph.Ports, scheme Scheme) (*Sim, error) {
 		return nil, fmt.Errorf("routing: %w", err)
 	}
 	req := scheme.Requirements()
-	labels := make(map[int]int, g.N())
+	nodeOf := make([]int32, g.N()+1)
 	for u := 1; u <= g.N(); u++ {
-		labels[scheme.Label(u).ID] = u
-	}
-	if len(labels) != g.N() {
-		return nil, fmt.Errorf("routing: scheme %s assigns non-unique label IDs", scheme.Name())
+		id := scheme.Label(u).ID
+		if id < 1 || id > g.N() {
+			return nil, fmt.Errorf("routing: scheme %s assigns label ID %d outside [1,%d]", scheme.Name(), id, g.N())
+		}
+		if nodeOf[id] != 0 {
+			return nil, fmt.Errorf("routing: scheme %s assigns non-unique label IDs", scheme.Name())
+		}
+		nodeOf[id] = int32(u)
 	}
 	s := &Sim{
 		g:       g,
 		ports:   ports,
 		scheme:  scheme,
 		grantII: req.NeighborsKnown || req.NeighborsOrFreePorts,
-		labels:  labels,
+		nodeOf:  nodeOf,
 	}
 	s.envs = make([]Env, g.N()+1)
 	for u := 1; u <= g.N(); u++ {
@@ -59,6 +67,14 @@ func NewSim(g *graph.Graph, ports *graph.Ports, scheme Scheme) (*Sim, error) {
 
 // Scheme returns the scheme under simulation.
 func (s *Sim) Scheme() Scheme { return s.scheme }
+
+// nodeLabelled returns the node whose label ID is id.
+func (s *Sim) nodeLabelled(id int) (int, bool) {
+	if id < 1 || id >= len(s.nodeOf) {
+		return 0, false
+	}
+	return int(s.nodeOf[id]), true
+}
 
 // env implements Env for one node.
 type env struct {
@@ -86,7 +102,7 @@ func (e env) PortOfNeighbor(id int) (int, bool) {
 	if !e.sim.grantII {
 		return 0, false
 	}
-	node, ok := e.sim.labels[id]
+	node, ok := e.sim.nodeLabelled(id)
 	if !ok {
 		return 0, false
 	}
@@ -126,7 +142,7 @@ func (s *Sim) Route(src, dst int, maxHops int) (*Trace, error) {
 	if src < 1 || src > s.g.N() {
 		return nil, fmt.Errorf("%w: source %d", graph.ErrNodeRange, src)
 	}
-	destNode, ok := s.labels[dst]
+	destNode, ok := s.nodeLabelled(dst)
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrBadDestination, dst)
 	}

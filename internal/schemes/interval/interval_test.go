@@ -116,6 +116,31 @@ func TestDFSNumbersAreAPermutation(t *testing.T) {
 	}
 }
 
+// TestSimResolvesDFSLabels routes by raw label ID: the simulator's dense
+// label table must take each DFS number back to its node, not to the node
+// whose original label happens to equal it.
+func TestSimResolvesDFSLabels(t *testing.T) {
+	g, err := gengraph.GnHalf(30, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, sim, _ := fixture(t, g, 7)
+	moved := 0
+	for dst := 1; dst <= 30; dst++ {
+		id := s.Label(dst).ID
+		if id != dst {
+			moved++
+		}
+		tr, err := sim.Route(1, id, routing.DefaultHopLimit(30))
+		if err != nil || tr.Dest != dst || tr.Path[len(tr.Path)-1] != dst {
+			t.Fatalf("Route(1, ID %d) = %+v, %v; want node %d", id, tr, err, dst)
+		}
+	}
+	if moved == 0 {
+		t.Fatal("DFS numbering is the identity; the test needs a relabelling")
+	}
+}
+
 func TestSpaceIsNLogN(t *testing.T) {
 	n := 128
 	g, err := gengraph.GnHalf(n, rand.New(rand.NewSource(4)))

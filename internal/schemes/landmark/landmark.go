@@ -166,10 +166,7 @@ func Build(g *graph.Graph, ports *graph.Ports, opt Options) (*Scheme, error) {
 		s.lmIdx[a] = int32(j)
 	}
 
-	x, err := newPortIndex(g, ports)
-	if err != nil {
-		return nil, err
-	}
+	x := newPortIndex(g, ports)
 	if err := s.buildLandmarkColumns(x); err != nil {
 		return nil, err
 	}
@@ -205,10 +202,10 @@ type portIndex struct {
 	back []int32
 }
 
-// newPortIndex builds the index in O(m log d): each port is placed by binary
-// search in the sorted neighbour row, and each back port by locating u in
+// newPortIndex builds the index in O(m log d): each port is read with
+// PortToOK, a binary search of u's row, and each back port by locating u in
 // the neighbour's row.
-func newPortIndex(g *graph.Graph, ports *graph.Ports) (*portIndex, error) {
+func newPortIndex(g *graph.Graph, ports *graph.Ports) *portIndex {
 	n := g.N()
 	off := make([]int, n+2)
 	for u := 1; u <= n; u++ {
@@ -221,13 +218,8 @@ func newPortIndex(g *graph.Graph, ports *graph.Ports) (*portIndex, error) {
 		row, out := x.adj[off[u]:off[u+1]], x.out[off[u]:off[u+1]]
 		for i, w := range nb {
 			row[i] = int32(w)
-		}
-		for p := 1; p <= len(nb); p++ {
-			w, err := ports.Neighbor(u, p)
-			if err != nil {
-				return nil, fmt.Errorf("landmark: %w", err)
-			}
-			out[sort.SearchInts(nb, w)] = int32(p)
+			p, _ := ports.PortToOK(u, w) // Build validated ports against g
+			out[i] = int32(p)
 		}
 	}
 	for u := 1; u <= n; u++ {
@@ -237,7 +229,7 @@ func newPortIndex(g *graph.Graph, ports *graph.Ports) (*portIndex, error) {
 			x.back[e] = x.out[off[w]+i]
 		}
 	}
-	return x, nil
+	return x
 }
 
 // buildLandmarkColumns runs one FIFO BFS over sorted neighbour rows from

@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"routetab/internal/graph"
 	"routetab/internal/shortestpath"
@@ -170,10 +171,11 @@ func EncodeArena(s *SnapshotData) []byte {
 	le.PutUint32(buf[pidxOff:], 0)
 	pd := pdatOff
 	for u := 1; u <= n; u++ {
-		row := s.Ports.NeighborsByPort(u)
-		cum += uint32(len(row))
+		d := s.Ports.Degree(u)
+		cum += uint32(d)
 		le.PutUint32(buf[pidxOff+u*4:], cum)
-		for _, v := range row {
+		for port := 1; port <= d; port++ {
+			v, _ := s.Ports.Neighbor(u, port) // every port in 1…d exists
 			le.PutUint32(buf[pd:], uint32(v))
 			pd += 4
 		}
@@ -327,10 +329,11 @@ func (a *Arena) Tables() []byte { return a.tbls }
 // convergence fingerprint cluster.DistCRC computes from a live snapshot.
 func (a *Arena) DistCRC() uint32 { return crc32.Checksum(a.dist, crcTable) }
 
-// SnapshotData materialises the decoded form. The graph and port tables are
-// rebuilt (with full structural validation — symmetry, degree and bijection
-// checks); the distance matrix is *adopted in place*, still aliasing the
-// arena buffer, so the O(n²) payload is never copied.
+// SnapshotData materialises the decoded form. The graph is rebuilt and the
+// port sections checked against it (with full structural validation —
+// symmetry, degree and bijection checks); the distance matrix is *adopted
+// in place*, still aliasing the arena buffer, so the O(n²) payload is never
+// copied.
 func (a *Arena) SnapshotData() (*SnapshotData, error) {
 	le := binary.LittleEndian
 	rows := make([]uint64, a.n*a.words)
@@ -344,32 +347,9 @@ func (a *Arena) SnapshotData() (*SnapshotData, error) {
 	if g.M() != a.m {
 		return nil, fmt.Errorf("%w: %d edges decoded, header says %d", ErrBadSnapshotFile, g.M(), a.m)
 	}
-	perms := make([][]int, a.n+1)
-	for u := 1; u <= a.n; u++ {
-		lo := int(le.Uint32(a.pidx[(u-1)*4:]))
-		hi := int(le.Uint32(a.pidx[u*4:]))
-		if hi-lo != g.Degree(u) {
-			return nil, fmt.Errorf("%w: PIDX degree %d of node %d, graph says %d", ErrBadSnapshotFile, hi-lo, u, g.Degree(u))
-		}
-		sorted := g.Neighbors(u)
-		index := make(map[int]int, len(sorted))
-		for i, v := range sorted {
-			index[v] = i
-		}
-		perm := make([]int, hi-lo)
-		for i := range perm {
-			v := int(le.Uint32(a.pdat[(lo+i)*4:]))
-			idx, adj := index[v]
-			if !adj {
-				return nil, fmt.Errorf("%w: PDAT of node %d lists non-neighbour %d", ErrBadSnapshotFile, u, v)
-			}
-			perm[i] = idx
-		}
-		perms[u] = perm
-	}
-	ports, err := graph.PermutedPorts(g, perms)
+	ports, err := a.ports(g)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSnapshotFile, err)
+		return nil, err
 	}
 	if a.version == arenaVersion2 {
 		// Tiered arena: no matrix to adopt; the table blob stays aliased to
@@ -381,6 +361,57 @@ func (a *Arena) SnapshotData() (*SnapshotData, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshotFile, err)
 	}
 	return &SnapshotData{Seq: a.seq, Scheme: a.scheme, Graph: g, Ports: ports, Dist: dm}, nil
+}
+
+// ports checks PIDX/PDAT against g's sorted neighbour rows. A PDAT that
+// lists every row in sorted order — what EncodeArena writes for the sorted
+// assignment — decodes to the map-free sorted view; any other order is
+// decoded as an explicit per-node permutation.
+func (a *Arena) ports(g *graph.Graph) (*graph.Ports, error) {
+	le := binary.LittleEndian
+	var perms [][]int // nil while PDAT matches the sorted rows
+	for u := 1; u <= a.n; u++ {
+		lo := int(le.Uint32(a.pidx[(u-1)*4:]))
+		hi := int(le.Uint32(a.pidx[u*4:]))
+		if hi-lo != g.Degree(u) {
+			return nil, fmt.Errorf("%w: PIDX degree %d of node %d, graph says %d", ErrBadSnapshotFile, hi-lo, u, g.Degree(u))
+		}
+		row := g.Neighbors(u)
+		for i := range row {
+			v := int(le.Uint32(a.pdat[(lo+i)*4:]))
+			if perms == nil && v == row[i] {
+				continue
+			}
+			idx, adj := slices.BinarySearch(row, v)
+			if !adj {
+				return nil, fmt.Errorf("%w: PDAT of node %d lists non-neighbour %d", ErrBadSnapshotFile, u, v)
+			}
+			if perms == nil {
+				perms = identityPerms(g)
+			}
+			perms[u][i] = idx
+		}
+	}
+	if perms == nil {
+		return graph.SortedPorts(g), nil
+	}
+	ports, err := graph.PermutedPorts(g, perms)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadSnapshotFile, err)
+	}
+	return ports, nil
+}
+
+// identityPerms returns the PermutedPorts argument of the sorted assignment.
+func identityPerms(g *graph.Graph) [][]int {
+	perms := make([][]int, g.N()+1)
+	for u := 1; u <= g.N(); u++ {
+		perms[u] = make([]int, g.Degree(u))
+		for i := range perms[u] {
+			perms[u][i] = i
+		}
+	}
+	return perms
 }
 
 // readArena reads the remainder of one arena from r after the 8-byte magic

@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"os"
+	"slices"
 	"testing"
 
 	"routetab/internal/gengraph"
+	"routetab/internal/graph"
 )
 
 func snapshotData(t *testing.T, n int, seed int64, scheme string) *SnapshotData {
@@ -68,6 +70,29 @@ func TestArenaRoundTrip(t *testing.T) {
 		// must alias the arena buffer.
 		if &got.Dist.Packed()[0] != &a.PackedDist()[0] {
 			t.Fatalf("%s: materialised distances are a copy, want arena alias", scheme)
+		}
+	}
+}
+
+// TestArenaPortOrders: a PDAT in sorted order decodes to the sorted view, and
+// one out of sorted order (a model-IA assignment) still decodes, as a
+// permutation overlay with every port where the encoder put it.
+func TestArenaPortOrders(t *testing.T) {
+	sd := snapshotData(t, 48, 3, "fulltable")
+	for _, ports := range []*graph.Ports{sd.Ports, graph.RandomPorts(sd.Graph, rand.New(rand.NewSource(5)))} {
+		sd.Ports = ports
+		a, err := OpenArena(EncodeArena(sd))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := a.SnapshotData()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for u := 1; u <= sd.Graph.N(); u++ {
+			if av, bv := ports.NeighborsByPort(u), got.Ports.NeighborsByPort(u); !slices.Equal(av, bv) {
+				t.Fatalf("node %d: ports %v decode as %v", u, av, bv)
+			}
 		}
 	}
 }
