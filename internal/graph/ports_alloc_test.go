@@ -46,7 +46,6 @@ func TestSortedPortsResidentBytes(t *testing.T) {
 	}
 	g.Neighbors(1) // the graph's rows are its own cost, built once
 	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			sinkPorts = graph.SortedPorts(g)
 		}

@@ -177,7 +177,7 @@ func compareToReference(t *testing.T, g *graph.Graph, got *graph.Ports, want *re
 }
 
 // portFamily builds one graph of the differential test's families from a
-// seed; n is clamped to what the family accepts.
+// seed; a family that has no graph on n nodes returns an error.
 func portFamily(family, n int, rng *rand.Rand) (*graph.Graph, error) {
 	switch family % 7 {
 	case 0:
