@@ -120,6 +120,13 @@ func TestTablesTierReplicaFollowsMutations(t *testing.T) {
 	if applied != 5 || resyncs != 0 {
 		t.Fatalf("applied=%d resyncs=%d, want 5/0", applied, resyncs)
 	}
+	// Each one-edge record is updated incrementally on both sides; the
+	// replica starts from tables it decoded when it joined.
+	for name, eng := range map[string]*serve.Engine{"primary": p.Engine(), "replica": r.Engine()} {
+		if inc, _ := eng.Rebuilds(); inc != 5 {
+			t.Fatalf("%s: %d incremental rebuilds, want 5", name, inc)
+		}
+	}
 
 	// Every publish record must be the tables flavour, fingerprinting the
 	// encoded scheme tables (not a matrix the tier never built).

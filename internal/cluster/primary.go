@@ -116,7 +116,7 @@ func (p *Primary) onPublish(prev, cur *serve.Snapshot) {
 	}
 	var adds, removes [][2]int
 	if prev != nil {
-		adds, removes = graphDiff(prev.Graph, cur.Graph)
+		adds, removes = graph.Diff(prev.Graph, cur.Graph)
 	}
 	rec := Record{
 		Kind:    PublishKindFor(cur),
@@ -133,22 +133,6 @@ func (p *Primary) onPublish(prev, cur *serve.Snapshot) {
 		}
 	}
 	p.log.Append(rec)
-}
-
-// graphDiff returns the edges present in cur but not prev (adds) and in prev
-// but not cur (removes), in Edges() order — deterministic given the graphs.
-func graphDiff(prev, cur *graph.Graph) (adds, removes [][2]int) {
-	for _, e := range cur.Edges() {
-		if !prev.HasEdge(e[0], e[1]) {
-			adds = append(adds, e)
-		}
-	}
-	for _, e := range prev.Edges() {
-		if !cur.HasEdge(e[0], e[1]) {
-			removes = append(removes, e)
-		}
-	}
-	return adds, removes
 }
 
 // Mutate applies a topology mutation through the engine; the publish hook

@@ -471,7 +471,7 @@ func (c *Cluster) Split(srcID int) (int, error) {
 	if _, err := c.catchUp(eng, srcPrimary, &walSeq, &snapSeq); err != nil {
 		return 0, err
 	}
-	if !graphsEqual(eng.Current().Graph, srcPrimary.Engine().Current().Graph) {
+	if !eng.Current().Graph.Equal(srcPrimary.Engine().Current().Graph) {
 		return 0, errors.New("shard: split: transferred topology diverged from source at cutover")
 	}
 	grp, err := c.newGroup(newID, eng)
@@ -539,23 +539,6 @@ func (c *Cluster) catchUp(eng *serve.Engine, src *cluster.Primary, walSeq, snapS
 		*snapSeq = rec.SnapSeq
 	}
 	return n, nil
-}
-
-// graphsEqual compares topologies by their deterministic edge lists.
-func graphsEqual(a, b *graph.Graph) bool {
-	if a.N() != b.N() {
-		return false
-	}
-	ae, be := a.Edges(), b.Edges()
-	if len(ae) != len(be) {
-		return false
-	}
-	for i := range ae {
-		if ae[i] != be[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // StateBytes returns the encoded size of group id's full replication state —

@@ -285,7 +285,7 @@ func TestSplitRacingChurn(t *testing.T) {
 	// must agree on it.
 	cur := c.Group(0).Primary.Engine().Current().Graph
 	for _, id := range c.GroupIDs() {
-		if !graphsEqual(cur, c.Group(id).Primary.Engine().Current().Graph) {
+		if !cur.Equal(c.Group(id).Primary.Engine().Current().Graph) {
 			t.Fatalf("group %d topology diverged after split under churn", id)
 		}
 	}

@@ -314,6 +314,36 @@ func (g *Graph) Equal(h *Graph) bool {
 	return true
 }
 
+// Diff returns the edges of cur missing from prev (adds) and the edges of
+// prev missing from cur (removes), each in Edges() order. It XORs the two
+// adjacency rows of every node word by word, so it costs O(n²/64) whatever
+// the edge count. prev and cur must have the same node count.
+func Diff(prev, cur *Graph) (adds, removes [][2]int) {
+	if prev.n != cur.n {
+		panic(fmt.Sprintf("graph: diff of n=%d and n=%d graphs", prev.n, cur.n))
+	}
+	for u := 1; u <= cur.n; u++ {
+		pr, cr := prev.row(u), cur.row(u)
+		// Bit u−1 of a row is node u; only partners v > u are reported, from
+		// bit u on.
+		for wi := u / 64; wi < cur.words; wi++ {
+			mask := ^uint64(0)
+			if wi == u/64 {
+				mask <<= uint(u % 64)
+			}
+			for w := (pr[wi] ^ cr[wi]) & mask; w != 0; w &= w - 1 {
+				v := wi*64 + bits.TrailingZeros64(w) + 1
+				if cr[wi]&(w&-w) != 0 {
+					adds = append(adds, [2]int{u, v})
+				} else {
+					removes = append(removes, [2]int{u, v})
+				}
+			}
+		}
+	}
+	return adds, removes
+}
+
 // Relabel returns the graph obtained by renaming node u to perm[u]. perm is
 // 1-based (perm[0] ignored) and must be a permutation of {1,…,n}. This is the
 // paper's model-β operation.

@@ -105,6 +105,10 @@ func PermutedPorts(g *Graph, perms [][]int) (*Ports, error) {
 	return p, nil
 }
 
+// Sorted reports whether p is the sorted assignment of model IB: port i of u
+// leads to u's i-th smallest neighbour.
+func (p *Ports) Sorted() bool { return p.off == nil }
+
 // Degree returns the number of ports at u.
 func (p *Ports) Degree(u int) int {
 	if u < 1 || u > p.n {
@@ -176,9 +180,16 @@ func (p *Ports) NeighborsByPort(u int) []int {
 // distinct true neighbour and every neighbour is behind exactly one port.
 // Duplicates are found with one bitset over the labels, reused across nodes
 // and cleared word by word after each, so the check is O(n·words + m).
+//
+// The sorted view over the rows g publishes now is consistent by
+// construction and returns nil at once. A view taken before a mutation holds
+// rows g no longer publishes, so it gets the full check.
 func (p *Ports) Validate(g *Graph) error {
 	if p.n != g.N() {
 		return fmt.Errorf("graph: port table for n=%d used with n=%d", p.n, g.N())
+	}
+	if l := g.lists.Load(); p.off == nil && l != nil && &(*l)[0] == &p.rows[0] {
+		return nil
 	}
 	seen := make([]uint64, g.Words())
 	for u := 1; u <= g.N(); u++ {

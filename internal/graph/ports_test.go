@@ -211,3 +211,32 @@ func TestValidateErrorBranches(t *testing.T) {
 		})
 	}
 }
+
+// TestValidateCurrentSortedView: the sorted view over the rows g publishes
+// now passes without the full check (no scratch bitset is allocated), and a
+// view taken before a mutation still gets the full check and today's error,
+// also once g has published fresh rows for a newer view.
+func TestValidateCurrentSortedView(t *testing.T) {
+	g := ring(t, 4)
+	p := SortedPorts(g)
+	if allocs := testing.AllocsPerRun(10, func() {
+		if err := p.Validate(g); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Validate of the current sorted view allocated %v times, want 0", allocs)
+	}
+	if err := g.AddEdge(1, 3); err != nil {
+		t.Fatal(err)
+	}
+	const want = "graph: node 1 has 2 ports, degree 3"
+	if err := p.Validate(g); err == nil || err.Error() != want {
+		t.Fatalf("stale view: Validate = %v, want %q", err, want)
+	}
+	if err := SortedPorts(g).Validate(g); err != nil {
+		t.Fatalf("fresh view rejected: %v", err)
+	}
+	if err := p.Validate(g); err == nil || err.Error() != want {
+		t.Fatalf("stale view after republish: Validate = %v, want %q", err, want)
+	}
+}

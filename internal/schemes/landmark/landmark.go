@@ -39,6 +39,10 @@
 // and since destinations are visited in ascending order a stable counting
 // sort by holder lays the entries out as CSR rows directly.
 //
+// Update (update.go) derives the scheme of a graph one edge flip away from
+// a built one, rerunning only the landmark BFS runs and cluster BFS runs
+// the flip can change, and equals Build byte for byte.
+//
 // Space. E[Σ_v |C(v)|] ≈ n²/(k+1) for a random landmark sample, so total
 // space is O(n·k + n²/k) = O(n^{3/2}) at k = √n — o(n²), the whole point.
 // All stored distances are exact int32 BFS distances: the packed uint8
@@ -202,9 +206,12 @@ type portIndex struct {
 	back []int32
 }
 
-// newPortIndex builds the index in O(m log d): each port is read with
-// PortToOK, a binary search of u's row, and each back port by locating u in
-// the neighbour's row.
+// newPortIndex builds the index. On the sorted assignment the port of row
+// entry i is i+1, and since nodes are visited in ascending order, u is the
+// next unvisited entry of each neighbour w's row, so a cursor per node gives
+// every back port: O(n+m) in all. Any other assignment reads each port with
+// PortToOK, a binary search of u's row, and locates u in the neighbour's row
+// for the back port: O(m log d).
 func newPortIndex(g *graph.Graph, ports *graph.Ports) *portIndex {
 	n := g.N()
 	off := make([]int, n+2)
@@ -213,6 +220,18 @@ func newPortIndex(g *graph.Graph, ports *graph.Ports) *portIndex {
 	}
 	m := off[n+1]
 	x := &portIndex{off: off, adj: make([]int32, m), out: make([]int32, m), back: make([]int32, m)}
+	if ports.Sorted() {
+		next := make([]int32, n+1) // next[w] counts the visited nodes in w's row
+		for u := 1; u <= n; u++ {
+			for i, w := range g.Neighbors(u) {
+				e := off[u] + i
+				x.adj[e], x.out[e] = int32(w), int32(i+1)
+				next[w]++
+				x.back[e] = next[w]
+			}
+		}
+		return x
+	}
 	for u := 1; u <= n; u++ {
 		nb := g.Neighbors(u)
 		row, out := x.adj[off[u]:off[u+1]], x.out[off[u]:off[u+1]]
@@ -232,131 +251,181 @@ func newPortIndex(g *graph.Graph, ports *graph.Ports) *portIndex {
 	return x
 }
 
-// buildLandmarkColumns runs one FIFO BFS over sorted neighbour rows from
-// each landmark a = landmarks[j]. Discovering w from u fills w's landmark
-// entry: the exact distance, and as port the edge to u, w's parent in a's
-// BFS tree. The same pass carries a's first port down the tree and streams
-// the nearest-landmark choice: landmarks are scanned in ascending order and
-// only a strictly closer one replaces the home, so ties keep the smallest
-// landmark id, and eport(v) is the port at ℓ(v) toward the first hop of its
-// BFS tree — the smallest-id neighbour of ℓ(v) on a shortest path to v.
-func (s *Scheme) buildLandmarkColumns(x *portIndex) error {
-	n, k := s.n, s.k
+// column is the scratch of one landmark BFS, indexed by node: the distance
+// from the landmark (−1 until discovered), the port toward the BFS parent,
+// and the port at the landmark toward the node.
+type column struct {
+	dist, up, hop []int32
+	queue         []int32
+}
+
+func newColumn(n int) *column {
+	return &column{
+		dist:  make([]int32, n+1),
+		up:    make([]int32, n+1),
+		hop:   make([]int32, n+1),
+		queue: make([]int32, 0, n),
+	}
+}
+
+// bfs runs one FIFO BFS over sorted neighbour rows from landmark a.
+// Discovering w from u sets w's distance, as up[w] the port at w toward u
+// (w's parent in a's BFS tree), and as hop[w] the port at a toward the tree
+// path's first node, carried down the tree. It reports a node the landmark
+// cannot reach.
+func (c *column) bfs(x *portIndex, a int32) error {
 	off, adj, out, back := x.off, x.adj, x.out, x.back
-	// Per-landmark columns, indexed by node: distance from a, port toward
-	// the BFS parent, and the port at a toward the node.
-	dist := make([]int32, n+1)
-	up := make([]int32, n+1)
-	hop := make([]int32, n+1)
-	queue := make([]int32, 0, n)
-	for j, a := range s.landmarks {
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[a], up[a], hop[a] = 0, 0, 0
-		queue = append(queue[:0], a)
-		for qi := 0; qi < len(queue); qi++ {
-			u := queue[qi]
-			du, hu := dist[u]+1, hop[u]
-			lo := off[u]
-			for e, w := range adj[lo:off[u+1]] {
-				if dist[w] >= 0 {
-					continue
-				}
-				dist[w], up[w] = du, back[lo+e]
-				if u == a {
-					hop[w] = out[lo+e]
-				} else {
-					hop[w] = hu
-				}
-				queue = append(queue, w)
+	dist, up, hop := c.dist, c.up, c.hop
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[a], up[a], hop[a] = 0, 0, 0
+	queue := append(c.queue[:0], a)
+	for qi := 0; qi < len(queue); qi++ {
+		u := queue[qi]
+		du, hu := dist[u]+1, hop[u]
+		lo := off[u]
+		for e, w := range adj[lo:off[u+1]] {
+			if dist[w] >= 0 {
+				continue
 			}
+			dist[w], up[w] = du, back[lo+e]
+			if u == a {
+				hop[w] = out[lo+e]
+			} else {
+				hop[w] = hu
+			}
+			queue = append(queue, w)
 		}
-		for u := 1; u <= n; u++ {
-			d := dist[u]
-			if d < 0 {
+	}
+	c.queue = queue
+	if len(queue) < len(dist)-1 {
+		for u := 1; u < len(dist); u++ {
+			if dist[u] < 0 {
 				return fmt.Errorf("%w: node %d cannot reach landmark %d", ErrDisconnected, u, a)
-			}
-			at := (u-1)*k + j
-			s.lmDist[at], s.lmPort[at] = d, up[u]
-			if j == 0 || d < s.homeDist[u] {
-				s.homeIdx[u], s.homeDist[u], s.eport[u] = int32(j), d, hop[u]
 			}
 		}
 	}
 	return nil
 }
 
-// buildClusters runs a truncated BFS from every destination v to depth
-// home(v)−1: each discovered node w with 2 ≤ d(v,w) < home(v) stores an
-// entry for v whose port is the edge to w's parent in that BFS (a first hop
-// on a shortest w→v path). Destinations are visited in ascending order, so
-// a stable counting sort by holder lays the entries out as per-node CSR rows
-// sorted by destination.
-func (s *Scheme) buildClusters(x *portIndex) {
-	n := s.n
-	off, adj, back := x.off, x.adj, x.back
-	dist := make([]int32, n+1)
-	queue := make([]int32, 0, n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	// Entry i, in emission order, is held by eHolder[i] for destination
-	// eDst[i], with first port ePort[i] at distance eDist[i].
-	var eHolder, eDst, ePort, eDist []int32
-	for v := int32(1); v <= int32(n); v++ {
-		limit := s.homeDist[v] - 1
-		if limit < 2 {
-			continue // cluster holds only the neighbours, which store nothing
+// buildLandmarkColumns runs one column BFS from each landmark a =
+// landmarks[j] and stores, for every node, the distance and the port toward
+// its BFS parent. The same pass streams the nearest-landmark choice:
+// landmarks are scanned in ascending order and only a strictly closer one
+// replaces the home, so ties keep the smallest landmark id, and eport(v) is
+// the port at ℓ(v) toward the first hop of its BFS tree — the smallest-id
+// neighbour of ℓ(v) on a shortest path to v.
+func (s *Scheme) buildLandmarkColumns(x *portIndex) error {
+	n, k := s.n, s.k
+	c := newColumn(n)
+	for j, a := range s.landmarks {
+		if err := c.bfs(x, a); err != nil {
+			return err
 		}
-		dist[v] = 0
-		queue = append(queue[:0], v)
-		for qi := 0; qi < len(queue); qi++ {
-			u := queue[qi]
-			if dist[u] == limit {
+		for u := 1; u <= n; u++ {
+			d := c.dist[u]
+			at := (u-1)*k + j
+			s.lmDist[at], s.lmPort[at] = d, c.up[u]
+			if j == 0 || d < s.homeDist[u] {
+				s.homeIdx[u], s.homeDist[u], s.eport[u] = int32(j), d, c.hop[u]
+			}
+		}
+	}
+	return nil
+}
+
+// entries collects cluster entries in emission order: entry i is held by
+// holder[i] for destination dst[i], with first port port[i] at distance
+// dist[i]. A nil owned keeps every holder; otherwise only owned holders'
+// entries are kept.
+type entries struct {
+	holder, dst, port, dist []int32
+
+	owned *keyspace.Set
+	// depth and queue are the truncated BFS scratch; depth is −1 off-run.
+	depth []int32
+	queue []int32
+}
+
+func newEntries(n int, owned *keyspace.Set) *entries {
+	c := &entries{owned: owned, depth: make([]int32, n+1), queue: make([]int32, 0, n)}
+	for i := range c.depth {
+		c.depth[i] = -1
+	}
+	return c
+}
+
+// emit runs v's BFS truncated at depth limit ≥ 2: each discovered node w
+// with 2 ≤ d(v,w) ≤ limit gets an entry for v whose port is the edge to w's
+// parent in that BFS (a first hop on a shortest w→v path).
+func (c *entries) emit(x *portIndex, v, limit int32) {
+	off, adj, back, dist := x.off, x.adj, x.back, c.depth
+	dist[v] = 0
+	queue := append(c.queue[:0], v)
+	for qi := 0; qi < len(queue); qi++ {
+		u := queue[qi]
+		if dist[u] == limit {
+			continue
+		}
+		du := dist[u] + 1
+		lo := off[u]
+		for e, w := range adj[lo:off[u+1]] {
+			if dist[w] >= 0 {
 				continue
 			}
-			du := dist[u] + 1
-			lo := off[u]
-			for e, w := range adj[lo:off[u+1]] {
-				if dist[w] >= 0 {
-					continue
-				}
-				dist[w] = du
-				queue = append(queue, w)
-				if du >= 2 {
-					eHolder = append(eHolder, w)
-					eDst = append(eDst, v)
-					ePort = append(ePort, back[lo+e])
-					eDist = append(eDist, du)
-				}
+			dist[w] = du
+			queue = append(queue, w)
+			if du >= 2 && (c.owned == nil || c.owned.Has(int(w))) {
+				c.holder = append(c.holder, w)
+				c.dst = append(c.dst, v)
+				c.port = append(c.port, back[lo+e])
+				c.dist = append(c.dist, du)
 			}
 		}
-		for _, t := range queue {
-			dist[t] = -1
-		}
 	}
-	// clusterStart[u] counts then prefix-sums to the end of u's row; next[u]
-	// is the write cursor of u's row during the stable scatter.
-	s.clusterStart = make([]int32, n+1)
-	for _, w := range eHolder {
-		s.clusterStart[w]++
+	for _, t := range queue {
+		dist[t] = -1
+	}
+	c.queue = queue
+}
+
+// rows lays the entries out as per-holder CSR rows by a stable counting
+// sort: start[u] is the end of u's row, and since emission visits
+// destinations in ascending order, every row comes out sorted by
+// destination.
+func (c *entries) rows(n int) (start, dst, port, dist []int32) {
+	start = make([]int32, n+1)
+	for _, w := range c.holder {
+		start[w]++
 	}
 	for u := 1; u <= n; u++ {
-		s.clusterStart[u] += s.clusterStart[u-1]
+		start[u] += start[u-1]
 	}
-	next := make([]int32, n+1)
-	copy(next[1:], s.clusterStart[:n])
-	s.clusterDst = make([]int32, len(eHolder))
-	s.clusterPort = make([]int32, len(eHolder))
-	s.clusterDist = make([]int32, len(eHolder))
-	for i, w := range eHolder {
+	next := make([]int32, n+1) // next[u] is the write cursor of u's row
+	copy(next[1:], start[:n])
+	dst = make([]int32, len(c.holder))
+	port = make([]int32, len(c.holder))
+	dist = make([]int32, len(c.holder))
+	for i, w := range c.holder {
 		at := next[w]
 		next[w]++
-		s.clusterDst[at] = eDst[i]
-		s.clusterPort[at] = ePort[i]
-		s.clusterDist[at] = eDist[i]
+		dst[at], port[at], dist[at] = c.dst[i], c.port[i], c.dist[i]
 	}
+	return start, dst, port, dist
+}
+
+// buildClusters runs a truncated BFS from every destination v to depth
+// home(v)−1 and lays the entries out as per-node CSR rows sorted by
+// destination.
+func (s *Scheme) buildClusters(x *portIndex) {
+	c := newEntries(s.n, nil)
+	for v := int32(1); v <= int32(s.n); v++ {
+		if limit := s.homeDist[v] - 1; limit >= 2 {
+			c.emit(x, v, limit) // below 2 the cluster holds only neighbours, which store nothing
+		}
+	}
+	s.clusterStart, s.clusterDst, s.clusterPort, s.clusterDist = c.rows(s.n)
 }
 
 // buildLabels pre-builds every node's label: ID v with Aux [ℓ(v), eport(v)].

@@ -61,11 +61,15 @@ type TableScheme interface {
 }
 
 // tableBuilders registers the tables-tier constructions: build from topology
-// alone (no all-pairs matrix — that absence is the tier's point) and decode
-// from a persisted table blob.
+// alone (no all-pairs matrix — that absence is the tier's point), decode
+// from a persisted table blob, and update the scheme of a graph one edge
+// flip {x,y} away. An update must return exactly what build followed by
+// prev's restriction returns, or an error, on which the engine builds in
+// full.
 var tableBuilders = map[string]struct {
 	build  func(g *graph.Graph, ports *graph.Ports) (TableScheme, error)
 	decode func(g *graph.Graph, ports *graph.Ports, tables []byte) (TableScheme, error)
+	update func(prev *Snapshot, g *graph.Graph, ports *graph.Ports, x, y int) (TableScheme, error)
 }{
 	"landmark": {
 		build: func(g *graph.Graph, ports *graph.Ports) (TableScheme, error) {
@@ -73,6 +77,13 @@ var tableBuilders = map[string]struct {
 		},
 		decode: func(g *graph.Graph, ports *graph.Ports, tables []byte) (TableScheme, error) {
 			return landmark.DecodeTables(g, ports, tables)
+		},
+		update: func(prev *Snapshot, g *graph.Graph, ports *graph.Ports, x, y int) (TableScheme, error) {
+			ps, ok := prev.scheme.(*landmark.Scheme)
+			if !ok {
+				return nil, fmt.Errorf("serve: snapshot scheme is %T, not a landmark scheme", prev.scheme)
+			}
+			return landmark.Update(ps, prev.Ports, g, ports, x, y)
 		},
 	},
 }

@@ -210,6 +210,10 @@ type Engine struct {
 	cur   atomic.Pointer[Snapshot]
 	swaps atomic.Uint64
 	hook  PublishHook
+	// incremental and full count published tables-tier rebuilds by how the
+	// scheme was made: updated from the previous snapshot's across a
+	// one-edge flip, or built from scratch.
+	incremental, full atomic.Uint64
 	// owned is the keyspace shard this engine serves (shard.go); nil means
 	// unrestricted. Guarded by mu; every rebuild snapshots it.
 	owned *keyspace.Set
@@ -274,6 +278,13 @@ func (e *Engine) Current() *Snapshot { return e.cur.Load() }
 // Swaps returns how many snapshots have been published (initial build
 // included).
 func (e *Engine) Swaps() uint64 { return e.swaps.Load() }
+
+// Rebuilds reports how many published tables-tier snapshots updated the
+// previous snapshot's scheme across a one-edge flip (incremental) and how
+// many built it in full.
+func (e *Engine) Rebuilds() (incremental, full uint64) {
+	return e.incremental.Load(), e.full.Load()
+}
 
 // Scheme returns the construction name the engine builds.
 func (e *Engine) Scheme() string { return e.scheme }
@@ -380,34 +391,22 @@ func (e *Engine) rebuildLocked() (*Snapshot, error) {
 	g := e.g
 	ports := graph.SortedPorts(g)
 	var (
-		dm     *shortestpath.Distances
-		scheme routing.Scheme
-		est    DistEstimator
-		tables []byte
+		dm          *shortestpath.Distances
+		scheme      routing.Scheme
+		est         DistEstimator
+		tables      []byte
+		incremental bool
 	)
 	if e.tier == TierTables {
 		// The tables tier never computes all-pairs distances: the scheme
 		// builds from topology alone and its tables are encoded eagerly so
 		// persistence, state shipping, and the snapshot_bytes gauge all read
 		// the same deterministic blob.
-		ts, err := BuildTableScheme(e.scheme, g, ports)
+		ts, inc, err := e.tableSchemeLocked(g, ports)
 		if err != nil {
 			return nil, err
 		}
-		if e.owned != nil {
-			// Restriction happens before encoding: the snapshot's table blob —
-			// what persistence, state shipping, and resync all carry — holds
-			// only the owned rows, so per-shard resync bytes shrink with the
-			// shard instead of shipping the whole scheme.
-			r, ok := ts.(Restricter)
-			if !ok {
-				return nil, fmt.Errorf("serve: scheme %q cannot restrict to a keyspace shard", e.scheme)
-			}
-			if err := r.Restrict(e.owned); err != nil {
-				return nil, err
-			}
-		}
-		scheme, est, tables = ts, ts, ts.EncodeTables()
+		scheme, est, tables, incremental = ts, ts, ts.EncodeTables(), inc
 	} else {
 		var err error
 		dm, err = e.cache.AllPairs(g)
@@ -440,6 +439,11 @@ func (e *Engine) rebuildLocked() (*Snapshot, error) {
 	prev := e.cur.Load()
 	e.cur.Store(snap)
 	e.swaps.Add(1)
+	if incremental {
+		e.incremental.Add(1)
+	} else if e.tier == TierTables {
+		e.full.Add(1)
+	}
 	// The hook (WAL journaling) runs before the snapshot save so the durable
 	// WAL frontier never trails the persisted snapshot Seq — crash recovery
 	// relies on replaying the WAL forward from the snapshot, never backward.
@@ -450,4 +454,42 @@ func (e *Engine) rebuildLocked() (*Snapshot, error) {
 	// (the previous good file stays in place thanks to the atomic rename).
 	_ = e.saveLocked(snap)
 	return snap, nil
+}
+
+// tableSchemeLocked makes the tables-tier scheme for g, restricted to the
+// engine's owned set, and reports whether it was updated incrementally. It
+// updates the current snapshot's scheme when g differs from that snapshot's
+// graph by exactly one edge and the owned set is unchanged; first builds,
+// multi-edge changes, ownership handovers and a failed update all build in
+// full, which stays the reference the update must equal byte for byte.
+// Caller holds e.mu.
+func (e *Engine) tableSchemeLocked(g *graph.Graph, ports *graph.Ports) (TableScheme, bool, error) {
+	if cur := e.cur.Load(); cur != nil && cur.Owned().Equal(e.owned) {
+		if update := tableBuilders[e.scheme].update; update != nil {
+			if adds, removes := graph.Diff(cur.Graph, g); len(adds)+len(removes) == 1 {
+				flip := append(adds, removes...)[0]
+				if ts, err := update(cur, g, ports, flip[0], flip[1]); err == nil {
+					return ts, true, nil
+				}
+			}
+		}
+	}
+	ts, err := BuildTableScheme(e.scheme, g, ports)
+	if err != nil {
+		return nil, false, err
+	}
+	if e.owned != nil {
+		// Restriction happens before encoding: the snapshot's table blob —
+		// what persistence, state shipping, and resync all carry — holds
+		// only the owned rows, so per-shard resync bytes shrink with the
+		// shard instead of shipping the whole scheme.
+		r, ok := ts.(Restricter)
+		if !ok {
+			return nil, false, fmt.Errorf("serve: scheme %q cannot restrict to a keyspace shard", e.scheme)
+		}
+		if err := r.Restrict(e.owned); err != nil {
+			return nil, false, err
+		}
+	}
+	return ts, false, nil
 }

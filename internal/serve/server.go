@@ -162,6 +162,10 @@ func NewServer(eng *Engine, opts ServerOptions) *Server {
 	}
 	reg.GaugeFunc("serve_snapshot_seq", func() int64 { return int64(eng.Current().Seq) })
 	reg.GaugeFunc("serve_swaps", func() int64 { return int64(eng.Swaps()) })
+	reg.GaugeFunc("serve_rebuilds_incremental", func() int64 {
+		inc, _ := eng.Rebuilds()
+		return int64(inc)
+	})
 	reg.GaugeFunc("serve_breakers_open", func() int64 {
 		now := time.Now().UnixNano()
 		open := int64(0)

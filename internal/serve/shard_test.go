@@ -183,3 +183,104 @@ func TestMutateOwned(t *testing.T) {
 		t.Fatal("SetOwned(nil) left a restriction")
 	}
 }
+
+// TestIncrementalRebuilds: a one-edge Mutate on a tables-tier engine updates
+// the previous scheme instead of building it, publishes the tables a fresh
+// engine builds, and moves serve_rebuilds_incremental. A two-edge Mutate, an
+// ownership handover and a refused disconnecting flip leave that gauge alone.
+func TestIncrementalRebuilds(t *testing.T) {
+	const n = 120
+	g := sparseGraph(t, n, 5)
+	// Make z a pendant node, hung on one edge to pendant, for the refused
+	// flip at the end.
+	z, pendant := 0, 0
+	for u := n; u > 1 && z == 0; u-- {
+		h := g.Clone()
+		nb := h.Neighbors(u)
+		for _, w := range nb[1:] {
+			if err := h.RemoveEdge(u, w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if h.IsConnected() {
+			g, z, pendant = h, u, nb[0]
+		}
+	}
+	if z == 0 {
+		t.Fatal("no node can be made pendant")
+	}
+	eng, err := NewShardEngine(g, "landmark", TierTables, halfOwned(t, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(eng, ServerOptions{Shards: 1, StretchSampleEvery: -1})
+	defer srv.Close()
+	check := func(step string, wantInc, wantFull uint64) {
+		t.Helper()
+		inc, full := eng.Rebuilds()
+		if inc != wantInc || full != wantFull {
+			t.Fatalf("%s: rebuilds = %d incremental, %d full; want %d, %d", step, inc, full, wantInc, wantFull)
+		}
+		if got := srv.Metrics().Snapshot().Gauges["serve_rebuilds_incremental"]; got != int64(wantInc) {
+			t.Fatalf("%s: serve_rebuilds_incremental = %d, want %d", step, got, wantInc)
+		}
+		cur := eng.Current()
+		ref, err := NewShardEngine(cur.Graph, "landmark", TierTables, cur.Owned())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(cur.TablesBytes(), ref.Current().TablesBytes()) {
+			t.Fatalf("%s: published tables differ from a full build", step)
+		}
+	}
+	check("first build", 0, 1)
+
+	absent := func(g *graph.Graph) (int, int) {
+		for v := 2; v <= n; v++ {
+			if v != z && !g.HasEdge(1, v) {
+				return 1, v
+			}
+		}
+		t.Fatal("node 1 is adjacent to every node")
+		return 0, 0
+	}
+	x, y := absent(eng.Current().Graph)
+	if _, err := eng.Mutate(func(g *graph.Graph) error { return g.AddEdge(x, y) }); err != nil {
+		t.Fatal(err)
+	}
+	check("one-edge add", 1, 1)
+	if _, err := eng.Mutate(func(g *graph.Graph) error { return g.RemoveEdge(x, y) }); err != nil {
+		t.Fatal(err)
+	}
+	check("one-edge remove", 2, 1)
+
+	if _, err := eng.Mutate(func(g *graph.Graph) error {
+		for i := 0; i < 2; i++ {
+			if err := g.AddEdge(absent(g)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	check("two-edge mutate", 2, 2)
+
+	even, err := keyspace.New(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := 2; u <= n; u += 2 {
+		even.Add(u)
+	}
+	if _, err := eng.SetOwned(even); err != nil {
+		t.Fatal(err)
+	}
+	check("set owned", 2, 3)
+
+	// Flip away the only edge of pendant node z.
+	if _, err := eng.Mutate(func(g *graph.Graph) error { return g.RemoveEdge(z, pendant) }); err == nil {
+		t.Fatal("disconnecting flip published")
+	}
+	check("refused disconnecting flip", 2, 3)
+}
