@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: verify lint vet build test perfbenchtest race smoke benchsmoke loadsmoke wiresmoke chaos cluster crash bigsmoke bigcluster shardchaos bench loadbench chaosbench clusterbench crashbench wirebench bigbench bigclusterbench shardbench clean
+.PHONY: verify lint vet build test perfbenchtest race smoke benchsmoke wiresmoke chaos cluster crash bigsmoke bigcluster shardchaos bench chaosbench crashbench clean
 
-verify: lint vet build test perfbenchtest race smoke benchsmoke loadsmoke wiresmoke chaos cluster crash bigsmoke bigcluster shardchaos
+verify: lint vet build test perfbenchtest race smoke benchsmoke wiresmoke chaos cluster crash bigsmoke bigcluster shardchaos
 
 # gofmt -l exits 0 even when files need formatting, so fail on any output.
 # The second check is the WAL durability lint: on the journaling path a
@@ -49,20 +49,13 @@ smoke:
 		-pmax 0.1 -pstep 0.05 -schemes fulltable,fullinfo \
 		-out $(or $(TMPDIR),/tmp)/resilience_smoke.csv
 
-# One-iteration pass over every benchmarked path (BFS kernels, distance
-# cache, E13 sweep, serving-layer load, and the scheme builders' Go
-# benchmarks); keeps the bench harness from rotting between releases.
+# One-iteration pass over every benchjson section (BFS kernels, distance
+# cache, E13 sweep, graded chaos, WAL appends) and the scheme builders' Go
+# benchmarks; keeps the bench harness from rotting between releases.
 benchsmoke:
-	$(GO) run ./cmd/benchjson -quick -sections bfs,cache,resilience,serve,chaos,cluster,wal,wire,big,bigcluster,shard \
+	$(GO) run ./cmd/benchjson -quick -sections bfs,cache,resilience,chaos,wal \
 		-out $(or $(TMPDIR),/tmp)/bench_smoke.json
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/schemes/... ./internal/cluster/...
-
-# Seconds-scale serving smoke through routetabd's loadgen mode: fixed seed,
-# tiny graph, two mid-load hot-swaps; exits non-zero on any incorrect,
-# rejected, or errored lookup, or zero throughput.
-loadsmoke:
-	$(GO) run ./cmd/routetabd -loadgen -n 32 -seed 1 -lookups 20000 \
-		-workers 2 -swaps 2
 
 # Seconds-scale mixed-protocol smoke: JSON-HTTP and RTBIN1 binary-TCP clients
 # race the same engine through real loopback listeners while snapshots swap
@@ -142,13 +135,6 @@ bench:
 	$(GO) run ./cmd/benchjson -sections bfs,cache,resilience \
 		-artefact BENCH_pr2 -out BENCH_pr2.json
 
-# Regenerates the PR 3 serving-layer artefact (EXPERIMENTS.md E14): one
-# million validated lookups per scheme on G(256,1/2) with ten snapshot
-# hot-swaps mid-load, for fulltable and compact.
-loadbench:
-	$(GO) run ./cmd/benchjson -sections serve \
-		-artefact BENCH_pr3 -out BENCH_pr3.json
-
 # Regenerates the PR 4 chaos artefact (EXPERIMENTS.md E15): one million
 # graded lookups per scheme on G(256,1/2) under seeded churn bursts, shard
 # stalls, batch drops, and kill+restore cycles.
@@ -156,55 +142,12 @@ chaosbench:
 	$(GO) run ./cmd/benchjson -sections chaos \
 		-artefact BENCH_pr4 -out BENCH_pr4.json
 
-# Regenerates the PR 5 cluster artefact (EXPERIMENTS.md E16): a three-member
-# G(256,1/2) cluster per scheme under client-side failover, surviving
-# replica partitions, WAL corruption/truncation, and a primary kill +
-# promotion — recording per-member QPS, failover latency, and replay lag.
-clusterbench:
-	$(GO) run ./cmd/benchjson -sections cluster \
-		-artefact BENCH_pr5 -out BENCH_pr5.json
-
 # Regenerates the PR 6 durability artefact (EXPERIMENTS.md E17): durable WAL
 # append throughput — ns per append and appends/sec — for each fsync policy
 # (always / batch / off) on a real on-disk segment store.
 crashbench:
 	$(GO) run ./cmd/benchjson -sections wal \
 		-artefact BENCH_pr6 -out BENCH_pr6.json
-
-# Regenerates the PR 7 wire artefact (EXPERIMENTS.md E18): in-process,
-# JSON-HTTP, and RTBIN1 binary-TCP serving throughput on G(256,1/2) at
-# GOMAXPROCS 1/4/16, enforcing binary ≥ 2× JSON at GOMAXPROCS=1.
-wirebench:
-	$(GO) run ./cmd/benchjson -sections wire \
-		-artefact BENCH_pr7 -out BENCH_pr7.json
-
-# Regenerates the PR 8 large-graph artefact (EXPERIMENTS.md E19): the tier
-# sweep — bytes/node, build time, spot-graded QPS, and observed stretch for
-# fulltable vs landmark on sparse topologies up to n=16384 (fulltable capped
-# at 4096) plus fulltable vs compact on dense G(n,1/2). Fails unless landmark
-# undercuts fulltable on bytes/node at the largest common n with zero
-# stretch-3 violations.
-bigbench:
-	$(GO) run ./cmd/benchjson -sections big \
-		-artefact BENCH_pr8 -out BENCH_pr8.json
-
-# Regenerates the PR 9 tables-tier cluster artefact (EXPERIMENTS.md E20): a
-# three-member landmark cluster on an n=4096 sparse topology under the full
-# replication failure matrix — recording failover latency, availability,
-# replay lag, and the resync payload versus the hypothetical n² matrix a
-# full-tier cluster would ship.
-bigclusterbench:
-	$(GO) run ./cmd/benchjson -sections bigcluster \
-		-artefact BENCH_pr9 -out BENCH_pr9.json
-
-# Regenerates the PR 10 shard artefact (EXPERIMENTS.md E21): the n=4096
-# partitioned cluster under the shard failure matrix against a 3-member
-# single-group replicated baseline on the same topology — aggregate QPS,
-# per-shard availability, and per-shard resync payloads, enforcing every
-# shard's resync bytes strictly below the baseline's.
-shardbench:
-	$(GO) run ./cmd/benchjson -sections shard \
-		-artefact BENCH_pr10 -out BENCH_pr10.json
 
 clean:
 	$(GO) clean ./...

@@ -1,15 +1,10 @@
 // Command benchjson regenerates the checked-in performance artefacts. Each
 // run selects measurement sections (-sections) and an artefact name
-// (-artefact), so one binary produces both:
+// (-artefact), so one binary produces all three:
 //
 //	BENCH_pr2.json  (`make bench`):     -sections bfs,cache,resilience
 //	  ns/op for the two all-pairs BFS kernels at n ∈ {256, 1024}, the shared
 //	  distance cache cold vs hit, and the E13 resilience-sweep wall time.
-//	BENCH_pr3.json  (`make loadbench`): -sections serve
-//	  closed-loop serving-layer load reports (QPS, p50/p99 latency) for the
-//	  fulltable and compact schemes on G(256, 1/2) with ten snapshot
-//	  hot-swaps mid-load; the run fails if any lookup is answered
-//	  incorrectly, rejected, or errored.
 //	BENCH_pr4.json  (`make chaosbench`): -sections chaos
 //	  graded chaos-harness reports (availability %, p99 under stall/chaos,
 //	  kill-recovery time) for the fulltable and compact schemes on
@@ -17,32 +12,15 @@
 //	  kill+restore cycles; the run fails on any incorrect answer, any detour
 //	  beyond +2 hops, any non-byte-identical restore, or a broken
 //	  unavailability budget.
-//	BENCH_pr5.json  (`make clusterbench`): -sections cluster
-//	  replicated cluster chaos reports (per-member QPS, failover latency
-//	  after a primary kill + promotion, WAL replay lag, resync count) for a
-//	  three-member G(256, 1/2) cluster per scheme, surviving replica
-//	  partitions, WAL corruption/truncation, and a primary kill; the run
-//	  fails on any incorrect answer, sub-99% availability, or tables that
-//	  are not byte-identical at quiesce.
 //	BENCH_pr6.json  (`make crashbench`): -sections wal
 //	  durable WAL append throughput per fsync policy (always / batch / off)
 //	  on a real on-disk segment store: ns per append and the implied
 //	  appends/sec, quantifying what PolicyAlways — the only policy that may
 //	  resume its epoch after a crash (DESIGN.md §13) — costs per record.
-//	BENCH_pr8.json  (`make bigbench`): -sections big
-//	  the n-sweep behind the tables tier: bytes/node, build time, spot-graded
-//	  serving QPS, and observed stretch for fulltable vs landmark on sparse
-//	  topologies up to n=16384 (fulltable capped at 4096 — the all-pairs
-//	  ceiling the tier exists to break) plus fulltable vs compact on dense
-//	  G(n, 1/2). Fails if landmark does not beat fulltable on bytes/node at
-//	  the largest common n or if any spot-graded answer broke stretch 3.
-//	BENCH_pr10.json (`make shardbench`): -sections shard
-//	  partitioned-cluster chaos vs a single-group baseline at n=4096: a
-//	  two-shard-group landmark cluster (live split, partitions, wire
-//	  corruption, shard-primary kill) against a 3-member replicated group
-//	  on the same topology — aggregate QPS and per-shard resync payloads,
-//	  failing unless every shard's resync bytes are strictly below the
-//	  baseline's.
+//
+// BENCH_pr3, pr5 and pr7–pr10 are kept as records of sections that are
+// retired: perfbench measures serving, replication and shard load, and the
+// bounds those sections enforced are tests now (EXPERIMENTS.md names each).
 //
 // `make verify` runs the -quick one-iteration smoke over every section so
 // the measured paths stay exercised.
@@ -57,8 +35,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"runtime"
 	"sort"
@@ -70,12 +46,7 @@ import (
 	"routetab/internal/cluster/walstore"
 	"routetab/internal/eval"
 	"routetab/internal/gengraph"
-	"routetab/internal/graph"
-	"routetab/internal/serve"
 	"routetab/internal/serve/chaos"
-	"routetab/internal/serve/httpapi"
-	"routetab/internal/serve/loadgen"
-	"routetab/internal/serve/wire"
 	"routetab/internal/shortestpath"
 )
 
@@ -90,41 +61,6 @@ type WalBench struct {
 	AppendsPerSec float64 `json:"appends_per_sec"`
 }
 
-// WireBench is one transport's closed-loop measurement in the "wire"
-// section: the same seeded workload driven in-process, over JSON HTTP, and
-// over the RTBIN1 binary TCP protocol at a given GOMAXPROCS. For the two
-// network transports P50/P99 are client-side whole-batch round-trips;
-// in-process rows keep the server-side per-job latency (the BENCH_pr3
-// convention), so compare transports against each other, not against inproc
-// latency.
-type WireBench struct {
-	Transport  string  `json:"transport"` // inproc | json-http | bin-tcp
-	Scheme     string  `json:"scheme"`
-	GOMAXPROCS int     `json:"gomaxprocs"`
-	Lookups    uint64  `json:"lookups"`
-	QPS        float64 `json:"qps"`
-	P50ns      int64   `json:"p50_ns"`
-	P99ns      int64   `json:"p99_ns"`
-}
-
-// BigBench is one (family, scheme, n) row in the "big" section: build time,
-// snapshot arena size (bytes/node is the o(n²) headline), spot-graded serving
-// throughput, and observed stretch ×1000 (1000 = shortest paths).
-type BigBench struct {
-	Family           string  `json:"family"` // sparse | gnhalf
-	N                int     `json:"n"`
-	Scheme           string  `json:"scheme"`
-	Tier             string  `json:"tier"`
-	BuildMs          float64 `json:"build_ms"`
-	SnapshotBytes    int     `json:"snapshot_bytes"`
-	BytesPerNode     float64 `json:"bytes_per_node"`
-	Lookups          uint64  `json:"lookups"`
-	QPS              float64 `json:"qps"`
-	SpotGraded       uint64  `json:"spot_graded,omitempty"`
-	MaxStretchMilli  int64   `json:"max_stretch_milli"`
-	MeanStretchMilli int64   `json:"mean_stretch_milli"`
-}
-
 // Result is one measurement in the artefact.
 type Result struct {
 	Name    string  `json:"name"`
@@ -132,21 +68,7 @@ type Result struct {
 	NsPerOp float64 `json:"ns_per_op"`
 }
 
-// ShardBench is the "shard" section's headline row: the sharded cluster's
-// aggregate throughput and worst per-shard resync payload against a 3-member
-// single-group replicated baseline on the same seeded topology.
-type ShardBench struct {
-	N                       int     `json:"n"`
-	FinalGroups             int     `json:"final_groups"` // groups after the live split
-	QPS                     float64 `json:"qps"`
-	BaselineQPS             float64 `json:"baseline_qps"`
-	MaxShardResyncBytes     int     `json:"max_shard_resync_bytes"`
-	BaselineResyncBytes     int     `json:"baseline_resync_bytes"`
-	ResyncShrinkPct         float64 `json:"resync_shrink_pct"`
-	MinShardAvailabilityPct float64 `json:"min_shard_availability_pct"`
-}
-
-// Report is the artefact schema (BENCH_pr2.json, BENCH_pr3.json).
+// Report is the artefact schema (BENCH_pr2.json, BENCH_pr4.json, BENCH_pr6.json).
 type Report struct {
 	Artefact   string   `json:"artefact"`
 	GoVersion  string   `json:"go_version"`
@@ -154,50 +76,12 @@ type Report struct {
 	Quick      bool     `json:"quick"`
 	Sections   []string `json:"sections"`
 	Results    []Result `json:"results,omitempty"`
-	// Loadgen carries the serving-layer closed-loop reports (section
-	// "serve"): QPS and latency quantiles per scheme, with validation and
-	// hot-swap tallies.
-	Loadgen []*loadgen.Report `json:"loadgen,omitempty"`
 	// Chaos carries the graded chaos-harness reports (section "chaos"):
 	// availability, p99 under stall, and kill-recovery time per scheme. The
 	// run fails if any lookup was answered incorrectly, any detour exceeded
 	// the +2-hop budget, any restore was not byte-identical, or
 	// unavailability broke its budget.
 	Chaos []*chaos.Report `json:"chaos,omitempty"`
-	// Cluster carries the replicated cluster chaos reports (section
-	// "cluster"): per-member QPS, failover latency, WAL replay lag, and
-	// resync counts for a primary + replicas group surviving partitions,
-	// WAL corruption/truncation, and a primary kill + promotion.
-	Cluster []*chaos.ClusterReport `json:"cluster,omitempty"`
-	// Wire carries the protocol-comparison matrix (section "wire"): the
-	// same closed-loop workload over in-process calls, JSON HTTP, and the
-	// RTBIN1 binary TCP protocol at GOMAXPROCS 1/4/16. The run fails if the
-	// binary transport does not clear 2× the JSON transport's throughput at
-	// GOMAXPROCS=1.
-	Wire []WireBench `json:"wire,omitempty"`
-	// Big carries the large-graph tier sweep (section "big"): bytes/node,
-	// build time, and spot-graded serving figures for the tables-tier
-	// landmark scheme against full-tier baselines across n up to 16384.
-	Big []BigBench `json:"big,omitempty"`
-	// BigCluster carries the tables-tier cluster chaos reports (section
-	// "bigcluster"): spot-graded availability, failover latency, replay lag,
-	// and the resync payload (encoded scheme tables vs the hypothetical n²
-	// matrix) for a three-member landmark cluster at n=4096 surviving
-	// partitions, WAL corruption/truncation, and a primary kill + promotion.
-	BigCluster []*chaos.ClusterReport `json:"bigcluster,omitempty"`
-	// Shard carries the partitioned-cluster chaos reports (section "shard"):
-	// a two-shard-group landmark cluster at n=4096 under the shard failure
-	// matrix (live split racing churn, per-group partitions, wire
-	// corruption, shard-primary kill + promotion), with per-shard
-	// availability and resync payloads.
-	Shard []*chaos.ShardReport `json:"shard,omitempty"`
-	// ShardVsBaseline is the shard section's headline comparison: the
-	// sharded cluster's aggregate QPS and worst per-shard resync payload
-	// against a 3-member single-group replicated baseline on the same
-	// topology. The run fails unless every shard's resync payload is
-	// strictly below the baseline's — the byte economics the keyspace
-	// partition exists for.
-	ShardVsBaseline *ShardBench `json:"shard_vs_baseline,omitempty"`
 	// Wal carries the WAL append-throughput measurements (section "wal"):
 	// ns per append and appends/sec for each fsync policy on a real on-disk
 	// segment store. The fsync=always row is the per-record price of
@@ -212,7 +96,7 @@ type Report struct {
 }
 
 // knownSections lists every measurement group benchjson understands.
-var knownSections = []string{"bfs", "cache", "resilience", "serve", "chaos", "cluster", "wal", "wire", "big", "bigcluster", "shard"}
+var knownSections = []string{"bfs", "cache", "resilience", "chaos", "wal"}
 
 func parseSections(csv string) (map[string]bool, error) {
 	known := map[string]bool{}
@@ -370,23 +254,6 @@ func runSuite(quick bool, artefact string, sections map[string]bool) (*Report, e
 		}
 	}
 
-	// Serving layer: closed-loop load against routetabd's engine — one
-	// million validated lookups per scheme on G(256, 1/2) with ten snapshot
-	// hot-swaps mid-load (quick: 20k lookups on G(64, 1/2), two swaps).
-	if sections["serve"] {
-		n, lookups, swaps := 256, uint64(1_000_000), 10
-		if quick {
-			n, lookups, swaps = 64, 20_000, 2
-		}
-		for _, scheme := range []string{"fulltable", "compact"} {
-			lrep, err := runLoad(scheme, n, lookups, swaps)
-			if err != nil {
-				return nil, err
-			}
-			rep.Loadgen = append(rep.Loadgen, lrep)
-		}
-	}
-
 	// Chaos harness: graded serving under injected faults — stalls, drops,
 	// seeded churn bursts, kill+restore cycles — one million lookups per
 	// scheme on G(256, 1/2) (quick: 20k on G(64, 1/2)). The headline figures
@@ -410,45 +277,6 @@ func runSuite(quick bool, artefact string, sections map[string]bool) (*Report, e
 		}
 	}
 
-	// Replicated cluster chaos: a primary + two replicas on G(256, 1/2) per
-	// scheme under client-side failover, surviving replica partitions, WAL
-	// corruption/truncation, and a primary kill + promotion (quick: one
-	// replica on G(24, 1/2), 10k lookups). Headline figures are per-member
-	// QPS, failover latency, and WAL replay lag.
-	if sections["cluster"] {
-		n, replicas, lookups, workers := 256, 2, uint64(200_000), 6
-		if quick {
-			n, replicas, lookups, workers = 24, 1, 10_000, 2
-		}
-		for _, scheme := range []string{"fulltable", "compact"} {
-			crep, err := chaos.RunCluster(chaos.ClusterConfig{
-				N:        n,
-				Seed:     1,
-				Scheme:   scheme,
-				Replicas: replicas,
-				Lookups:  lookups,
-				Workers:  workers,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("cluster %s: %w", scheme, err)
-			}
-			rep.Cluster = append(rep.Cluster, crep)
-		}
-	}
-
-	// Protocol matrix (the `make wirebench` artefact BENCH_pr7.json): the
-	// same seeded closed loop over in-process calls, JSON HTTP, and binary
-	// TCP at GOMAXPROCS 1/4/16 (quick: GOMAXPROCS 1 only). The binary
-	// transport must clear 2× JSON throughput at GOMAXPROCS=1 — the
-	// tentpole acceptance ratio.
-	if sections["wire"] {
-		wire, err := runWireMatrix(quick)
-		if err != nil {
-			return nil, err
-		}
-		rep.Wire = wire
-	}
-
 	// Durable WAL append throughput per fsync policy (the `make crashbench`
 	// artefact BENCH_pr6.json): one op = one 64-byte record appended to an
 	// on-disk segment store under always / batch / off. fsync=always pays
@@ -467,104 +295,6 @@ func runSuite(quick bool, artefact string, sections map[string]bool) (*Report, e
 				return nil, err
 			}
 			rep.Wal = append(rep.Wal, wb)
-		}
-	}
-
-	// Large-graph tier sweep (the `make bigbench` artefact BENCH_pr8.json):
-	// fulltable (full tier) vs landmark (tables tier) on sparse avg-degree-8
-	// topologies across n up to 16384, plus fulltable vs compact on dense
-	// G(n, 1/2) where the diameter-2 construction applies. Full-tier rows are
-	// strictly validated; tables-tier rows are spot-graded against on-demand
-	// BFS ground truth. The headline column is bytes/node: fulltable grows
-	// linearly in n (the n² matrix), landmark must not.
-	if sections["big"] {
-		big, err := runBigSweep(quick)
-		if err != nil {
-			return nil, err
-		}
-		rep.Big = big
-	}
-
-	// Tables-tier cluster chaos (the `make bigclusterbench` artefact
-	// BENCH_pr9.json): a three-member landmark cluster on an n=4096 sparse
-	// topology under the full replication failure matrix. The run fails on
-	// any spot-graded stretch-3 violation, blown availability budget, failed
-	// promotion, or non-identical scheme tables at quiesce.
-	if sections["bigcluster"] {
-		n, lookups, workers := 4096, 40_000, 4
-		if quick {
-			n, lookups, workers = 128, 4_000, 2
-		}
-		bcrep, err := chaos.RunCluster(chaos.ClusterConfig{
-			N:        n,
-			Seed:     1,
-			Scheme:   "landmark",
-			Replicas: 2,
-			Lookups:  uint64(lookups),
-			Workers:  workers,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("bigcluster: %w", err)
-		}
-		rep.BigCluster = append(rep.BigCluster, bcrep)
-	}
-
-	// Partitioned-cluster chaos vs the single-group baseline (the
-	// `make shardbench` artefact BENCH_pr10.json): the same topology served
-	// by a two-shard-group cluster (each group primary + replica behind the
-	// scatter-gather front) and by one 3-member replicated group. The run
-	// fails on any graded violation in either harness, or if any shard's
-	// resync payload is not strictly below the single group's.
-	if sections["shard"] {
-		n, lookups, workers, seed := 4096, 20_000, 4, int64(1)
-		if quick {
-			n, lookups, workers, seed = 192, 6_000, 3, 7
-		}
-		srep, err := chaos.RunShard(chaos.ShardConfig{
-			N:        n,
-			Seed:     seed,
-			Groups:   2,
-			Replicas: 1,
-			Lookups:  uint64(lookups),
-			Workers:  workers,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("shard: %w", err)
-		}
-		base, err := chaos.RunCluster(chaos.ClusterConfig{
-			N:        n,
-			Seed:     seed,
-			Scheme:   "landmark",
-			Replicas: 2,
-			Lookups:  uint64(lookups),
-			Workers:  workers,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("shard baseline: %w", err)
-		}
-		maxResync, minAvail := 0, 100.0
-		for _, s := range srep.PerShard {
-			if s.ResyncBytes > maxResync {
-				maxResync = s.ResyncBytes
-			}
-			if s.AvailabilityPct < minAvail {
-				minAvail = s.AvailabilityPct
-			}
-		}
-		if maxResync >= base.ResyncBytes {
-			return nil, fmt.Errorf("shard: worst per-shard resync payload %d B is not below the single-group baseline %d B",
-				maxResync, base.ResyncBytes)
-		}
-		rep.Shard = append(rep.Shard, srep)
-		rep.ShardVsBaseline = &ShardBench{
-			N:                       n,
-			FinalGroups:             srep.FinalGroups,
-			QPS:                     srep.QPS,
-			BaselineQPS:             base.QPS,
-			MaxShardResyncBytes:     maxResync,
-			BaselineResyncBytes:     base.ResyncBytes,
-			ResyncShrinkPct:         100 * (1 - float64(maxResync)/float64(base.ResyncBytes)),
-			MinShardAvailabilityPct: minAvail,
 		}
 	}
 
@@ -602,280 +332,6 @@ func runWalBench(pol walstore.Policy, payload []byte, budget time.Duration) (Wal
 		NsPerAppend:   r.NsPerOp,
 		AppendsPerSec: 1e9 / r.NsPerOp,
 	}, r, nil
-}
-
-// runWireMatrix measures the same fulltable workload across three transports
-// at each GOMAXPROCS level, each row on a freshly built server (fresh
-// histograms, fresh listeners). GOMAXPROCS is restored afterwards.
-func runWireMatrix(quick bool) ([]WireBench, error) {
-	const scheme = "fulltable"
-	gmps := []int{1, 4, 16}
-	n, lookups := 256, uint64(200_000)
-	if quick {
-		gmps = []int{1}
-		n, lookups = 64, 5_000
-	}
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-
-	var rows []WireBench
-	qpsAt := map[[2]any]float64{}
-	for _, gmp := range gmps {
-		runtime.GOMAXPROCS(gmp)
-		for _, transport := range []string{"inproc", "json-http", "bin-tcp"} {
-			row, err := runWireRow(transport, scheme, n, gmp, lookups)
-			if err != nil {
-				return nil, fmt.Errorf("wire %s gomaxprocs=%d: %w", transport, gmp, err)
-			}
-			rows = append(rows, row)
-			qpsAt[[2]any{transport, gmp}] = row.QPS
-		}
-	}
-	// Tentpole acceptance: binary ≥ 2× JSON at GOMAXPROCS=1. Quick mode
-	// still checks it — a smoke run that silently loses the headline ratio
-	// is worse than a failing one.
-	jsonQPS, binQPS := qpsAt[[2]any{"json-http", 1}], qpsAt[[2]any{"bin-tcp", 1}]
-	if jsonQPS > 0 && binQPS < 2*jsonQPS {
-		return rows, fmt.Errorf("wire: bin-tcp %.0f qps < 2× json-http %.0f qps at GOMAXPROCS=1", binQPS, jsonQPS)
-	}
-	return rows, nil
-}
-
-// runWireRow is one (transport, GOMAXPROCS) measurement. Network transports
-// get real loopback listeners and client-side latency; the in-process row is
-// the plain loadgen run, shards matched to the GOMAXPROCS level.
-func runWireRow(transport, scheme string, n, gmp int, lookups uint64) (WireBench, error) {
-	g, err := gengraph.GnHalf(n, rand.New(rand.NewSource(42)))
-	if err != nil {
-		return WireBench{}, err
-	}
-	eng, err := serve.NewEngine(g, scheme)
-	if err != nil {
-		return WireBench{}, err
-	}
-	srv := serve.NewServer(eng, serve.ServerOptions{Shards: gmp, StretchSampleEvery: -1})
-	defer srv.Close()
-
-	cfg := loadgen.Config{Workers: 4, Lookups: lookups, Seed: 1}
-	var lrep *loadgen.Report
-	switch transport {
-	case "inproc":
-		lrep, err = loadgen.Run(srv, cfg)
-	case "json-http":
-		ln, lerr := net.Listen("tcp", "127.0.0.1:0")
-		if lerr != nil {
-			return WireBench{}, lerr
-		}
-		hs := &http.Server{Handler: httpapi.NewBatchHandler(srv)}
-		go hs.Serve(ln)
-		defer hs.Close()
-		client := httpapi.NewBatchClient("http://"+ln.Addr().String(), nil)
-		lrep, err = loadgen.RunTarget(client, loadgen.TargetMeta{Scheme: scheme, N: n}, cfg)
-	case "bin-tcp":
-		ln, lerr := net.Listen("tcp", "127.0.0.1:0")
-		if lerr != nil {
-			return WireBench{}, lerr
-		}
-		ws := wire.NewServer(srv)
-		go ws.Serve(ln)
-		defer ws.Close()
-		client, derr := wire.Dial("bench", ln.Addr().String())
-		if derr != nil {
-			return WireBench{}, derr
-		}
-		defer client.Close()
-		lrep, err = loadgen.RunTarget(client, loadgen.TargetMeta{Scheme: scheme, N: n}, cfg)
-	default:
-		return WireBench{}, fmt.Errorf("unknown transport %q", transport)
-	}
-	if err != nil {
-		return WireBench{}, err
-	}
-	switch {
-	case lrep.QPS <= 0:
-		return WireBench{}, fmt.Errorf("no throughput")
-	case lrep.Incorrect > 0:
-		return WireBench{}, fmt.Errorf("%d incorrect lookups", lrep.Incorrect)
-	case lrep.Rejected > 0:
-		return WireBench{}, fmt.Errorf("%d rejected lookups", lrep.Rejected)
-	case lrep.Errored > 0:
-		return WireBench{}, fmt.Errorf("%d errored lookups", lrep.Errored)
-	}
-	return WireBench{
-		Transport:  transport,
-		Scheme:     scheme,
-		GOMAXPROCS: gmp,
-		Lookups:    lrep.Lookups,
-		QPS:        lrep.QPS,
-		P50ns:      lrep.P50ns,
-		P99ns:      lrep.P99ns,
-	}, nil
-}
-
-// runLoad drives one closed-loop load run against a freshly built server and
-// fails on any incorrect, rejected, or errored lookup.
-func runLoad(scheme string, n int, lookups uint64, swaps int) (*loadgen.Report, error) {
-	g, err := gengraph.GnHalf(n, rand.New(rand.NewSource(42)))
-	if err != nil {
-		return nil, err
-	}
-	eng, err := serve.NewEngine(g, scheme)
-	if err != nil {
-		return nil, err
-	}
-	srv := serve.NewServer(eng, serve.ServerOptions{})
-	defer srv.Close()
-	rep, err := loadgen.Run(srv, loadgen.Config{
-		Workers:  4,
-		Lookups:  lookups,
-		Seed:     1,
-		HotSwaps: swaps,
-	})
-	if err != nil {
-		return rep, fmt.Errorf("serve load %s: %w", scheme, err)
-	}
-	switch {
-	case rep.QPS <= 0:
-		return rep, fmt.Errorf("serve load %s: no throughput", scheme)
-	case rep.Rejected > 0:
-		return rep, fmt.Errorf("serve load %s: %d rejected lookups", scheme, rep.Rejected)
-	case rep.Errored > 0:
-		return rep, fmt.Errorf("serve load %s: %d errored lookups", scheme, rep.Errored)
-	}
-	return rep, nil
-}
-
-// runBigSweep produces the "big" section rows and enforces the PR-8
-// acceptance gates in code: landmark must undercut fulltable on bytes/node at
-// the largest n both serve, no spot-graded answer may exceed stretch 3
-// (loadgen already fails the row, re-checked here), and in full mode the
-// n=16384 landmark row — past the all-pairs ceiling — must build and serve.
-func runBigSweep(quick bool) ([]BigBench, error) {
-	type rowSpec struct {
-		family, scheme string
-		tables         bool
-		n              int
-	}
-	var specs []rowSpec
-	lookups := uint64(200_000)
-	if quick {
-		lookups = 10_000
-		specs = []rowSpec{
-			{"sparse", "fulltable", false, 256},
-			{"sparse", "landmark", true, 256},
-			{"gnhalf", "fulltable", false, 64},
-			{"gnhalf", "compact", false, 64},
-		}
-	} else {
-		for _, n := range []int{256, 1024, 4096} {
-			specs = append(specs, rowSpec{"sparse", "fulltable", false, n})
-		}
-		for _, n := range []int{256, 1024, 4096, 16384} {
-			specs = append(specs, rowSpec{"sparse", "landmark", true, n})
-		}
-		for _, n := range []int{256, 1024} {
-			specs = append(specs, rowSpec{"gnhalf", "fulltable", false, n})
-			specs = append(specs, rowSpec{"gnhalf", "compact", false, n})
-		}
-	}
-	rows := make([]BigBench, 0, len(specs))
-	for _, sp := range specs {
-		row, err := runBigRow(sp.family, sp.scheme, sp.tables, sp.n, lookups)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	// Gate 1: at the largest sparse n served by both schemes, the tables
-	// tier must be the smaller snapshot per node.
-	perNode := func(scheme string) (float64, int) {
-		best, bestN := 0.0, 0
-		for _, r := range rows {
-			if r.Family == "sparse" && r.Scheme == scheme && r.N > bestN {
-				best, bestN = r.BytesPerNode, r.N
-			}
-		}
-		return best, bestN
-	}
-	fullPN, fullN := perNode("fulltable")
-	var lmPN float64
-	for _, r := range rows {
-		if r.Family == "sparse" && r.Scheme == "landmark" && r.N == fullN {
-			lmPN = r.BytesPerNode
-		}
-	}
-	if lmPN <= 0 || lmPN >= fullPN {
-		return nil, fmt.Errorf("big: landmark %.1f bytes/node does not undercut fulltable %.1f at n=%d", lmPN, fullPN, fullN)
-	}
-	// Gate 2: zero stretch-3 violations across every spot-graded row.
-	for _, r := range rows {
-		if r.SpotGraded > 0 && r.MaxStretchMilli > 3000 {
-			return nil, fmt.Errorf("big: %s/%s n=%d spot-graded max stretch %d‰ exceeds 3000‰", r.Family, r.Scheme, r.N, r.MaxStretchMilli)
-		}
-	}
-	return rows, nil
-}
-
-// runBigRow builds one engine at the requested tier, times the build, and
-// drives a validated closed loop against it. Full-tier rows use strict
-// grading (observed stretch is exactly 1); tables-tier rows auto-select
-// spot grading in loadgen.
-func runBigRow(family, scheme string, tables bool, n int, lookups uint64) (BigBench, error) {
-	rng := rand.New(rand.NewSource(42))
-	var (
-		g   *graph.Graph
-		err error
-	)
-	if family == "sparse" {
-		g, err = gengraph.SparseConnected(n, 8, rng)
-	} else {
-		g, err = gengraph.GnHalf(n, rng)
-	}
-	if err != nil {
-		return BigBench{}, fmt.Errorf("big %s/%s n=%d: %w", family, scheme, n, err)
-	}
-	start := time.Now()
-	var eng *serve.Engine
-	if tables {
-		eng, err = serve.NewTieredEngine(g, scheme)
-	} else {
-		eng, err = serve.NewEngine(g, scheme)
-	}
-	if err != nil {
-		return BigBench{}, fmt.Errorf("big %s/%s n=%d: %w", family, scheme, n, err)
-	}
-	build := time.Since(start)
-	srv := serve.NewServer(eng, serve.ServerOptions{StretchSampleEvery: -1})
-	defer srv.Close()
-	lrep, err := loadgen.Run(srv, loadgen.Config{
-		Workers: 4,
-		Lookups: lookups,
-		Seed:    1,
-	})
-	if err != nil {
-		return BigBench{}, fmt.Errorf("big %s/%s n=%d: %w", family, scheme, n, err)
-	}
-	size := eng.Current().ArenaSize()
-	row := BigBench{
-		Family:        family,
-		N:             n,
-		Scheme:        scheme,
-		Tier:          eng.Tier(),
-		BuildMs:       float64(build.Nanoseconds()) / 1e6,
-		SnapshotBytes: size,
-		BytesPerNode:  float64(size) / float64(n),
-		Lookups:       lrep.Lookups,
-		QPS:           lrep.QPS,
-		SpotGraded:    lrep.SpotGraded,
-	}
-	if lrep.SpotGraded > 0 {
-		row.MaxStretchMilli = lrep.SpotMaxStretchMilli
-		row.MeanStretchMilli = lrep.SpotMeanStretchMilli
-	} else {
-		// Strictly validated rows answer with exact shortest paths.
-		row.MaxStretchMilli, row.MeanStretchMilli = 1000, 1000
-	}
-	return row, nil
 }
 
 func run(quick bool, artefact, sectionsCSV, out string) error {

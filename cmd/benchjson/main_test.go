@@ -50,41 +50,16 @@ func TestQuickSuite(t *testing.T) {
 	}
 }
 
-// TestServeSection runs the quick serving-layer load section: both schemes
-// must report throughput with zero incorrect/rejected/errored lookups and
-// the configured hot-swaps performed.
-func TestServeSection(t *testing.T) {
-	rep, err := runSuite(true, "BENCH_pr3", sectionSet(t, "serve"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Results) != 0 {
-		t.Errorf("serve-only run produced ns/op results: %+v", rep.Results)
-	}
-	if len(rep.Loadgen) != 2 {
-		t.Fatalf("loadgen reports: %d", len(rep.Loadgen))
-	}
-	schemes := map[string]bool{}
-	for _, lr := range rep.Loadgen {
-		schemes[lr.Scheme] = true
-		if lr.QPS <= 0 || lr.Lookups == 0 {
-			t.Errorf("%s: no throughput: %+v", lr.Scheme, lr)
-		}
-		if lr.Incorrect != 0 || lr.Rejected != 0 || lr.Errored != 0 {
-			t.Errorf("%s: unhealthy run: %+v", lr.Scheme, lr)
-		}
-		if lr.Swaps < 2 {
-			t.Errorf("%s: swaps = %d", lr.Scheme, lr.Swaps)
-		}
-	}
-	if !schemes["fulltable"] || !schemes["compact"] {
-		t.Errorf("schemes covered: %v", schemes)
-	}
-}
-
+// TestParseSectionsRejectsUnknown: the five kept sections parse; unknown
+// and retired names do not.
 func TestParseSectionsRejectsUnknown(t *testing.T) {
-	if _, err := parseSections("bfs,warp"); err == nil {
-		t.Fatal("unknown section accepted")
+	if s := sectionSet(t, "bfs,cache,resilience,chaos,wal"); len(s) != 5 {
+		t.Fatalf("sections = %v, want 5", s)
+	}
+	for _, csv := range []string{"bfs,warp", "serve", "cluster", "wire", "big", "bigcluster", "shard"} {
+		if _, err := parseSections(csv); err == nil {
+			t.Fatalf("section list %q accepted", csv)
+		}
 	}
 	if _, err := parseSections(""); err == nil {
 		t.Fatal("empty section list accepted")
@@ -136,37 +111,6 @@ func TestChaosSection(t *testing.T) {
 	}
 }
 
-// TestClusterSection runs the quick replicated-cluster section: both schemes
-// must survive the full chaos sequence (partition, corruption, truncation,
-// primary kill + promotion) with zero incorrect answers and byte-identical
-// tables, and the failover headline figures must be recorded.
-func TestClusterSection(t *testing.T) {
-	rep, err := runSuite(true, "BENCH_pr5", sectionSet(t, "cluster"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Cluster) != 2 {
-		t.Fatalf("cluster reports: %d, want 2", len(rep.Cluster))
-	}
-	for _, c := range rep.Cluster {
-		if c.Incorrect != 0 {
-			t.Errorf("%s: %d incorrect answers", c.Scheme, c.Incorrect)
-		}
-		if !c.Promoted || c.FinalEpoch != 2 {
-			t.Errorf("%s: promoted=%v epoch=%d", c.Scheme, c.Promoted, c.FinalEpoch)
-		}
-		if c.FailoverNs <= 0 {
-			t.Errorf("%s: failover latency not measured", c.Scheme)
-		}
-		if !c.DigestsConverged || !c.TablesIdentical {
-			t.Errorf("%s: digests=%v identical=%v", c.Scheme, c.DigestsConverged, c.TablesIdentical)
-		}
-		if len(c.PerMember) == 0 || c.QPS <= 0 {
-			t.Errorf("%s: per-member accounting missing: %+v", c.Scheme, c.PerMember)
-		}
-	}
-}
-
 // TestWalSection runs the quick WAL append-throughput section: all three
 // fsync policies must report positive throughput, and the section must
 // surface both the per-policy rows and the generic ns/op results.
@@ -195,41 +139,5 @@ func TestWalSection(t *testing.T) {
 	}
 	if len(rep.Results) != 3 {
 		t.Errorf("wal section results: %+v", rep.Results)
-	}
-}
-
-// TestBigClusterSection runs the quick tables-tier cluster section: the
-// landmark cluster must survive the full failure matrix with zero spot
-// violations, record the failover and resync-economics headline figures, and
-// ship a resync payload smaller than the hypothetical n² matrix.
-func TestBigClusterSection(t *testing.T) {
-	rep, err := runSuite(true, "BENCH_pr9", sectionSet(t, "bigcluster"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.BigCluster) != 1 {
-		t.Fatalf("bigcluster reports: %d, want 1", len(rep.BigCluster))
-	}
-	c := rep.BigCluster[0]
-	if c.Scheme != "landmark" || c.Tier != "tables" {
-		t.Errorf("bigcluster ran %s on the %q tier, want landmark on the tables tier", c.Scheme, c.Tier)
-	}
-	if c.SpotViolations != 0 || c.SpotGraded == 0 {
-		t.Errorf("spot grading: graded=%d violations=%d", c.SpotGraded, c.SpotViolations)
-	}
-	if !c.Promoted || c.FinalEpoch != 2 {
-		t.Errorf("promoted=%v epoch=%d", c.Promoted, c.FinalEpoch)
-	}
-	if c.FailoverNs <= 0 {
-		t.Errorf("failover latency not measured")
-	}
-	if !c.DigestsConverged || !c.TablesIdentical {
-		t.Errorf("digests=%v identical=%v", c.DigestsConverged, c.TablesIdentical)
-	}
-	if c.ResyncBytes <= 0 || uint64(c.ResyncBytes) >= c.MatrixBytes {
-		t.Errorf("resync %d B vs matrix %d B: compact tier must undercut the matrix", c.ResyncBytes, c.MatrixBytes)
-	}
-	if len(c.PerMember) == 0 || c.QPS <= 0 {
-		t.Errorf("per-member accounting missing: %+v", c.PerMember)
 	}
 }

@@ -46,15 +46,6 @@
 // answer on both protocols — exiting non-zero unless zero answers were
 // incorrect or errored and both transports observed a swap.
 //
-// Load-generator mode (also the `make verify` serving smoke):
-//
-//	routetabd -loadgen -n 64 -seed 1 -lookups 100000 -swaps 4
-//
-// runs the closed-loop generator in-process against the same engine, prints
-// the JSON report, and exits non-zero if any lookup was answered
-// incorrectly, rejected, or the run produced no throughput — so a CI lane
-// gets a pass/fail signal, not just numbers.
-//
 // Chaos mode (also the `make chaos` CI gate):
 //
 //	routetabd -chaos -n 64 -seed 1 -lookups 200000 -chaos-bursts 5 -chaos-kills 2
@@ -189,7 +180,6 @@ import (
 	"routetab/internal/serve"
 	"routetab/internal/serve/chaos"
 	"routetab/internal/serve/httpapi"
-	"routetab/internal/serve/loadgen"
 	"routetab/internal/serve/wire"
 
 	"math/rand"
@@ -217,10 +207,8 @@ type config struct {
 	queue   int
 	batch   int
 	persist string
-	// loadgen mode
-	loadgen  bool
+	// harness modes
 	lookups  uint64
-	duration time.Duration
 	workers  int
 	swaps    int
 	bigsmoke bool
@@ -271,7 +259,6 @@ func parseFlags(args []string) (*config, error) {
 	fs.IntVar(&cfg.queue, "queue", 0, "per-shard queue capacity (0 = default)")
 	fs.IntVar(&cfg.batch, "batch", 0, "max coalesced jobs per worker wake-up (0 = default)")
 	fs.StringVar(&cfg.persist, "persist", "", "snapshot persistence file: save every published snapshot, warm-boot from it on start")
-	fs.BoolVar(&cfg.loadgen, "loadgen", false, "run the closed-loop load generator instead of serving HTTP")
 	fs.BoolVar(&cfg.bigsmoke, "bigsmoke", false, "run the large-graph spot-graded smoke (tables-tier landmark over a sparse topology) instead of serving HTTP")
 	fs.BoolVar(&cfg.chaos, "chaos", false, "run the serve-layer chaos harness instead of serving HTTP")
 	fs.IntVar(&cfg.chaosStalls, "chaos-stalls", 2, "chaos: shard stall injections (-1 disables)")
@@ -297,10 +284,9 @@ func parseFlags(args []string) (*config, error) {
 	fs.IntVar(&cfg.shardGroups, "shard-groups", 0, "shard groups: initial count for -shard-chaos and for -shard-map initialisation (0 = harness default)")
 	fs.BoolVar(&cfg.shardChaos, "shard-chaos", false, "run the partitioned-cluster chaos harness instead of serving HTTP")
 	fs.StringVar(&cfg.shardCSV, "shard-csv", "", "shard-chaos: also append the report as a CSV artefact to this file")
-	lookups := fs.Int64("lookups", 100_000, "loadgen: total lookup target")
-	fs.DurationVar(&cfg.duration, "duration", 0, "loadgen: wall-clock cap (0 = none)")
-	fs.IntVar(&cfg.workers, "workers", 4, "loadgen: closed-loop client workers")
-	fs.IntVar(&cfg.swaps, "swaps", 0, "loadgen: snapshot hot-swaps to perform mid-load")
+	lookups := fs.Int64("lookups", 100_000, "harness modes: total lookup target")
+	fs.IntVar(&cfg.workers, "workers", 4, "harness modes: closed-loop client workers")
+	fs.IntVar(&cfg.swaps, "swaps", 0, "bigsmoke, wire-chaos: snapshot hot-swaps to perform mid-load")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -390,18 +376,9 @@ func run(args []string, out *os.File) error {
 	case cfg.join != "":
 		return runReplica(cfg, out)
 	}
-	sh, err := loadShardInfo(cfg)
+	eng, sh, err := openPrimaryEngine(cfg, out)
 	if err != nil {
 		return err
-	}
-	eng, warm, err := openEngine(cfg, sh, out)
-	if err != nil {
-		return err
-	}
-	if cfg.persist != "" && !warm {
-		if err := eng.EnablePersist(cfg.persist); err != nil {
-			return fmt.Errorf("enable persistence: %w", err)
-		}
 	}
 	srv := serve.NewServer(eng, serve.ServerOptions{
 		Shards:   cfg.shards,
@@ -411,9 +388,6 @@ func run(args []string, out *os.File) error {
 	defer srv.Close()
 	registerServingGauges(srv)
 
-	if cfg.loadgen {
-		return runLoadgen(srv, cfg, out)
-	}
 	rep := serve.NewRepairer(srv, serve.RepairOptions{})
 	defer rep.Close()
 	// A serving daemon is a replication primary by default: the WAL costs
@@ -532,6 +506,26 @@ func runClusterChaos(cfg *config, out *os.File) error {
 		Workers:  cfg.workers,
 	})
 	return verdict(out, "cluster chaos", rep, err, cfg.clusterCSV, chaos.WriteClusterCSV)
+}
+
+// openPrimaryEngine loads the -shard placement and opens the serving
+// engine a primary starts from, with -persist saving every published
+// snapshot from here on.
+func openPrimaryEngine(cfg *config, out *os.File) (*serve.Engine, *shardInfo, error) {
+	sh, err := loadShardInfo(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	eng, warm, err := openEngine(cfg, sh, out)
+	if err != nil {
+		return nil, nil, err
+	}
+	if cfg.persist != "" && !warm {
+		if err := eng.EnablePersist(cfg.persist); err != nil {
+			return nil, nil, fmt.Errorf("enable persistence: %w", err)
+		}
+	}
+	return eng, sh, nil
 }
 
 // openEngine builds the serving engine, warm-booting from the persistence
@@ -884,38 +878,6 @@ func appendCSV(path string, write func(io.Writer) error) error {
 	}
 	defer f.Close()
 	return write(f)
-}
-
-// runLoadgen drives the in-process closed loop and renders a pass/fail JSON
-// verdict on stdout.
-func runLoadgen(srv *serve.Server, cfg *config, out *os.File) error {
-	rep, err := loadgen.Run(srv, loadgen.Config{
-		Workers:  cfg.workers,
-		Lookups:  cfg.lookups,
-		Duration: cfg.duration,
-		Seed:     cfg.seed,
-		HotSwaps: cfg.swaps,
-	})
-	if err != nil && rep == nil {
-		return err
-	}
-	blob, merr := json.MarshalIndent(rep, "", "  ")
-	if merr != nil {
-		return merr
-	}
-	fmt.Fprintln(out, string(blob))
-	switch {
-	case err != nil:
-		return err // incorrect answers: already counted in the report
-	case rep.QPS <= 0:
-		return fmt.Errorf("loadgen produced no throughput")
-	case rep.Rejected > 0:
-		return fmt.Errorf("loadgen saw %d rejected lookups", rep.Rejected)
-	case rep.Errored > 0:
-		return fmt.Errorf("loadgen saw %d errored lookups", rep.Errored)
-	}
-	fmt.Fprintf(out, "loadgen ok: %s\n", rep)
-	return nil
 }
 
 // serveHTTP runs the daemon until SIGINT/SIGTERM, then drains gracefully and

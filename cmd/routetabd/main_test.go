@@ -157,31 +157,6 @@ func TestMutateSwapHealthMetrics(t *testing.T) {
 	}
 }
 
-// TestLoadgenMode runs the CLI's loadgen path end to end: it must print a
-// JSON report and succeed on a healthy server.
-func TestLoadgenMode(t *testing.T) {
-	out, err := os.CreateTemp(t.TempDir(), "loadgen")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer out.Close()
-	err = run([]string{"-loadgen", "-n", "32", "-seed", "1", "-lookups", "4000", "-workers", "2", "-swaps", "2"}, out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := out.Seek(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(out); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-	if !strings.Contains(text, "\"qps\"") || !strings.Contains(text, "loadgen ok") {
-		t.Fatalf("loadgen output: %s", text)
-	}
-}
-
 // TestFailEndpoint drives the repairer over HTTP: a link failure must be
 // accepted, reflected in healthz as degraded staleness, and still leave every
 // lookup answerable (correct or bounded-degraded); the repair event must
@@ -212,33 +187,40 @@ func TestFailEndpoint(t *testing.T) {
 	}
 }
 
-// TestPersistWarmBoot runs the loadgen CLI twice against one persistence
-// file: the second run must warm-boot from the snapshot instead of
-// cold-building.
+// openEngineLog opens the daemon's primary engine from args, as run() does
+// before it serves, and returns what the open logged.
+func openEngineLog(t *testing.T, args ...string) (string, error) {
+	t.Helper()
+	cfg, err := parseFlags(args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.CreateTemp(t.TempDir(), "out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	_, _, err = openPrimaryEngine(cfg, out)
+	log, rerr := os.ReadFile(out.Name())
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	return string(log), err
+}
+
+// TestPersistWarmBoot opens the daemon's engine twice against one
+// persistence file: the first open cold-builds and saves the snapshot, the
+// second must warm-boot from it instead of cold-building.
 func TestPersistWarmBoot(t *testing.T) {
-	dir := t.TempDir()
-	snap := dir + "/snap.rtsnap"
-	for i, want := range []string{"loadgen ok", "warm boot"} {
-		out, err := os.CreateTemp(dir, "out")
+	snap := t.TempDir() + "/snap.rtsnap"
+	for i := range 2 {
+		log, err := openEngineLog(t, "-n", "32", "-seed", "1", "-persist", snap)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("open %d: %v", i, err)
 		}
-		err = run([]string{"-loadgen", "-n", "32", "-seed", "1", "-lookups", "2000",
-			"-workers", "2", "-persist", snap}, out)
-		if err != nil {
-			t.Fatalf("run %d: %v", i, err)
+		if warm := strings.Contains(log, "warm boot"); warm != (i == 1) {
+			t.Fatalf("open %d: warm boot = %v, want %v: %s", i, warm, i == 1, log)
 		}
-		if _, err := out.Seek(0, 0); err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if _, err := buf.ReadFrom(out); err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(buf.String(), want) {
-			t.Fatalf("run %d output missing %q: %s", i, want, buf.String())
-		}
-		out.Close()
 	}
 }
 
@@ -294,20 +276,11 @@ func TestRTSNAP1FileColdBuilds(t *testing.T) {
 	if _, err := serve.LoadSnapshot(snap); !errors.Is(err, serve.ErrBadSnapshotFile) {
 		t.Fatalf("file load: err = %v, want ErrBadSnapshotFile", err)
 	}
-	out, err := os.CreateTemp(dir, "out")
+	log, err := openEngineLog(t, "-n", "32", "-seed", "1", "-scheme", "fulltable", "-persist", snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer out.Close()
-	if err := run([]string{"-loadgen", "-n", "32", "-seed", "1", "-lookups", "200",
-		"-workers", "2", "-scheme", "fulltable", "-persist", snap}, out); err != nil {
-		t.Fatal(err)
-	}
-	log, err := os.ReadFile(out.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(log), "cold-building") {
+	if !strings.Contains(log, "cold-building") {
 		t.Fatalf("daemon did not cold-build: %s", log)
 	}
 	if _, err := serve.LoadSnapshot(snap); err != nil {
@@ -356,7 +329,7 @@ func TestChaosMode(t *testing.T) {
 }
 
 func TestUnknownSchemeFlag(t *testing.T) {
-	if err := run([]string{"-loadgen", "-n", "32", "-scheme", "bogus"}, os.Stdout); err == nil {
+	if _, err := openEngineLog(t, "-n", "32", "-scheme", "bogus"); err == nil {
 		t.Fatal("bogus scheme accepted")
 	}
 }

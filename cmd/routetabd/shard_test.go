@@ -73,7 +73,7 @@ func TestShardMapInitAndSplitCLI(t *testing.T) {
 	if err := run([]string{"-split", "0"}, out); err == nil {
 		t.Fatal("-split without -shard-map accepted")
 	}
-	if err := run([]string{"-shard", "0", "-loadgen", "-n", "96"}, out); err == nil {
+	if _, err := openEngineLog(t, "-shard", "0", "-n", "96"); err == nil {
 		t.Fatal("-shard without -shard-map accepted")
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"routetab/internal/gengraph"
 	"routetab/internal/serve"
-	"routetab/internal/serve/loadgen"
 	"routetab/internal/serve/spotgrade"
 )
 
@@ -25,7 +24,7 @@ type BigConfig struct {
 	Lookups uint64
 	// Workers is the closed-loop client count (default 4).
 	Workers int
-	// Swaps is how many hot topology swaps fire mid-load (default 2). Each
+	// Swaps is how many hot topology swaps fire mid-load (0 = none). Each
 	// toggles an initially-absent edge, so connectivity is never at risk.
 	Swaps int
 }
@@ -45,22 +44,28 @@ func (c *BigConfig) setDefaults() {
 	}
 }
 
-// BigReport is one large-graph run's outcome.
+// BigReport is one large-graph run's outcome. P50ns and P99ns are the
+// server's own per-lookup latency (serve_latency_ns).
 type BigReport struct {
 	N             int           `json:"n"`
 	Landmarks     int           `json:"landmarks"`
 	BuildTime     time.Duration `json:"build_ns"`
 	SnapshotBytes int           `json:"snapshot_bytes"`
 	BytesPerNode  float64       `json:"bytes_per_node"`
-	Load          *loadgen.Report
+	Lookups       uint64        `json:"lookups"`
+	QPS           float64       `json:"qps"`
+	P50ns         int64         `json:"p50_ns"`
+	P99ns         int64         `json:"p99_ns"`
+	SpotTotals
+	SpotMeanStretchMilli int64 `json:"spot_mean_stretch_milli"`
 }
 
 // String renders the headline figures.
 func (r *BigReport) String() string {
-	return fmt.Sprintf("big n=%d: %d landmarks, build %v, snapshot %d B (%.0f B/node); %d lookups, %d spot-graded, %d violations, max stretch %.3f",
+	return fmt.Sprintf("big n=%d: %d landmarks, build %v, snapshot %d B (%.0f B/node); %d lookups (%.0f qps), %d spot-graded, %d violations, stretch mean %.3f max %.3f",
 		r.N, r.Landmarks, r.BuildTime.Round(time.Millisecond), r.SnapshotBytes, r.BytesPerNode,
-		r.Load.Lookups, r.Load.SpotGraded, r.Load.SpotViolations,
-		float64(r.Load.SpotMaxStretchMilli)/1000)
+		r.Lookups, r.QPS, r.SpotGraded, r.SpotViolations,
+		float64(r.SpotMeanStretchMilli)/1000, float64(r.SpotMaxStretchMilli)/1000)
 }
 
 // RunBig builds a tables-tier landmark engine over a sparse seeded topology
@@ -86,45 +91,66 @@ func RunBig(cfg BigConfig) (*BigReport, error) {
 		return nil, err
 	}
 
-	// The hot-swap edge: initially absent, toggled add/remove, so the graph
-	// stays connected through every swap.
-	var swap func() error
+	// Each swap toggles one initially-absent edge, added then removed, so the
+	// graph stays connected through every swap.
+	var phases []phase
 	if e := absentEdges(g, 1); len(e) > 0 {
-		swap = func() error {
-			_, err := eng.Mutate(toggle(e[0]))
-			return err
+		for i := 0; i < cfg.Swaps; i++ {
+			phases = append(phases, phase{name: fmt.Sprintf("swap %d", i), run: func() error {
+				_, err := eng.Mutate(toggle(e[0]))
+				return err
+			}})
 		}
 	}
 
 	srv := serve.NewServer(eng, serve.ServerOptions{StretchSampleEvery: -1})
 	defer srv.Close()
 	grader := spotgrade.New(eng, spotgrade.Config{Seed: cfg.Seed, SampleEvery: 1})
-	lrep, err := loadgen.Run(srv, loadgen.Config{
-		Workers:  cfg.Workers,
-		Lookups:  cfg.Lookups,
-		Seed:     cfg.Seed,
-		Validate: loadgen.ValidateSpot,
-		Spot:     grader,
-		HotSwaps: cfg.Swaps,
-		SwapFn:   swap,
-	})
+	var t tally
+	elapsed, err := loop{
+		n: cfg.N, workers: cfg.Workers, batch: 16, seed: cfg.Seed, lookups: cfg.Lookups,
+		answered: &t.answered, maxBackoff: 2 * time.Millisecond,
+		lookup: func(pairs [][2]int, out []serve.Result) (time.Duration, error) {
+			if err := srv.LookupBatch(pairs, out); err != nil {
+				return 0, err
+			}
+			var backoff time.Duration
+			for i := range out {
+				b, _ := t.count(&out[i], nil)
+				backoff = max(backoff, b)
+				grader.Observe(pairs[i][0], pairs[i][1], &out[i])
+			}
+			return backoff, nil
+		},
+	}.run(phases)
 	if err != nil {
 		return nil, err
 	}
-	if lrep.SpotGraded == 0 {
-		return nil, fmt.Errorf("chaos: no answers were spot-graded (lookups=%d)", lrep.Lookups)
-	}
 
 	size := snap.ArenaSize()
+	lat := srv.Metrics().Histogram("serve_latency_ns", nil)
 	rep := &BigReport{
 		N:             cfg.N,
 		BuildTime:     build,
 		SnapshotBytes: size,
 		BytesPerNode:  float64(size) / float64(cfg.N),
-		Load:          lrep,
+		Lookups:       t.answered.Load(),
+		P50ns:         lat.Quantile(0.50),
+		P99ns:         lat.Quantile(0.99),
+	}
+	if elapsed > 0 {
+		rep.QPS = float64(rep.Lookups) / elapsed.Seconds()
 	}
 	if lm, ok := snap.SchemeImpl().(interface{ K() int }); ok {
 		rep.Landmarks = lm.K()
+	}
+	rep.SpotTotals, err = spotTotals([]*spotgrade.Grader{grader})
+	rep.SpotMeanStretchMilli = grader.MeanStretchMilli()
+	switch {
+	case err != nil:
+		return rep, err
+	case rep.SpotGraded == 0:
+		return rep, fmt.Errorf("chaos: no answers were spot-graded (lookups=%d)", rep.Lookups)
 	}
 	return rep, nil
 }

@@ -1,5 +1,5 @@
 // Package chaos is the serve-layer chaos harness: it drives a closed-loop,
-// self-validating load (loadgen-style seeded query streams) against a live
+// self-validating load (seeded per-worker query streams) against a live
 // server while injecting the failure modes a production routing service
 // actually meets — stalled shard workers, dropped batches, topology churn
 // bursts from a seeded faultinject plan, and process kills mid-swap recovered

@@ -7,15 +7,17 @@ import (
 )
 
 // TestRunClusterSmall is the deterministic tier-1 cluster gate on both
-// tiers: a 3-member cluster must survive a partition of every replica, a
-// kill -9 of the primary recovered from its WAL, a WAL corruption, a WAL
-// truncation, and a primary kill + promotion, with zero wrong answers and
-// byte-identical convergence at quiesce. The full tier grades every answer
-// strictly; the tables tier spot-grades on a sparse topology at a CI-friendly
-// n (the n=4096 run is the `make bigcluster` gate).
+// tiers: a cluster must survive a partition of every replica, a kill -9 of
+// the primary recovered from its WAL, a WAL corruption, a WAL truncation, and
+// a primary kill + promotion, with zero wrong answers and byte-identical
+// convergence at quiesce. The full tier grades every answer strictly, for
+// fulltable and for compact (a two-member cluster); the tables tier
+// spot-grades on a sparse topology at a CI-friendly n (the n=4096 run is the
+// `make bigcluster` gate) and must resync with fewer bytes than the n² matrix.
 func TestRunClusterSmall(t *testing.T) {
 	for _, cfg := range []ClusterConfig{
 		{N: 32, Seed: 7, Scheme: "fulltable", Replicas: 2, Lookups: 30_000, Workers: 4},
+		{N: 24, Seed: 1, Scheme: "compact", Replicas: 1, Lookups: 10_000, Workers: 2},
 		{N: 192, Seed: 7, Scheme: "landmark", Replicas: 2, Lookups: 6_000, Workers: 3},
 	} {
 		t.Run(cfg.Scheme, func(t *testing.T) {
@@ -23,7 +25,7 @@ func TestRunClusterSmall(t *testing.T) {
 			if err != nil {
 				t.Fatalf("cluster chaos run failed: %v\nreport: %v", err, rep)
 			}
-			if cfg.Scheme == "fulltable" {
+			if cfg.Scheme != "landmark" {
 				if rep.Tier != "full" {
 					t.Errorf("tier = %q, want full", rep.Tier)
 				}
@@ -52,8 +54,8 @@ func TestRunClusterSmall(t *testing.T) {
 				if rep.Landmarks == 0 {
 					t.Errorf("landmark count not reported")
 				}
-				if rep.ResyncBytes <= 0 {
-					t.Errorf("resync bytes not measured")
+				if rep.ResyncBytes <= 0 || uint64(rep.ResyncBytes) >= rep.MatrixBytes {
+					t.Errorf("resync %d B vs matrix %d B: the tables tier must undercut the matrix", rep.ResyncBytes, rep.MatrixBytes)
 				}
 				if rep.MatrixBytes != uint64(cfg.N)*uint64(cfg.N) {
 					t.Errorf("matrix bytes = %d, want %d", rep.MatrixBytes, cfg.N*cfg.N)
@@ -62,8 +64,8 @@ func TestRunClusterSmall(t *testing.T) {
 					t.Errorf("availability %.3f%% below 98%%", rep.AvailabilityPct)
 				}
 			}
-			if rep.Members != 3 {
-				t.Errorf("members = %d, want 3", rep.Members)
+			if rep.Members != cfg.Replicas+1 {
+				t.Errorf("members = %d, want %d", rep.Members, cfg.Replicas+1)
 			}
 			if rep.Partitions < cfg.Replicas {
 				t.Errorf("partitions injected = %d, want ≥ %d", rep.Partitions, cfg.Replicas)

@@ -23,10 +23,11 @@ type phase struct {
 	run  func() error
 }
 
-// loop is the closed-loop load the Run, RunCluster, RunShard and RunWire
-// harnesses drive: workers seeded clients draw uniform (src, dst) pairs over
-// 1..n, batch pairs per request, until lookups pairs are issued, while a
-// controller fires the phase schedule at progress milestones of answered.
+// loop is the closed-loop load the Run, RunCluster, RunShard, RunWire and
+// RunBig harnesses drive: workers seeded clients draw uniform (src, dst)
+// pairs over 1..n, batch pairs per request, until lookups pairs are issued,
+// while a controller fires the phase schedule at progress milestones of
+// answered.
 type loop struct {
 	n, workers, batch int
 	seed              int64

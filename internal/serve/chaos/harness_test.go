@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -115,5 +116,41 @@ func TestLoopFailingPhaseStopsLoad(t *testing.T) {
 	}
 	if served.Load() >= l.lookups {
 		t.Errorf("workers ran to the target (%d) despite the failure", served.Load())
+	}
+}
+
+// TestLoopDeterministicMix: the query mix is a pure function of (seed,
+// worker). With one worker, the same seed offers the same pairs in the same
+// order — exactly lookups of them, none a self-lookup or out of 1..n — and
+// another seed offers a different stream.
+func TestLoopDeterministicMix(t *testing.T) {
+	const n, lookups = 16, 1_000
+	stream := func(seed int64) [][2]int {
+		var answered atomic.Uint64
+		var got [][2]int
+		l := loop{
+			n: n, workers: 1, batch: 7, seed: seed, lookups: lookups, answered: &answered,
+			lookup: func(pairs [][2]int, out []serve.Result) (time.Duration, error) {
+				got = append(got, pairs...)
+				answered.Add(uint64(len(pairs)))
+				return 0, nil
+			},
+		}
+		if _, err := l.run(nil); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	a, b := stream(7), stream(7)
+	if len(a) != lookups || !slices.Equal(a, b) {
+		t.Fatalf("seed 7 offered %d then %d pairs, equal=%v", len(a), len(b), slices.Equal(a, b))
+	}
+	for _, p := range a {
+		if p[0] == p[1] || min(p[0], p[1]) < 1 || max(p[0], p[1]) > n {
+			t.Fatalf("pair %v outside the mix", p)
+		}
+	}
+	if slices.Equal(a, stream(8)) {
+		t.Fatal("seeds 7 and 8 offered the same stream")
 	}
 }

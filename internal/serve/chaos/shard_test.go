@@ -10,7 +10,10 @@ import (
 // cluster harness at a CI-friendly n: per-group replica partitions, a wire
 // corruption, a live split racing churn, and a shard-primary kill + promotion
 // must all resolve with zero spot violations, every quiesce route walk within
-// stretch 3, and per-group convergence. The n=4096 run is `make shardchaos`.
+// stretch 3, and per-group convergence. Each shard's resync payload must stay
+// below that of one unsharded 3-member landmark group on the same topology,
+// the byte economics the keyspace partition exists for. The n=4096 run is
+// `make shardchaos`.
 func TestRunShardSmall(t *testing.T) {
 	cfg := ShardConfig{
 		N:        192,
@@ -62,12 +65,18 @@ func TestRunShardSmall(t *testing.T) {
 	if len(rep.PerShard) != rep.FinalGroups {
 		t.Fatalf("per-shard stats for %d groups, want %d", len(rep.PerShard), rep.FinalGroups)
 	}
+	base, err := RunCluster(ClusterConfig{N: cfg.N, Seed: cfg.Seed, Scheme: "landmark",
+		Replicas: 2, Lookups: cfg.Lookups, Workers: cfg.Workers})
+	if err != nil {
+		t.Fatalf("single-group baseline failed: %v\nreport: %v", err, base)
+	}
 	for _, s := range rep.PerShard {
 		if s.AvailabilityPct < 99 {
 			t.Errorf("shard %d availability %.3f%% below floor", s.Group, s.AvailabilityPct)
 		}
-		if s.ResyncBytes <= 0 {
-			t.Errorf("shard %d resync payload not measured", s.Group)
+		if s.ResyncBytes <= 0 || s.ResyncBytes >= base.ResyncBytes {
+			t.Errorf("shard %d resync payload %d B, want in (0, %d) (single-group baseline)",
+				s.Group, s.ResyncBytes, base.ResyncBytes)
 		}
 	}
 }

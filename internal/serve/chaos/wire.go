@@ -120,6 +120,38 @@ func (s *seqSet) count() int {
 	return len(s.seen)
 }
 
+// listenBoth serves srv on a real loopback HTTP listener (the pooled httpapi
+// batch handler) and a real RTBIN1 TCP listener — true sockets, framing and
+// connection reuse, not httptest shortcuts — and returns a client of each and
+// a func that closes clients and listeners.
+func listenBoth(srv *serve.Server) (*httpapi.BatchClient, *wire.Client, func(), error) {
+	httpLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	hs := &http.Server{Handler: httpapi.NewBatchHandler(srv)}
+	go hs.Serve(httpLn)
+	binLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		hs.Close()
+		return nil, nil, nil, err
+	}
+	ws := wire.NewServer(srv)
+	go ws.Serve(binLn)
+	binClient, err := wire.Dial("chaos", binLn.Addr().String())
+	if err != nil {
+		ws.Close()
+		hs.Close()
+		return nil, nil, nil, err
+	}
+	closeAll := func() {
+		binClient.Close()
+		ws.Close()
+		hs.Close()
+	}
+	return httpapi.NewBatchClient("http://"+httpLn.Addr().String(), nil), binClient, closeAll, nil
+}
+
 // RunWire stands up one engine behind both a real HTTP listener (the pooled
 // httpapi batch handler) and a real RTBIN1 TCP listener, then races JSON and
 // binary batches of one closed loop against progress-paced snapshot swaps,
@@ -139,31 +171,11 @@ func RunWire(cfg WireConfig) (*WireReport, error) {
 	}
 	srv := serve.NewServer(eng, serve.ServerOptions{Shards: 4, QueueCap: 4096})
 	defer srv.Close()
-
-	// Real listeners on loopback: the phase exercises true sockets, framing,
-	// and connection reuse, not httptest shortcuts.
-	httpLn, err := net.Listen("tcp", "127.0.0.1:0")
+	jsonClient, binClient, closeAll, err := listenBoth(srv)
 	if err != nil {
 		return nil, err
 	}
-	hs := &http.Server{Handler: httpapi.NewBatchHandler(srv)}
-	go hs.Serve(httpLn)
-	defer hs.Close()
-
-	binLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	ws := wire.NewServer(srv)
-	go ws.Serve(binLn)
-	defer ws.Close()
-
-	jsonClient := httpapi.NewBatchClient("http://"+httpLn.Addr().String(), nil)
-	binClient, err := wire.Dial("chaos", binLn.Addr().String())
-	if err != nil {
-		return nil, err
-	}
-	defer binClient.Close()
+	defer closeAll()
 
 	// One closed loop alternates its batches between the two protocols, so
 	// both race every swap, and feeds the shared strict grader.

@@ -232,8 +232,8 @@ func NewBatchClient(base string, hc *http.Client) *BatchClient {
 	return c
 }
 
-// LookupBatch aliases Batch under the loadgen.Target method name, so one
-// seeded workload can drive in-process, JSON, and binary targets alike.
+// LookupBatch aliases Batch under the cluster.BatchBackend method name, so
+// one seeded workload can drive in-process, JSON, and binary targets alike.
 func (c *BatchClient) LookupBatch(pairs [][2]int, out []serve.Result) error {
 	return c.Batch(pairs, out)
 }

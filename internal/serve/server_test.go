@@ -38,26 +38,34 @@ func TestServerSingleLookup(t *testing.T) {
 	}
 }
 
+// TestServerBatchAcrossShards: a batch spread over every shard answers each
+// pair. A shortest-path scheme must step one hop closer; the stretch-2 hub
+// scheme may step sideways, but must name a real next hop from which the
+// destination stays reachable.
 func TestServerBatchAcrossShards(t *testing.T) {
-	s := newTestServer(t, 64, 13, "fulltable", ServerOptions{Shards: 4})
-	var pairs [][2]int
-	for src := 1; src <= 31; src++ {
-		pairs = append(pairs, [2]int{src, 64 - src})
-	}
-	out := make([]Result, len(pairs))
-	if err := s.LookupBatch(pairs, out); err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range out {
-		if r.Err != nil {
-			t.Fatalf("pair %v: %v", pairs[i], r.Err)
-		}
-		if r.NextDist != r.Dist-1 {
-			t.Fatalf("pair %v answered %+v", pairs[i], r)
-		}
-	}
-	if err := s.LookupBatch(pairs, out[:1]); err == nil {
-		t.Fatal("length mismatch accepted")
+	for _, scheme := range []string{"fulltable", "hub"} {
+		t.Run(scheme, func(t *testing.T) {
+			s := newTestServer(t, 64, 13, scheme, ServerOptions{Shards: 4})
+			var pairs [][2]int
+			for src := 1; src <= 31; src++ {
+				pairs = append(pairs, [2]int{src, 64 - src})
+			}
+			out := make([]Result, len(pairs))
+			if err := s.LookupBatch(pairs, out); err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range out {
+				if r.Err != nil {
+					t.Fatalf("pair %v: %v", pairs[i], r.Err)
+				}
+				if (IsShortestPath(scheme) && r.NextDist != r.Dist-1) || r.Next < 1 || r.NextDist < 0 {
+					t.Fatalf("pair %v answered %+v", pairs[i], r)
+				}
+			}
+			if err := s.LookupBatch(pairs, out[:1]); err == nil {
+				t.Fatal("length mismatch accepted")
+			}
+		})
 	}
 }
 

@@ -73,6 +73,32 @@ func TestTieredEngineServes(t *testing.T) {
 	}
 }
 
+// TestTablesTierUndercutsFullTier is the tier's space bound, the figure a
+// TZ-style scheme is judged by: on the sparse family at n=1024, the landmark
+// tables-tier snapshot takes fewer bytes per node than the fulltable
+// full-tier snapshot of the same graph.
+func TestTablesTierUndercutsFullTier(t *testing.T) {
+	const n = 1024
+	g, err := gengraph.SparseConnected(n, 8, rand.New(rand.NewSource(42)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := NewEngine(g, "fulltable")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables, err := NewTieredEngine(g, "landmark")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fullSize, tablesSize := full.Current().ArenaSize(), tables.Current().ArenaSize()
+	t.Logf("n=%d: landmark %d B (%.0f B/node), fulltable %d B (%.0f B/node)",
+		n, tablesSize, float64(tablesSize)/n, fullSize, float64(fullSize)/n)
+	if tablesSize >= fullSize {
+		t.Fatalf("landmark %d B does not undercut fulltable %d B at n=%d", tablesSize, fullSize, n)
+	}
+}
+
 // TestTieredMutateRebuildsDeterministically: a mutation republishes a new
 // tables-tier snapshot, and rebuilding over the same topology reproduces the
 // table bytes exactly — the determinism contract the arena CRC leans on.

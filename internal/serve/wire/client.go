@@ -118,8 +118,8 @@ func (c *Client) Batch(pairs [][2]int, out []serve.Result) error {
 	return nil
 }
 
-// LookupBatch aliases Batch under the loadgen.Target method name, so one
-// seeded workload can drive in-process, JSON, and binary targets alike.
+// LookupBatch aliases Batch under the cluster.BatchBackend method name, so
+// one seeded workload can drive in-process, JSON, and binary targets alike.
 func (c *Client) LookupBatch(pairs [][2]int, out []serve.Result) error {
 	return c.Batch(pairs, out)
 }

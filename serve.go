@@ -2,7 +2,6 @@ package routetab
 
 import (
 	"routetab/internal/serve"
-	"routetab/internal/serve/loadgen"
 	"routetab/internal/serve/metrics"
 )
 
@@ -24,11 +23,6 @@ type (
 	// LookupResult is one answered lookup with its serving snapshot's
 	// distances and Seq, so callers can validate correctness and freshness.
 	LookupResult = serve.Result
-	// LoadConfig parameterises the closed-loop load generator.
-	LoadConfig = loadgen.Config
-	// LoadReport is a load run's outcome (QPS, latency quantiles,
-	// validation tallies).
-	LoadReport = loadgen.Report
 	// MetricsRegistry is the zero-dependency counter/gauge/histogram
 	// registry every ServeServer carries (JSON-marshalable).
 	MetricsRegistry = metrics.Registry
@@ -48,8 +42,3 @@ func NewServeServer(eng *ServeEngine, opts ServeOptions) *ServeServer {
 
 // ServeSchemes lists the scheme names the serving layer can build.
 func ServeSchemes() []string { return serve.SchemeNames() }
-
-// RunLoad drives the closed-loop load generator against s (see LoadConfig).
-func RunLoad(s *ServeServer, cfg LoadConfig) (*LoadReport, error) {
-	return loadgen.Run(s, cfg)
-}
