@@ -13,14 +13,20 @@ import (
 // convergence at quiesce. The full tier grades every answer strictly, for
 // fulltable and for compact (a two-member cluster); the tables tier
 // spot-grades on a sparse topology at a CI-friendly n (the n=4096 run is the
-// `make bigcluster` gate) and must resync with fewer bytes than the n² matrix.
+// `make bigcluster` gate; landmark-n128 is that run's configuration scaled
+// down) and must resync with fewer bytes than the n² matrix.
 func TestRunClusterSmall(t *testing.T) {
-	for _, cfg := range []ClusterConfig{
-		{N: 32, Seed: 7, Scheme: "fulltable", Replicas: 2, Lookups: 30_000, Workers: 4},
-		{N: 24, Seed: 1, Scheme: "compact", Replicas: 1, Lookups: 10_000, Workers: 2},
-		{N: 192, Seed: 7, Scheme: "landmark", Replicas: 2, Lookups: 6_000, Workers: 3},
+	for _, tc := range []struct {
+		name string
+		cfg  ClusterConfig
+	}{
+		{"fulltable", ClusterConfig{N: 32, Seed: 7, Scheme: "fulltable", Replicas: 2, Lookups: 30_000, Workers: 4}},
+		{"compact", ClusterConfig{N: 24, Seed: 1, Scheme: "compact", Replicas: 1, Lookups: 10_000, Workers: 2}},
+		{"landmark", ClusterConfig{N: 192, Seed: 7, Scheme: "landmark", Replicas: 2, Lookups: 6_000, Workers: 3}},
+		{"landmark-n128", ClusterConfig{N: 128, Seed: 1, Scheme: "landmark", Replicas: 2, Lookups: 4_000, Workers: 2}},
 	} {
-		t.Run(cfg.Scheme, func(t *testing.T) {
+		cfg := tc.cfg
+		t.Run(tc.name, func(t *testing.T) {
 			rep, err := RunCluster(cfg)
 			if err != nil {
 				t.Fatalf("cluster chaos run failed: %v\nreport: %v", err, rep)
