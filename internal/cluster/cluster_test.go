@@ -9,6 +9,7 @@ import (
 
 	"routetab/internal/gengraph"
 	"routetab/internal/graph"
+	"routetab/internal/schemes/fulltable"
 	"routetab/internal/serve"
 )
 
@@ -327,6 +328,88 @@ func TestReplicaFollowsMutations(t *testing.T) {
 	if applied != 5 || resyncs != 0 {
 		t.Fatalf("applied=%d resyncs=%d, want 5/0", applied, resyncs)
 	}
+}
+
+// TestFullTierIncrementalRebuilds: a one-edge Mutate on a full-tier primary
+// updates the matrix and the fulltable rows from the previous snapshot's,
+// on the primary and on the replica replaying its record, and moves
+// serve_rebuilds_incremental on both. Each publication carries the arena
+// bytes, DistCRC and table rows a fresh engine builds. A two-edge Mutate
+// builds in full and leaves the gauge alone.
+func TestFullTierIncrementalRebuilds(t *testing.T) {
+	p := testPrimary(t, 48, 11)
+	r, err := JoinReplica(p, ReplicaOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	members := []struct {
+		name string
+		eng  *serve.Engine
+		srv  *serve.Server
+	}{{"primary", p.Engine(), p.Server()}, {"replica", r.Engine(), r.Server()}}
+	check := func(step string, wantInc uint64) {
+		t.Helper()
+		syncOK(t, r)
+		requireConverged(t, p, r)
+		for _, m := range members {
+			if inc, _ := m.eng.Rebuilds(); inc != wantInc {
+				t.Fatalf("%s: %s: %d incremental rebuilds, want %d", step, m.name, inc, wantInc)
+			}
+			if got := m.srv.Metrics().Snapshot().Gauges["serve_rebuilds_incremental"]; got != int64(wantInc) {
+				t.Fatalf("%s: %s: serve_rebuilds_incremental = %d, want %d", step, m.name, got, wantInc)
+			}
+			cur := m.eng.Current()
+			ref, err := serve.NewEngine(cur.Graph, "fulltable")
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := ref.Current()
+			arena := func(s *serve.Snapshot) []byte {
+				return serve.EncodeArena(&serve.SnapshotData{
+					Seq: cur.Seq, Scheme: s.Scheme, Graph: s.Graph, Ports: s.Ports, Dist: s.Dist,
+				})
+			}
+			if !bytes.Equal(arena(cur), arena(want)) {
+				t.Fatalf("%s: %s: arena bytes differ from a fresh engine's", step, m.name)
+			}
+			if DistCRC(cur.Dist) != DistCRC(want.Dist) {
+				t.Fatalf("%s: %s: DistCRC %08x, fresh engine %08x", step, m.name, DistCRC(cur.Dist), DistCRC(want.Dist))
+			}
+			got, wantScheme := cur.SchemeImpl().(*fulltable.Scheme), want.SchemeImpl().(*fulltable.Scheme)
+			for u := 1; u <= cur.N(); u++ {
+				ge, _, err := got.EncodedRow(u)
+				if err != nil {
+					t.Fatal(err)
+				}
+				we, _, err := wantScheme.EncodedRow(u)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ge.Len() != we.Len() || !bytes.Equal(ge.Bytes(), we.Bytes()) {
+					t.Fatalf("%s: %s: table row %d differs from a fresh engine's", step, m.name, u)
+				}
+			}
+		}
+	}
+	check("join", 0)
+	e := absentEdge(t, p)
+	toggleEdge(t, p, e)
+	check("one-edge add", 1)
+	toggleEdge(t, p, e)
+	check("one-edge remove", 2)
+	if _, err := p.Mutate(func(g *graph.Graph) error {
+		if err := g.AddEdge(e[0], e[1]); err != nil {
+			return err
+		}
+		if g.HasEdge(2, 3) {
+			return g.RemoveEdge(2, 3)
+		}
+		return g.AddEdge(2, 3)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	check("two-edge mutate", 2)
 }
 
 func TestReplicaFollowsChurnRepair(t *testing.T) {

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -47,11 +48,23 @@ type Graph struct {
 
 	// lists is the lazily built neighbour-list cache, published atomically
 	// so concurrent readers never observe a partial rebuild. nil means
-	// "stale": the next Neighbors call rebuilds from the bitsets.
+	// "stale": the next Neighbors call rebuilds it.
 	lists atomic.Pointer[[][]int]
+	// base, when set, is what the next rebuild starts from: rows published
+	// earlier, by g before its latest mutations or by the graph g was
+	// cloned from, and the nodes whose rows changed since. nil means derive
+	// every row from the bitsets.
+	base atomic.Pointer[listBase]
 	// version counts mutations; the shortestpath cache keys on it.
 	version uint64
 	edges   int
+}
+
+// listBase is a rebuild's starting point: published neighbour rows, shared
+// and never written, and the nodes whose rows they no longer match.
+type listBase struct {
+	rows  [][]int
+	dirty []int
 }
 
 // New returns an edgeless graph on n ≥ 0 nodes labelled 1…n.
@@ -131,7 +144,7 @@ func (g *Graph) AddEdge(u, v int) error {
 	g.row(u)[(v-1)/64] |= 1 << uint((v-1)%64)
 	g.row(v)[(u-1)/64] |= 1 << uint((u-1)%64)
 	g.edges++
-	g.invalidate()
+	g.invalidate(u, v)
 	return nil
 }
 
@@ -150,7 +163,7 @@ func (g *Graph) RemoveEdge(u, v int) error {
 	g.row(u)[(v-1)/64] &^= 1 << uint((v-1)%64)
 	g.row(v)[(u-1)/64] &^= 1 << uint((u-1)%64)
 	g.edges--
-	g.invalidate()
+	g.invalidate(u, v)
 	return nil
 }
 
@@ -204,11 +217,27 @@ func FromAdjWords(n int, rows []uint64) (*Graph, error) {
 	return g, nil
 }
 
-// invalidate records a mutation: bumps the version and drops the published
-// neighbour-list cache.
-func (g *Graph) invalidate() {
+// invalidate records a mutation of the rows of u and v: it bumps the
+// version and drops the published neighbour rows, keeping them as the base
+// of the next rebuild with u and v marked dirty. Once dirty rows pass a
+// quarter of the nodes the base is dropped, and the next rebuild derives
+// every row.
+func (g *Graph) invalidate(u, v int) {
 	g.version++
-	g.lists.Store(nil)
+	b := g.base.Load()
+	if l := g.lists.Load(); l != nil {
+		b = &listBase{rows: *l}
+		g.lists.Store(nil)
+	}
+	if b == nil {
+		return
+	}
+	if len(b.dirty)+2 > g.n/4 {
+		b = nil
+	} else {
+		b.dirty = append(b.dirty, u, v)
+	}
+	g.base.Store(b)
 }
 
 // HasEdge reports whether uv ∈ E. Out-of-range labels report false.
@@ -232,28 +261,46 @@ func (g *Graph) Degree(u int) int {
 }
 
 // ensureLists returns the current neighbour-list snapshot, building and
-// publishing it if stale. Safe for concurrent readers: racing builders each
-// construct a full snapshot from the (immutable, absent mutation) bitsets and
-// atomically publish equivalent values.
+// publishing it if stale. A base copies its outer slice and re-derives only
+// its dirty rows; it never writes a row or outer slice another graph, or a
+// Ports view, may be reading. Safe for concurrent readers: racing builders
+// each construct a full snapshot from the (immutable, absent mutation)
+// bitsets, with or without the base, and atomically publish equivalent
+// values.
 func (g *Graph) ensureLists() [][]int {
 	if l := g.lists.Load(); l != nil {
 		return *l
 	}
-	lists := make([][]int, g.n+1)
-	for u := 1; u <= g.n; u++ {
-		row := g.row(u)
-		list := make([]int, 0, g.Degree(u))
-		for wi, w := range row {
-			for w != 0 {
-				b := bits.TrailingZeros64(w)
-				list = append(list, wi*64+b+1)
-				w &= w - 1
-			}
+	var lists [][]int
+	if b := g.base.Load(); b != nil {
+		lists = slices.Clone(b.rows)
+		for _, u := range b.dirty {
+			lists[u] = g.deriveRow(u)
 		}
-		lists[u] = list
+	} else {
+		lists = make([][]int, g.n+1)
+		for u := 1; u <= g.n; u++ {
+			lists[u] = g.deriveRow(u)
+		}
 	}
 	g.lists.Store(&lists)
+	g.base.Store(nil) // the published rows hold all it had
 	return lists
+}
+
+// deriveRow lists u's neighbours, in increasing label order, from its
+// adjacency bitset.
+func (g *Graph) deriveRow(u int) []int {
+	row := g.row(u)
+	list := make([]int, 0, g.Degree(u))
+	for wi, w := range row {
+		for w != 0 {
+			b := bits.TrailingZeros64(w)
+			list = append(list, wi*64+b+1)
+			w &= w - 1
+		}
+	}
+	return list
 }
 
 // Neighbors returns the neighbours of u in increasing label order. The
@@ -289,7 +336,10 @@ func (g *Graph) Nodes() []int {
 	return out
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy. The copy starts from g's published neighbour
+// rows, or from g's own base, so after a few mutations its first rebuild
+// re-derives only the rows those mutations touched. The rows are shared,
+// never written.
 func (g *Graph) Clone() *Graph {
 	cp := &Graph{
 		n:     g.n,
@@ -298,6 +348,11 @@ func (g *Graph) Clone() *Graph {
 		edges: g.edges,
 	}
 	copy(cp.adj, g.adj)
+	if l := g.lists.Load(); l != nil {
+		cp.base.Store(&listBase{rows: *l})
+	} else if b := g.base.Load(); b != nil {
+		cp.base.Store(&listBase{rows: b.rows, dirty: slices.Clone(b.dirty)})
+	}
 	return cp
 }
 

@@ -33,9 +33,6 @@ type Scheme struct {
 	// width[u] is the fixed field width ⌈log(d(u)+1)⌉ used to charge node
 	// u's table: n−1 entries of width bits each.
 	width []int
-	// encoded[u] is the exact packed encoding whose length FunctionBits
-	// reports; kept so tests can round-trip it.
-	encoded []*bitio.Writer
 }
 
 var _ routing.Scheme = (*Scheme)(nil)
@@ -53,51 +50,49 @@ func Build(g *graph.Graph, ports *graph.Ports) (*Scheme, error) {
 	}
 	n := g.N()
 	s := &Scheme{
-		n:       n,
-		table:   make([][]uint16, n+1),
-		width:   make([]int, n+1),
-		encoded: make([]*bitio.Writer, n+1),
+		n:     n,
+		table: make([][]uint16, n+1),
+		width: make([]int, n+1),
 	}
 	g.Neighbors(1) // one up-front rebuild instead of n racing (safe) rebuilds
-	err := par.ForEach(n, func(i int) error {
-		u := i + 1
-		sc := scratchPool.Get().(*scratch)
-		defer scratchPool.Put(sc)
-		sc.reset(n)
-		if err := shortestpath.FirstHopRow(g, u, sc.hop); err != nil {
-			return err
-		}
-		for p := 1; p <= ports.Degree(u); p++ {
-			w, err := ports.Neighbor(u, p)
-			if err != nil {
-				return err
-			}
-			sc.port[w] = uint16(p)
-		}
-		row := make([]uint16, n+1)
-		for v := 1; v <= n; v++ {
-			if v == u {
-				continue
-			}
-			h := sc.hop[v]
-			if h == 0 {
-				return fmt.Errorf("%w: no path %d→%d", ErrDisconnected, u, v)
-			}
-			row[v] = sc.port[h]
-		}
-		s.table[u] = row
-		s.width[u] = bitio.CeilLogPlus1(g.Degree(u))
-		enc, err := encodeRow(row, u, s.width[u])
-		if err != nil {
-			return err
-		}
-		s.encoded[u] = enc
-		return nil
-	})
+	err := par.ForEach(n, func(i int) error { return s.buildRow(g, ports, i+1) })
 	if err != nil {
 		return nil, err
 	}
 	return s, nil
+}
+
+// buildRow sets u's table row from its first-hop row, and u's width. It
+// writes only u's slots.
+func (s *Scheme) buildRow(g *graph.Graph, ports *graph.Ports, u int) error {
+	n := s.n
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	sc.reset(n)
+	if err := shortestpath.FirstHopRow(g, u, sc.hop); err != nil {
+		return err
+	}
+	for p := 1; p <= ports.Degree(u); p++ {
+		w, err := ports.Neighbor(u, p)
+		if err != nil {
+			return err
+		}
+		sc.port[w] = uint16(p)
+	}
+	row := make([]uint16, n+1)
+	for v := 1; v <= n; v++ {
+		if v == u {
+			continue
+		}
+		h := sc.hop[v]
+		if h == 0 {
+			return fmt.Errorf("%w: no path %d→%d", ErrDisconnected, u, v)
+		}
+		row[v] = sc.port[h]
+	}
+	s.table[u] = row
+	s.width[u] = bitio.CeilLogPlus1(g.Degree(u))
+	return nil
 }
 
 // scratch is one source's working space in Build: its first-hop row and
@@ -181,21 +176,26 @@ func (s *Scheme) Route(u int, _ routing.Env, dest routing.Label, hdr uint64, _ i
 }
 
 // FunctionBits implements routing.Scheme: the exact packed table size,
-// (n−1)·⌈log(d(u)+1)⌉ bits.
+// (n−1)·⌈log(d(u)+1)⌉ bits, the length of EncodedRow(u).
 func (s *Scheme) FunctionBits(u int) int {
 	if u < 1 || u > s.n {
 		return 0
 	}
-	return s.encoded[u].Len()
+	return (s.n - 1) * s.width[u]
 }
 
 // LabelBits implements routing.Scheme: labels stay in {1,…,n}.
 func (s *Scheme) LabelBits(int) int { return 0 }
 
-// EncodedRow exposes node u's packed table for compressibility experiments.
+// EncodedRow encodes node u's packed table, FunctionBits(u) bits long, for
+// compressibility experiments, and returns it with its field width.
 func (s *Scheme) EncodedRow(u int) (*bitio.Writer, int, error) {
 	if u < 1 || u > s.n {
 		return nil, 0, fmt.Errorf("fulltable: node %d out of range", u)
 	}
-	return s.encoded[u], s.width[u], nil
+	enc, err := encodeRow(s.table[u], u, s.width[u])
+	if err != nil {
+		return nil, 0, err
+	}
+	return enc, s.width[u], nil
 }

@@ -335,9 +335,16 @@ func TestBuildMatchesReference(t *testing.T) {
 					if s.width[u] != width[u] {
 						t.Fatalf("width[%d] = %d, reference %d", u, s.width[u], width[u])
 					}
-					if s.encoded[u].Len() != encoded[u].Len() || !bytes.Equal(s.encoded[u].Bytes(), encoded[u].Bytes()) {
+					enc, _, err := s.EncodedRow(u)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if enc.Len() != encoded[u].Len() || !bytes.Equal(enc.Bytes(), encoded[u].Bytes()) {
 						t.Fatalf("encoded row %d: %d bits %x, reference %d bits %x", u,
-							s.encoded[u].Len(), s.encoded[u].Bytes(), encoded[u].Len(), encoded[u].Bytes())
+							enc.Len(), enc.Bytes(), encoded[u].Len(), encoded[u].Bytes())
+					}
+					if s.FunctionBits(u) != encoded[u].Len() {
+						t.Fatalf("FunctionBits(%d) = %d, reference encodes %d bits", u, s.FunctionBits(u), encoded[u].Len())
 					}
 				}
 			})

@@ -187,9 +187,6 @@ func (e *Engine) Adopt(sd *SnapshotData) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.g = sd.Graph
-	if sd.Dist != nil {
-		e.cache.Put(sd.Graph, sd.Dist)
-	}
 	if snap.Tier == TierTables {
 		// The adopted table blob carries the remote owned set (possibly nil);
 		// later local rebuilds must restrict identically or diverge.
@@ -269,7 +266,7 @@ func RestoreEngine(path string) (*Engine, error) {
 
 // NewEngineFromSnapshot builds a serving engine directly from decoded
 // snapshot data without recomputing distances: the packed matrix is adopted
-// as ground truth (and seeded into the engine's rebuild cache), the scheme is
+// as ground truth, the scheme is
 // reconstructed from (graph, ports, matrix) under the determinism contract of
 // DESIGN.md §8, and the snapshot publishes with its original Seq so later
 // mutations continue the sequence. Both the crash-restore path and a cluster
@@ -283,11 +280,7 @@ func NewEngineFromSnapshot(sd *SnapshotData) (*Engine, error) {
 		g:      sd.Graph,
 		scheme: sd.Scheme,
 		tier:   snap.Tier,
-		cache:  shortestpath.NewCache(2),
 		owned:  snap.owned,
-	}
-	if sd.Dist != nil {
-		e.cache.Put(sd.Graph, sd.Dist)
 	}
 	e.cur.Store(snap)
 	e.swaps.Store(sd.Seq)

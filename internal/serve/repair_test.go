@@ -133,7 +133,12 @@ func TestRepairerNodeCrash(t *testing.T) {
 // the snapshot topology untouched (the rebuild would disconnect the graph),
 // keep serving degraded/unavailable, and heal cleanly on repair.
 func TestRepairerRefusesDisconnect(t *testing.T) {
-	s, r := newServerWithRepairer(t, 24, 29, ServerOptions{Shards: 2})
+	s := newTestServer(t, 24, 29, "fulltable", ServerOptions{Shards: 2})
+	// A debounce longer than the test leaves Flush as the only rebuild: the
+	// background loop cannot rebuild a still-connected partial topology
+	// between two SetLinkDown calls and publish it.
+	r := NewRepairer(s, RepairOptions{Debounce: time.Hour})
+	t.Cleanup(r.Close)
 	snap := s.eng.Current()
 	victim := 7
 	nbrs := append([]int(nil), snap.Graph.Neighbors(victim)...)

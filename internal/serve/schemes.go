@@ -18,28 +18,48 @@ import (
 
 // builders maps scheme names to their constructors — the one registry the
 // serving engine, the resilience sweep, and the CLI all dispatch through.
-var builders = map[string]func(g *graph.Graph, ports *graph.Ports, dm *shortestpath.Distances) (routing.Scheme, error){
-	"fulltable": func(g *graph.Graph, ports *graph.Ports, _ *shortestpath.Distances) (routing.Scheme, error) {
-		return fulltable.Build(g, ports)
+// A scheme may also register an update: the full-tier scheme of a graph one
+// edge flip {x,y} away from prev's, given that graph's all-pairs matrix and
+// the sources whose matrix row changed. An update must return exactly what
+// build returns on the new matrix, or an error, on which the engine builds
+// in full.
+var builders = map[string]struct {
+	build  func(g *graph.Graph, ports *graph.Ports, dm *shortestpath.Distances) (routing.Scheme, error)
+	update func(prev *Snapshot, dm *shortestpath.Distances, changed []int, g *graph.Graph, ports *graph.Ports, x, y int) (routing.Scheme, error)
+}{
+	"fulltable": {
+		build: func(g *graph.Graph, ports *graph.Ports, _ *shortestpath.Distances) (routing.Scheme, error) {
+			return fulltable.Build(g, ports)
+		},
+		update: func(prev *Snapshot, dm *shortestpath.Distances, changed []int, g *graph.Graph, ports *graph.Ports, x, y int) (routing.Scheme, error) {
+			ps, ok := prev.scheme.(*fulltable.Scheme)
+			if !ok {
+				return nil, fmt.Errorf("serve: snapshot scheme is %T, not a fulltable scheme", prev.scheme)
+			}
+			if !prev.Ports.Sorted() {
+				return nil, fmt.Errorf("serve: fulltable update from a snapshot built on unsorted ports")
+			}
+			return fulltable.Update(ps, prev.Dist, dm, changed, g, ports, x, y)
+		},
 	},
-	"compact": func(g *graph.Graph, _ *graph.Ports, _ *shortestpath.Distances) (routing.Scheme, error) {
+	"compact": {build: func(g *graph.Graph, _ *graph.Ports, _ *shortestpath.Distances) (routing.Scheme, error) {
 		return compact.Build(g, compact.DefaultOptions())
-	},
-	"hub": func(g *graph.Graph, _ *graph.Ports, _ *shortestpath.Distances) (routing.Scheme, error) {
+	}},
+	"hub": {build: func(g *graph.Graph, _ *graph.Ports, _ *shortestpath.Distances) (routing.Scheme, error) {
 		return hub.Build(g, 1)
-	},
-	"interval": func(g *graph.Graph, ports *graph.Ports, _ *shortestpath.Distances) (routing.Scheme, error) {
+	}},
+	"interval": {build: func(g *graph.Graph, ports *graph.Ports, _ *shortestpath.Distances) (routing.Scheme, error) {
 		return interval.Build(g, ports, 1)
-	},
-	"fullinfo": func(g *graph.Graph, ports *graph.Ports, dm *shortestpath.Distances) (routing.Scheme, error) {
+	}},
+	"fullinfo": {build: func(g *graph.Graph, ports *graph.Ports, dm *shortestpath.Distances) (routing.Scheme, error) {
 		return fullinfo.Build(g, ports, dm)
-	},
-	"centers": func(g *graph.Graph, _ *graph.Ports, _ *shortestpath.Distances) (routing.Scheme, error) {
+	}},
+	"centers": {build: func(g *graph.Graph, _ *graph.Ports, _ *shortestpath.Distances) (routing.Scheme, error) {
 		return centers.Build(g, 1)
-	},
-	"landmark": func(g *graph.Graph, ports *graph.Ports, _ *shortestpath.Distances) (routing.Scheme, error) {
+	}},
+	"landmark": {build: func(g *graph.Graph, ports *graph.Ports, _ *shortestpath.Distances) (routing.Scheme, error) {
 		return landmark.Build(g, ports, landmark.DefaultOptions())
-	},
+	}},
 }
 
 // DistEstimator is the distance side-channel a tables-tier snapshot serves
@@ -146,9 +166,9 @@ func IsShortestPath(name string) bool { return shortestPathSchemes[name] }
 // BuildScheme constructs the named scheme against g, its port assignment, and
 // the graph's all-pairs matrix (only some builders consume dm).
 func BuildScheme(name string, g *graph.Graph, ports *graph.Ports, dm *shortestpath.Distances) (routing.Scheme, error) {
-	build, ok := builders[name]
+	reg, ok := builders[name]
 	if !ok {
 		return nil, fmt.Errorf("serve: unknown scheme %q (have %v)", name, SchemeNames())
 	}
-	return build(g, ports, dm)
+	return reg.build(g, ports, dm)
 }

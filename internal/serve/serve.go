@@ -12,8 +12,9 @@
 //     that has acquired a snapshot can never observe a half-updated table.
 //   - Engine: owns the current snapshot behind an atomic pointer. Topology
 //     changes clone the graph, rebuild scheme + distances off the hot path
-//     (through a shortestpath.Cache), and publish the finished snapshot with
-//     one atomic store — readers are never blocked by a rebuild.
+//     (updated from the current snapshot's after a one-edge flip), and
+//     publish the finished snapshot with one atomic store — readers are
+//     never blocked by a rebuild.
 //   - Server (server.go): the sharded, batching lookup front end.
 //
 // Rebuilds follow the determinism contract of DESIGN.md §8: a snapshot's
@@ -206,13 +207,12 @@ type Engine struct {
 	// TierTables (the compact scheme's own tables). Set at construction,
 	// immutable afterwards.
 	tier  string
-	cache *shortestpath.Cache
 	cur   atomic.Pointer[Snapshot]
 	swaps atomic.Uint64
 	hook  PublishHook
-	// incremental and full count published tables-tier rebuilds by how the
-	// scheme was made: updated from the previous snapshot's across a
-	// one-edge flip, or built from scratch.
+	// incremental and full count published rebuilds by how the snapshot was
+	// made: updated from the previous snapshot's across a one-edge flip, or
+	// built from scratch.
 	incremental, full atomic.Uint64
 	// owned is the keyspace shard this engine serves (shard.go); nil means
 	// unrestricted. Guarded by mu; every rebuild snapshots it.
@@ -239,9 +239,6 @@ func NewEngine(g *graph.Graph, schemeName string) (*Engine, error) {
 		g:      g.Clone(),
 		scheme: schemeName,
 		tier:   TierFull,
-		// Capacity 2: the outgoing snapshot's matrix plus the one being
-		// built; older matrices are garbage the LRU can drop.
-		cache: shortestpath.NewCache(2),
 	}
 	if _, err := e.rebuildLocked(); err != nil {
 		return nil, err
@@ -262,7 +259,6 @@ func NewTieredEngine(g *graph.Graph, schemeName string) (*Engine, error) {
 		g:      g.Clone(),
 		scheme: schemeName,
 		tier:   TierTables,
-		cache:  shortestpath.NewCache(2),
 	}
 	if _, err := e.rebuildLocked(); err != nil {
 		return nil, err
@@ -279,9 +275,9 @@ func (e *Engine) Current() *Snapshot { return e.cur.Load() }
 // included).
 func (e *Engine) Swaps() uint64 { return e.swaps.Load() }
 
-// Rebuilds reports how many published tables-tier snapshots updated the
-// previous snapshot's scheme across a one-edge flip (incremental) and how
-// many built it in full.
+// Rebuilds reports how many published snapshots, on either tier, were
+// updated from the previous snapshot across a one-edge flip (incremental)
+// and how many were built in full.
 func (e *Engine) Rebuilds() (incremental, full uint64) {
 	return e.incremental.Load(), e.full.Load()
 }
@@ -409,11 +405,7 @@ func (e *Engine) rebuildLocked() (*Snapshot, error) {
 		scheme, est, tables, incremental = ts, ts, ts.EncodeTables(), inc
 	} else {
 		var err error
-		dm, err = e.cache.AllPairs(g)
-		if err != nil {
-			return nil, err
-		}
-		scheme, err = BuildScheme(e.scheme, g, ports, dm)
+		dm, scheme, incremental, err = e.fullSchemeLocked(g, ports)
 		if err != nil {
 			return nil, err
 		}
@@ -441,7 +433,7 @@ func (e *Engine) rebuildLocked() (*Snapshot, error) {
 	e.swaps.Add(1)
 	if incremental {
 		e.incremental.Add(1)
-	} else if e.tier == TierTables {
+	} else {
 		e.full.Add(1)
 	}
 	// The hook (WAL journaling) runs before the snapshot save so the durable
@@ -464,13 +456,10 @@ func (e *Engine) rebuildLocked() (*Snapshot, error) {
 // full, which stays the reference the update must equal byte for byte.
 // Caller holds e.mu.
 func (e *Engine) tableSchemeLocked(g *graph.Graph, ports *graph.Ports) (TableScheme, bool, error) {
-	if cur := e.cur.Load(); cur != nil && cur.Owned().Equal(e.owned) {
-		if update := tableBuilders[e.scheme].update; update != nil {
-			if adds, removes := graph.Diff(cur.Graph, g); len(adds)+len(removes) == 1 {
-				flip := append(adds, removes...)[0]
-				if ts, err := update(cur, g, ports, flip[0], flip[1]); err == nil {
-					return ts, true, nil
-				}
+	if update := tableBuilders[e.scheme].update; update != nil {
+		if cur, x, y, ok := e.oneFlipLocked(g); ok {
+			if ts, err := update(cur, g, ports, x, y); err == nil {
+				return ts, true, nil
 			}
 		}
 	}
@@ -492,4 +481,55 @@ func (e *Engine) tableSchemeLocked(g *graph.Graph, ports *graph.Ports) (TableSch
 		}
 	}
 	return ts, false, nil
+}
+
+// fullSchemeLocked makes the full-tier matrix and scheme for g, and reports
+// whether they were updated incrementally. When g differs from the current
+// snapshot's graph by exactly one edge and the owned set is unchanged, it
+// updates the current matrix (shortestpath.Update) and then the scheme,
+// through its registered update or, lacking one, a build on the updated
+// matrix; no scheme pays for AllPairs on a flip. First builds, multi-edge
+// changes, ownership handovers and any error take the full path, AllPairs
+// and BuildScheme, which stays the reference the update must equal byte for
+// byte. Caller holds e.mu.
+func (e *Engine) fullSchemeLocked(g *graph.Graph, ports *graph.Ports) (*shortestpath.Distances, routing.Scheme, bool, error) {
+	if cur, x, y, ok := e.oneFlipLocked(g); ok && cur.Dist != nil {
+		if dm, changed, err := shortestpath.Update(cur.Dist, g, x, y); err == nil {
+			var scheme routing.Scheme
+			if update := builders[e.scheme].update; update != nil {
+				scheme, err = update(cur, dm, changed, g, ports, x, y)
+			} else {
+				scheme, err = BuildScheme(e.scheme, g, ports, dm)
+			}
+			if err == nil {
+				return dm, scheme, true, nil
+			}
+		}
+	}
+	dm, err := shortestpath.AllPairs(g)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	scheme, err := BuildScheme(e.scheme, g, ports, dm)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	return dm, scheme, false, nil
+}
+
+// oneFlipLocked returns the current snapshot and the edge {x,y} when g
+// differs from that snapshot's graph by exactly that edge and the owned set
+// is unchanged: the case in which the next snapshot is derived from the
+// current one. Caller holds e.mu.
+func (e *Engine) oneFlipLocked(g *graph.Graph) (cur *Snapshot, x, y int, ok bool) {
+	cur = e.cur.Load()
+	if cur == nil || !cur.Owned().Equal(e.owned) {
+		return nil, 0, 0, false
+	}
+	adds, removes := graph.Diff(cur.Graph, g)
+	if len(adds)+len(removes) != 1 {
+		return nil, 0, 0, false
+	}
+	flip := append(adds, removes...)[0]
+	return cur, flip[0], flip[1], true
 }

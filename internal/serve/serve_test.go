@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
@@ -82,6 +83,58 @@ func TestEngineServesEveryScheme(t *testing.T) {
 					}
 					if tr.Path[len(tr.Path)-1] != dst {
 						t.Fatalf("Route(%d,%d) ended at %d", src, dst, tr.Path[len(tr.Path)-1])
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestFullTierFlipSkipsAllPairs: on the full tier a one-edge Mutate updates
+// the matrix for every scheme, through the scheme's own update (fulltable)
+// or a build on the updated matrix (the rest), and counts an incremental
+// rebuild; the snapshot answers as a freshly built engine does.
+func TestFullTierFlipSkipsAllPairs(t *testing.T) {
+	g := testGraph(t, 48, 7)
+	for _, name := range SchemeNames() {
+		t.Run(name, func(t *testing.T) {
+			eng, err := NewEngine(g, name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// An added edge never lengthens a path, so schemes that need
+			// diameter 2 still build.
+			x, y := 1, 2
+			for g.HasEdge(x, y) {
+				y++
+			}
+			snap, err := eng.Mutate(func(g *graph.Graph) error { return g.AddEdge(x, y) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if inc, full := eng.Rebuilds(); inc != 1 || full != 1 {
+				t.Fatalf("rebuilds = %d incremental, %d full; want 1, 1", inc, full)
+			}
+			ref, err := NewEngine(snap.Graph, name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := ref.Current()
+			if !bytes.Equal(snap.Dist.Packed(), want.Dist.Packed()) {
+				t.Fatal("updated matrix differs from a fresh engine's")
+			}
+			if snap.SpaceBits() != want.SpaceBits() {
+				t.Fatalf("space %d bits, fresh engine %d", snap.SpaceBits(), want.SpaceBits())
+			}
+			for src := 1; src <= snap.N(); src++ {
+				for dst := 1; dst <= snap.N(); dst++ {
+					if src == dst {
+						continue
+					}
+					got, gerr := snap.NextHop(src, dst)
+					exp, werr := want.NextHop(src, dst)
+					if got != exp || (gerr == nil) != (werr == nil) {
+						t.Fatalf("NextHop(%d,%d) = %d, %v; fresh engine %d, %v", src, dst, got, gerr, exp, werr)
 					}
 				}
 			}

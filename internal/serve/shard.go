@@ -15,7 +15,6 @@ import (
 
 	"routetab/internal/graph"
 	"routetab/internal/keyspace"
-	"routetab/internal/shortestpath"
 )
 
 // ErrWrongShard reports a lookup whose source node is outside the serving
@@ -72,7 +71,6 @@ func NewShardEngine(g *graph.Graph, schemeName, tier string, owned *keyspace.Set
 		g:      g.Clone(),
 		scheme: schemeName,
 		tier:   tier,
-		cache:  shortestpath.NewCache(2),
 		owned:  owned,
 	}
 	if _, err := e.rebuildLocked(); err != nil {
