@@ -57,77 +57,14 @@ benchsmoke:
 		-out $(or $(TMPDIR),/tmp)/bench_smoke.json
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/schemes/... ./internal/cluster/...
 
-# Seconds-scale mixed-protocol smoke: JSON-HTTP and RTBIN1 binary-TCP clients
-# race the same engine through real loopback listeners while snapshots swap
-# mid-load; exits non-zero on any incorrect or errored answer on either wire,
-# or if either protocol missed the swaps.
-wiresmoke:
-	$(GO) run ./cmd/routetabd -wire-chaos -n 24 -seed 1 -lookups 10000 \
-		-workers 2 -swaps 2
-
-# Seconds-scale seeded chaos gate: stalls, drops, churn bursts, and a
-# kill+restore cycle on a small graph; exits non-zero on any incorrect
-# answer, out-of-budget detour, non-identical restore, or broken
-# availability budget. The full artefact is docs/chaos_n256.csv (E15).
-chaos:
-	$(GO) run ./cmd/routetabd -chaos -n 48 -seed 1 -lookups 60000 \
-		-workers 4 -chaos-stalls 2 -chaos-drops 2 -chaos-bursts 5 -chaos-kills 1
-
-# Seconds-scale replicated chaos gate (full tier): a primary + two replicas
-# on a small graph surviving replica partitions, a kill -9 of the primary
-# recovered from its WAL, a WAL corruption, a WAL truncation, and a primary
-# kill + promotion; exits non-zero on any incorrect answer, sub-99%
-# availability, or tables that are not byte-identical at quiesce. The full
-# artefact is docs/cluster_n256.csv (E16).
-cluster:
-	$(GO) run ./cmd/routetabd -cluster-chaos -n 32 -seed 1 -replicas 2 \
-		-lookups 40000 -workers 4
-
-# Deterministic crash-recovery matrix (DESIGN.md §13, EXPERIMENTS.md E17):
-# every byte boundary of a multi-segment WAL schedule, and every record
-# boundary — clean and torn mid-frame — of an engine churn schedule, must
-# recover to the exact durable prefix under the original epoch with a
-# byte-identical (digest-equal) table; exits non-zero on any violated
-# crash point.
-crash:
-	$(GO) run ./cmd/routetabd -crash -n 24 -seed 5
-
-# Seconds-scale large-graph gate: builds an n=4096 tables-tier landmark
-# snapshot over a sparse avg-degree-8 topology — sixteen times past the old
-# n=256 ceiling, with no all-pairs matrix anywhere — and serves 10k lookups
-# with connectivity-safe hot swaps, every answer eligible for spot grading
-# against on-demand BFS ground truth; exits non-zero on any stretch > 3,
-# unreachable next hop, or a snapshot that is not o(n²).
-bigsmoke:
-	$(GO) run ./cmd/routetabd -bigsmoke -n 4096 -seed 1 -lookups 10000 \
-		-workers 4 -swaps 2
-
-# Seconds-scale large-graph cluster gate: the same replicated chaos harness
-# as `make cluster`, on the tables tier — a three-member landmark cluster on
-# an n=4096 sparse topology surviving replica partitions, a kill -9 of the
-# primary recovered from its WAL, a WAL corruption on the wire, a truncation
-# under lag, and a primary kill + promotion. Replicas replay edge diffs
-# through full landmark rebuilds and verify the scheme-table CRC on every
-# record; exits non-zero on any spot-graded stretch-3 violation, sub-98%
-# availability, failed promotion, or scheme tables that are not
-# byte-identical at quiesce. The full artefact is docs/bigcluster_n4096.csv
-# (E20).
-bigcluster:
-	$(GO) run ./cmd/routetabd -cluster-chaos -scheme landmark -n 4096 -seed 1 \
-		-replicas 2 -lookups 20000 -workers 4
-
-# Seconds-scale partitioned-cluster gate: the n=4096 source keyspace split
-# across two shard groups (each a tables-tier primary/replica pair) behind
-# the scatter-gather front, surviving a live shard split racing churn,
-# per-group replica partitions, a wire corruption, and a shard-primary kill +
-# in-group promotion. Every sampled answer is graded against BFS ground
-# truth and full cross-shard routes are walked at quiesce; exits non-zero on
-# one incorrect answer, a stretch-3 violation, a shard below 99%
-# availability, or non-converged digests. The full artefact is
-# docs/shard_n4096.csv (E21).
-shardchaos:
-	$(GO) run ./cmd/routetabd -shard-chaos -n 4096 -seed 1 -shard-groups 2 \
-		-replicas 1 -lookups 20000 -workers 4
+# The seven seeded chaos gates, each seconds-scale: the mixed-protocol wire
+# smoke, single-node chaos, the replicated cluster on the full tier, the
+# crash-recovery matrix, the n=4096 tables-tier smoke, the tables-tier
+# cluster, and the partitioned cluster. Each is one row of cmd/chaosgate,
+# whose comment says what the gate asserts; any broken invariant exits
+# non-zero.
+wiresmoke chaos cluster crash bigsmoke bigcluster shardchaos:
+	$(GO) run ./cmd/chaosgate $@
 
 # Regenerates the checked-in PR 2 performance artefact (see EXPERIMENTS.md
 # for the methodology; numbers are host-dependent).

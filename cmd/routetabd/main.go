@@ -37,27 +37,6 @@
 // profiling; it is off by default so the daemon never leaks profiling
 // endpoints unintentionally.
 //
-// Wire chaos mode (also the `make verify` wire smoke):
-//
-//	routetabd -wire-chaos -n 32 -seed 1 -lookups 20000
-//
-// races JSON-HTTP and binary-TCP clients against the same engine through
-// real loopback listeners while snapshots swap mid-load, grading every
-// answer on both protocols — exiting non-zero unless zero answers were
-// incorrect or errored and both transports observed a swap.
-//
-// Chaos mode (also the `make chaos` CI gate):
-//
-//	routetabd -chaos -n 64 -seed 1 -lookups 200000 -chaos-bursts 5 -chaos-kills 2
-//
-// runs the serve-layer chaos harness in-process: seeded churn bursts driven
-// through the self-healing repairer, shard stalls and batch drops through
-// the server's chaos hook, and kill+restore cycles through the persistence
-// layer — grading every answer and exiting non-zero unless zero lookups were
-// answered incorrectly, every detour stayed within the +2-hop budget, every
-// restore was byte-identical, and unavailability stayed under budget.
-// -chaos-csv additionally writes the EXPERIMENTS.md E15 artefact row.
-//
 // Cluster mode: a serving daemon is a replication primary by default — every
 // snapshot publication and failure event is appended to an in-memory WAL
 // that peers stream over GET /cluster/wal, with GET /cluster/state for full
@@ -77,22 +56,6 @@
 // its repairer, and opens a fresh WAL under a bumped epoch — surviving
 // replicas re-pointed at it observe the epoch change and resync.
 //
-// Cluster chaos mode (the `make cluster` and `make bigcluster` CI gates):
-//
-//	routetabd -cluster-chaos -n 64 -seed 1 -replicas 2 -lookups 200000
-//	routetabd -cluster-chaos -scheme landmark -n 4096 -seed 1 -replicas 2 -lookups 20000
-//
-// runs the replicated chaos harness in-process: a primary plus -replicas
-// followers under client-side failover, surviving replica partitions, a
-// kill -9 of the primary recovered from its WAL, WAL corruption and
-// truncation, and a primary kill + promotion — exiting non-zero unless zero
-// answers were wrong, availability stayed within budget, and every member's
-// tables were byte-identical at quiesce. The scheme picks the tier as -tier
-// auto does: shortest-path schemes run the full tier on G(n,1/2) with every
-// answer graded strictly; landmark runs the tables tier on a sparse
-// topology (-avgdeg), every sampled answer spot-graded against BFS ground
-// truth. -cluster-csv writes the EXPERIMENTS.md E16/E20 artefact row.
-//
 // Large-graph serving (the tables tier, DESIGN.md §15):
 //
 //	routetabd -scheme landmark -n 4096
@@ -106,16 +69,6 @@
 // citizens: -join, -wal-dir, and -promote work unchanged, with WAL records
 // and anti-entropy digests fingerprinting the encoded scheme tables instead
 // of the matrix the tier never materialises.
-//
-// Bigsmoke mode (also the `make bigsmoke` CI gate):
-//
-//	routetabd -bigsmoke -n 4096 -seed 1 -lookups 10000 -workers 4 -swaps 2
-//
-// builds an n=4096 tables-tier landmark snapshot over a sparse topology and
-// drives spot-graded load with connectivity-safe hot swaps — every sampled
-// answer checked against on-demand BFS ground truth — exiting non-zero on
-// any answer beyond stretch 3, an unreachable next hop, or a snapshot that
-// is not o(n²).
 //
 // Sharded cluster mode (DESIGN.md §17): the source keyspace split across
 // shard groups by a versioned consistent-hash shard map (RTSMAP1). Bootstrap
@@ -139,17 +92,9 @@
 // epoch. The live in-process split (snapshot transfer, WAL catch-up,
 // dual-read handoff) is shard.Cluster.Split.
 //
-// Shard chaos mode (also the `make shardchaos` CI gate):
-//
-//	routetabd -shard-chaos -n 4096 -seed 1 -shard-groups 2 -replicas 1 -lookups 20000
-//
-// runs the partitioned-cluster chaos harness: a sharded tables-tier cluster
-// behind the scatter-gather front surviving a live shard split racing churn,
-// per-group replica partitions, a wire corruption, and a shard-primary kill +
-// promotion — every sampled answer graded, full cross-shard routes walked at
-// quiesce — exiting non-zero on one incorrect answer, a stretch-3 violation,
-// a shard below its availability floor, or non-converged digests.
-// -shard-csv writes the EXPERIMENTS.md E21 artefact row.
+// The daemon only serves. The chaos, replication, crash and large-graph
+// gates that drive these code paths under injected faults are
+// cmd/chaosgate.
 package main
 
 import (
@@ -178,7 +123,6 @@ import (
 	"routetab/internal/graph"
 	"routetab/internal/keyspace"
 	"routetab/internal/serve"
-	"routetab/internal/serve/chaos"
 	"routetab/internal/serve/httpapi"
 	"routetab/internal/serve/wire"
 
@@ -207,39 +151,19 @@ type config struct {
 	queue   int
 	batch   int
 	persist string
-	// harness modes
-	lookups  uint64
-	workers  int
-	swaps    int
-	bigsmoke bool
-	// chaos mode
-	chaos       bool
-	chaosStalls int
-	chaosDrops  int
-	chaosBursts int
-	chaosKills  int
-	chaosBudget float64
-	chaosCSV    string
-	wireChaos   bool
 	// cluster
 	join         string
 	promote      string
 	syncInterval time.Duration
 	walKeep      int
-	replicas     int
-	clusterChaos bool
-	clusterCSV   string
-	// durable WAL + crash gate
+	// durable WAL
 	walDir   string
 	walFsync string
-	crash    bool
 	// partitioned cluster (shard) mode
 	shardID     int
 	shardMapF   string
 	split       int
 	shardGroups int
-	shardChaos  bool
-	shardCSV    string
 }
 
 func parseFlags(args []string) (*config, error) {
@@ -259,41 +183,19 @@ func parseFlags(args []string) (*config, error) {
 	fs.IntVar(&cfg.queue, "queue", 0, "per-shard queue capacity (0 = default)")
 	fs.IntVar(&cfg.batch, "batch", 0, "max coalesced jobs per worker wake-up (0 = default)")
 	fs.StringVar(&cfg.persist, "persist", "", "snapshot persistence file: save every published snapshot, warm-boot from it on start")
-	fs.BoolVar(&cfg.bigsmoke, "bigsmoke", false, "run the large-graph spot-graded smoke (tables-tier landmark over a sparse topology) instead of serving HTTP")
-	fs.BoolVar(&cfg.chaos, "chaos", false, "run the serve-layer chaos harness instead of serving HTTP")
-	fs.IntVar(&cfg.chaosStalls, "chaos-stalls", 2, "chaos: shard stall injections (-1 disables)")
-	fs.IntVar(&cfg.chaosDrops, "chaos-drops", 2, "chaos: batch drop windows (-1 disables)")
-	fs.IntVar(&cfg.chaosBursts, "chaos-bursts", 5, "chaos: churn bursts from the seeded fault plan (-1 disables)")
-	fs.IntVar(&cfg.chaosKills, "chaos-kills", 2, "chaos: kill+restore cycles through the persistence layer (-1 disables)")
-	fs.Float64Var(&cfg.chaosBudget, "chaos-budget", 0.10, "chaos: max tolerated unavailable fraction")
-	fs.StringVar(&cfg.chaosCSV, "chaos-csv", "", "chaos: also append the report as a CSV artefact to this file")
-	fs.BoolVar(&cfg.wireChaos, "wire-chaos", false, "run the mixed-protocol (JSON + binary) chaos phase instead of serving HTTP")
 	fs.StringVar(&cfg.join, "join", "", "join URL of a primary to replicate from (replica mode)")
 	fs.StringVar(&cfg.promote, "promote", "", "ask the replica at this URL to promote itself to primary, then exit")
 	fs.DurationVar(&cfg.syncInterval, "sync-interval", 50*time.Millisecond, "replica: WAL poll interval")
 	fs.IntVar(&cfg.walKeep, "wal-keep", 4096, "primary: WAL records retained for replicas (older positions force a full resync)")
-	fs.IntVar(&cfg.replicas, "replicas", 2, "cluster-chaos: replicas joined behind the primary")
-	fs.BoolVar(&cfg.clusterChaos, "cluster-chaos", false, "run the replicated cluster chaos harness instead of serving HTTP")
-	fs.StringVar(&cfg.clusterCSV, "cluster-csv", "", "cluster-chaos: also append the report as a CSV artefact to this file")
 	fs.StringVar(&cfg.walDir, "wal-dir", "", "primary: durable segmented WAL directory (empty = in-memory WAL only)")
 	fs.StringVar(&cfg.walFsync, "wal-fsync", "always", "primary: WAL fsync policy: always|batch|off (non-always policies bump the epoch on every restart)")
-	fs.BoolVar(&cfg.crash, "crash", false, "run the crash-recovery matrix gate instead of serving HTTP")
 	fs.IntVar(&cfg.shardID, "shard", -1, "serve one shard group: restrict the engine to the keyspace group <id> owns in -shard-map (-1 = unsharded)")
 	fs.StringVar(&cfg.shardMapF, "shard-map", "", "shard map file (RTSMAP1); with -shard-groups and neither -shard nor -split, a fresh uniform map is written there")
 	fs.IntVar(&cfg.split, "split", -1, "split group <id> in the -shard-map file (new group, atomic epoch bump), rewrite it atomically, and exit")
-	fs.IntVar(&cfg.shardGroups, "shard-groups", 0, "shard groups: initial count for -shard-chaos and for -shard-map initialisation (0 = harness default)")
-	fs.BoolVar(&cfg.shardChaos, "shard-chaos", false, "run the partitioned-cluster chaos harness instead of serving HTTP")
-	fs.StringVar(&cfg.shardCSV, "shard-csv", "", "shard-chaos: also append the report as a CSV artefact to this file")
-	lookups := fs.Int64("lookups", 100_000, "harness modes: total lookup target")
-	fs.IntVar(&cfg.workers, "workers", 4, "harness modes: closed-loop client workers")
-	fs.IntVar(&cfg.swaps, "swaps", 0, "bigsmoke, wire-chaos: snapshot hot-swaps to perform mid-load")
+	fs.IntVar(&cfg.shardGroups, "shard-groups", 0, "shard groups a fresh -shard-map is initialised with")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	if *lookups < 0 {
-		return nil, fmt.Errorf("-lookups must be ≥ 0")
-	}
-	cfg.lookups = uint64(*lookups)
 	return cfg, nil
 }
 
@@ -357,22 +259,10 @@ func run(args []string, out *os.File) error {
 	switch {
 	case cfg.promote != "":
 		return runPromote(cfg, out)
-	case cfg.chaos:
-		return runChaos(cfg, out)
-	case cfg.wireChaos:
-		return runWireChaos(cfg, out)
-	case cfg.crash:
-		return runCrashGate(cfg, out)
-	case cfg.clusterChaos:
-		return runClusterChaos(cfg, out)
-	case cfg.shardChaos:
-		return runShardChaos(cfg, out)
 	case cfg.split >= 0:
 		return runSplitMap(cfg, out)
 	case cfg.shardMapF != "" && cfg.shardID < 0 && cfg.join == "":
 		return runInitMap(cfg, out)
-	case cfg.bigsmoke:
-		return runBigSmoke(cfg, out)
 	case cfg.join != "":
 		return runReplica(cfg, out)
 	}
@@ -423,17 +313,6 @@ func run(args []string, out *os.File) error {
 	defer pri.Close()
 	a := &api{srv: srv, rep: rep, pri: pri, wal: walLog, walKeep: cfg.walKeep, shard: sh}
 	return serveHTTP(a, cfg, out)
-}
-
-// runCrashGate executes the crash-recovery matrix (the `make crash` CI gate)
-// in-process and renders a pass/fail verdict, mirroring runChaos.
-func runCrashGate(cfg *config, out *os.File) error {
-	rep, err := chaos.RunCrash(chaos.CrashConfig{
-		N:      cfg.n,
-		Seed:   cfg.seed,
-		Scheme: cfg.scheme,
-	})
-	return verdict(out, "crash", rep, err, "", nil)
 }
 
 // runReplica joins the primary at cfg.join and serves its replicated tables
@@ -490,22 +369,6 @@ func runPromote(cfg *config, out *os.File) error {
 		return fmt.Errorf("promote %s: %s", url, resp.Status)
 	}
 	return nil
-}
-
-// runClusterChaos executes the replicated chaos harness in-process (the
-// `make cluster` and `make bigcluster` CI gates) and renders a pass/fail
-// verdict.
-func runClusterChaos(cfg *config, out *os.File) error {
-	rep, err := chaos.RunCluster(chaos.ClusterConfig{
-		N:        cfg.n,
-		AvgDeg:   cfg.avgdeg,
-		Seed:     cfg.seed,
-		Scheme:   cfg.scheme,
-		Replicas: cfg.replicas,
-		Lookups:  cfg.lookups,
-		Workers:  cfg.workers,
-	})
-	return verdict(out, "cluster chaos", rep, err, cfg.clusterCSV, chaos.WriteClusterCSV)
 }
 
 // openPrimaryEngine loads the -shard placement and opens the serving
@@ -713,7 +576,7 @@ func runInitMap(cfg *config, out *os.File) error {
 // file: decode, split under a bumped epoch, rewrite atomically, exit. Serving
 // daemons pick the new placement up on restart; the in-process live-split
 // path (snapshot transfer + WAL catch-up + dual-read handoff) is
-// shard.Cluster.Split, exercised by -shard-chaos.
+// shard.Cluster.Split, exercised by the chaosgate shardchaos gate.
 func runSplitMap(cfg *config, out *os.File) error {
 	if cfg.shardMapF == "" {
 		return fmt.Errorf("-split requires -shard-map")
@@ -742,21 +605,6 @@ func runSplitMap(cfg *config, out *os.File) error {
 	return nil
 }
 
-// runShardChaos executes the partitioned-cluster chaos harness (the
-// `make shardchaos` CI gate) in-process and renders a pass/fail verdict.
-func runShardChaos(cfg *config, out *os.File) error {
-	rep, err := chaos.RunShard(chaos.ShardConfig{
-		N:        cfg.n,
-		AvgDeg:   cfg.avgdeg,
-		Seed:     cfg.seed,
-		Groups:   cfg.shardGroups,
-		Replicas: cfg.replicas,
-		Lookups:  cfg.lookups,
-		Workers:  cfg.workers,
-	})
-	return verdict(out, "shardchaos", rep, err, cfg.shardCSV, chaos.WriteShardCSV)
-}
-
 // registerShardGauges exposes the daemon's shard placement on /metrics:
 // shard_id / shard_count / shard_map_epoch from the loaded map, and
 // rebalance_inflight = 1 while the engine's replicated owned set differs from
@@ -771,113 +619,6 @@ func registerShardGauges(a *api) {
 	m.GaugeFunc("shard_count", func() int64 { return int64(a.shard.count) })
 	m.GaugeFunc("shard_map_epoch", func() int64 { return int64(a.shard.epoch) })
 	m.GaugeFunc("rebalance_inflight", func() int64 { return a.rebalanceInflight() })
-}
-
-// runBigSmoke executes the large-graph serving gate in-process and renders a
-// pass/fail verdict: a tables-tier landmark build over a
-// sparse seeded topology, a spot-graded closed loop with hot swaps, and an
-// o(n²) space check.
-func runBigSmoke(cfg *config, out *os.File) error {
-	rep, err := chaos.RunBig(chaos.BigConfig{
-		N:       cfg.n,
-		AvgDeg:  cfg.avgdeg,
-		Seed:    cfg.seed,
-		Lookups: cfg.lookups,
-		Workers: cfg.workers,
-		Swaps:   cfg.swaps,
-	})
-	return verdict(out, "bigsmoke", rep, err, "", nil)
-}
-
-// runChaos executes the chaos harness in-process and renders a pass/fail
-// verdict: the JSON report always prints; a broken invariant exits non-zero.
-func runChaos(cfg *config, out *os.File) error {
-	rep, err := chaos.Run(chaos.Config{
-		N:                  cfg.n,
-		Seed:               cfg.seed,
-		Scheme:             cfg.scheme,
-		Lookups:            cfg.lookups,
-		Workers:            cfg.workers,
-		Stalls:             cfg.chaosStalls,
-		Drops:              cfg.chaosDrops,
-		Bursts:             cfg.chaosBursts,
-		Kills:              cfg.chaosKills,
-		PersistPath:        cfg.persist,
-		MaxUnavailableFrac: cfg.chaosBudget,
-	})
-	return verdict(out, "chaos", rep, err, cfg.chaosCSV, chaos.WriteCSV)
-}
-
-// runWireChaos executes the mixed-protocol chaos phase (the `make verify`
-// wire smoke) in-process and renders a pass/fail verdict, mirroring runChaos:
-// JSON and binary clients race the same engine through real listeners while
-// snapshots swap mid-load, and every answer on both wires is graded.
-func runWireChaos(cfg *config, out *os.File) error {
-	rep, err := chaos.RunWire(chaos.WireConfig{
-		N:               cfg.n,
-		Seed:            cfg.seed,
-		Scheme:          cfg.scheme,
-		WorkersPerProto: cfg.workers,
-		Lookups:         cfg.lookups,
-		Swaps:           cfg.swaps,
-	})
-	return verdict(out, "wire chaos", rep, err, "", nil)
-}
-
-// verdict renders one harness run: the JSON report always prints, the CSV
-// artefact row is appended to csvPath when it is set, a broken invariant
-// exits non-zero, and a pass prints "<name> ok: <headline>".
-func verdict[R interface {
-	*T
-	fmt.Stringer
-}, T any](out io.Writer, name string, rep R, err error, csvPath string, writeCSV func(io.Writer, []R) error) error {
-	if rep == nil {
-		return err
-	}
-	blob, merr := json.MarshalIndent(rep, "", "  ")
-	if merr != nil {
-		return merr
-	}
-	fmt.Fprintln(out, string(blob))
-	if csvPath != "" {
-		if werr := appendCSV(csvPath, func(w io.Writer) error { return writeCSV(w, []R{rep}) }); werr != nil {
-			return werr
-		}
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "%s ok: %s\n", name, rep)
-	return nil
-}
-
-// appendCSV appends the rows produced by write (header + body) to path,
-// dropping the header row when the file already has content — so repeated
-// runs accumulate one artefact.
-func appendCSV(path string, write func(io.Writer) error) error {
-	if st, err := os.Stat(path); err == nil && st.Size() > 0 {
-		f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		var buf bytes.Buffer
-		if err := write(&buf); err != nil {
-			return err
-		}
-		body := buf.String()
-		if i := strings.IndexByte(body, '\n'); i >= 0 {
-			body = body[i+1:] // drop the header row when appending
-		}
-		_, err = f.WriteString(body)
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return write(f)
 }
 
 // serveHTTP runs the daemon until SIGINT/SIGTERM, then drains gracefully and

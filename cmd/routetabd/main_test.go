@@ -288,46 +288,6 @@ func TestRTSNAP1FileColdBuilds(t *testing.T) {
 	}
 }
 
-// TestChaosMode runs the chaos CLI end to end with a small budget: it must
-// pass, print the verdict, and write the CSV artefact.
-func TestChaosMode(t *testing.T) {
-	dir := t.TempDir()
-	csv := dir + "/chaos.csv"
-	out, err := os.CreateTemp(dir, "out")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer out.Close()
-	args := []string{"-chaos", "-n", "24", "-seed", "3", "-lookups", "20000", "-workers", "4",
-		"-chaos-stalls", "1", "-chaos-drops", "1", "-chaos-bursts", "2", "-chaos-kills", "1",
-		"-chaos-csv", csv}
-	if err := run(args, out); err != nil {
-		t.Fatalf("chaos run: %v", err)
-	}
-	if _, err := out.Seek(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "chaos ok") || !strings.Contains(buf.String(), "\"incorrect\": 0") {
-		t.Fatalf("chaos output: %s", buf.String())
-	}
-	// The artefact must accumulate: a second append-run adds a row, one header.
-	if err := run(args, out); err != nil {
-		t.Fatalf("second chaos run: %v", err)
-	}
-	blob, err := os.ReadFile(csv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(blob)), "\n")
-	if len(lines) != 3 || !strings.HasPrefix(lines[0], "scheme,") {
-		t.Fatalf("csv artefact: %q", string(blob))
-	}
-}
-
 func TestUnknownSchemeFlag(t *testing.T) {
 	if _, err := openEngineLog(t, "-n", "32", "-scheme", "bogus"); err == nil {
 		t.Fatal("bogus scheme accepted")

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"math/rand"
 	"net/http"
 	"os"
@@ -13,7 +12,6 @@ import (
 	"routetab/internal/cluster/shard"
 	"routetab/internal/gengraph"
 	"routetab/internal/serve"
-	"routetab/internal/serve/chaos"
 )
 
 // TestShardMapInitAndSplitCLI drives the map-maintenance commands end to end:
@@ -229,43 +227,5 @@ func TestShardEngineSpaceShrinks(t *testing.T) {
 	}
 	if fb, rb := full.Current().ArenaSize(), restricted.Current().ArenaSize(); rb >= fb {
 		t.Fatalf("restricted snapshot %d bytes, unrestricted %d — no shrink", rb, fb)
-	}
-}
-
-// TestShardChaosMode runs the partitioned-cluster chaos CLI end to end at a
-// CI-friendly n: it must pass, print the verdict, and write the E21 artefact.
-func TestShardChaosMode(t *testing.T) {
-	dir := t.TempDir()
-	csv := dir + "/shard.csv"
-	out, err := os.CreateTemp(dir, "out")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer out.Close()
-	args := []string{"-shard-chaos", "-n", "192", "-seed", "7", "-shard-groups", "2",
-		"-replicas", "1", "-lookups", "6000", "-workers", "3", "-shard-csv", csv}
-	if err := run(args, out); err != nil {
-		t.Fatalf("shard chaos run: %v", err)
-	}
-	if _, err := out.Seek(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(out); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"shardchaos ok", `"spot_violations": 0`, `"split_done": true`,
-		`"promoted": true`, `"tables_identical": true`} {
-		if !strings.Contains(buf.String(), want) {
-			t.Fatalf("shard chaos output missing %q: %s", want, buf.String())
-		}
-	}
-	blob, err := os.ReadFile(csv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(blob)), "\n")
-	if len(lines) != 2 || strings.TrimSpace(lines[0]) != chaos.ShardCSVHeader {
-		t.Fatalf("csv artefact: %q", string(blob))
 	}
 }

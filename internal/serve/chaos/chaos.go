@@ -9,7 +9,7 @@
 // cost availability (sheds, honest ErrUnavailable) and latency, but never
 // correctness. A run fails if any lookup is answered incorrectly, if a
 // degraded detour exceeds the +2-hop budget over the serving snapshot's
-// distance, if unavailability exceeds the configured fraction, if a restore
+// distance, if unavailability exceeds its 10% budget, if a restore
 // is not byte-identical, or if the topology does not self-heal to its
 // pre-chaos state (byte-identical distance matrix) once every fault is
 // repaired.
@@ -51,18 +51,11 @@ type Config struct {
 	Lookups uint64
 	// Workers is the closed-loop client count (default 6).
 	Workers int
-	// BatchSize is pairs per client batch (default 16).
-	BatchSize int
 
 	// Stalls is how many shard-stall injections to run (default 2).
 	Stalls int
 	// StallDur is how long an injected stall holds its worker (default 20ms).
 	StallDur time.Duration
-	// SurgeWorkers is how many extra single-pair clients hammer the stalled
-	// shard during each stall (default 12 — above the queue capacity, so the
-	// stalled shard saturates, trips its breaker, and sheds to siblings; a
-	// closed loop alone would just park politely behind the stall).
-	SurgeWorkers int
 	// Drops is how many batch-drop windows to run (default 2).
 	Drops int
 	// DropBatches is how many worker batches each drop window discards
@@ -76,16 +69,24 @@ type Config struct {
 	BurstNodes int
 	// Kills is how many kill+restore cycles to run (default 2; each one
 	// fires a hot swap concurrently with the kill, closes the server, and
-	// restores the engine from the persisted snapshot file).
+	// restores the engine from a snapshot file persisted in a temp dir).
 	Kills int
-	// PersistPath is the snapshot file for kill recovery (default: a file
-	// in the OS temp dir, removed afterwards).
-	PersistPath string
-	// MaxUnavailableFrac bounds the tolerated unavailable fraction —
-	// sheds, kill-window rejections, and honest ErrUnavailable answers,
-	// over all graded lookups (default 0.10).
-	MaxUnavailableFrac float64
 }
+
+// batchSize is pairs per client batch in the single-node runs.
+const batchSize = 16
+
+// maxUnavailableFrac bounds the tolerated unserved fraction of a chaos run:
+// sheds, kill-window rejections, and honest ErrUnavailable answers, over all
+// graded lookups.
+const maxUnavailableFrac = 0.10
+
+// surgeWorkers is how many extra single-pair clients hammer a stalled shard:
+// twice the closed loop plus slack, always above the server's queue capacity
+// (Workers+2), so the stalled shard saturates, trips its breaker, and sheds
+// to siblings — a closed loop alone would just park politely behind the
+// stall.
+func (c *Config) surgeWorkers() int { return c.Workers*2 + 4 }
 
 func (c *Config) setDefaults() {
 	if c.N < 8 {
@@ -100,50 +101,24 @@ func (c *Config) setDefaults() {
 	if c.Workers < 1 {
 		c.Workers = 6
 	}
-	if c.BatchSize < 1 {
-		c.BatchSize = 16
-	}
-	if c.Stalls < 0 {
-		c.Stalls = 0
-	} else if c.Stalls == 0 {
-		c.Stalls = 2
-	}
 	if c.StallDur <= 0 {
 		c.StallDur = 20 * time.Millisecond
-	}
-	if c.SurgeWorkers < 1 {
-		// Twice the closed loop plus slack: always above the server's queue
-		// capacity (Workers+2), so a stall overflows rather than just queues.
-		c.SurgeWorkers = c.Workers*2 + 4
-	}
-	if c.Drops < 0 {
-		c.Drops = 0
-	} else if c.Drops == 0 {
-		c.Drops = 2
 	}
 	if c.DropBatches < 1 {
 		c.DropBatches = 40
 	}
-	if c.Bursts < 0 {
-		c.Bursts = 0
-	} else if c.Bursts == 0 {
-		c.Bursts = 5
-	}
 	if c.BurstLinks < 1 {
 		c.BurstLinks = 8
 	}
-	if c.BurstNodes < 0 {
-		c.BurstNodes = 0
-	} else if c.BurstNodes == 0 {
-		c.BurstNodes = 1
-	}
-	if c.Kills < 0 {
-		c.Kills = 0
-	} else if c.Kills == 0 {
-		c.Kills = 2
-	}
-	if c.MaxUnavailableFrac <= 0 {
-		c.MaxUnavailableFrac = 0.10
+	// Injection counts: 0 takes the default, a negative count disables.
+	for _, f := range []struct {
+		v   *int
+		def int
+	}{{&c.Stalls, 2}, {&c.Drops, 2}, {&c.Bursts, 5}, {&c.BurstNodes, 1}, {&c.Kills, 2}} {
+		if *f.v == 0 {
+			*f.v = f.def
+		}
+		*f.v = max(*f.v, 0)
 	}
 }
 
@@ -153,13 +128,10 @@ type Report struct {
 	N      int    `json:"n"`
 	Seed   int64  `json:"seed"`
 
-	Lookups     uint64 `json:"lookups"`
-	Correct     uint64 `json:"correct"`
-	Degraded    uint64 `json:"degraded"`
-	Incorrect   uint64 `json:"incorrect"`
-	Rejected    uint64 `json:"rejected"`
-	Unavailable uint64 `json:"unavailable"`
-	Errored     uint64 `json:"errored"`
+	Ledger
+	Correct   uint64 `json:"correct"`
+	Degraded  uint64 `json:"degraded"`
+	Incorrect uint64 `json:"incorrect"`
 
 	Stalls      int    `json:"stalls"`
 	Drops       int    `json:"drops"`
@@ -169,15 +141,12 @@ type Report struct {
 	Trips       uint64 `json:"breaker_trips"`
 	Shunts      uint64 `json:"breaker_shunts"`
 
-	AvailabilityPct    float64       `json:"availability_pct"`
-	P99UnderChaosNs    int64         `json:"p99_under_chaos_ns"`
-	MaxDetourExtraHops int64         `json:"max_detour_extra_hops"`
-	RecoveryNs         int64         `json:"recovery_ns"`
-	RestoredIdentical  bool          `json:"restored_identical"`
-	SelfHealed         bool          `json:"self_healed"`
-	FinalSeq           uint64        `json:"final_seq"`
-	Elapsed            time.Duration `json:"elapsed_ns"`
-	QPS                float64       `json:"qps"`
+	P99UnderChaosNs    int64  `json:"p99_under_chaos_ns"`
+	MaxDetourExtraHops int64  `json:"max_detour_extra_hops"`
+	RecoveryNs         int64  `json:"recovery_ns"`
+	RestoredIdentical  bool   `json:"restored_identical"`
+	SelfHealed         bool   `json:"self_healed"`
+	FinalSeq           uint64 `json:"final_seq"`
 }
 
 // String renders the headline figures.
@@ -238,8 +207,8 @@ func Run(cfg Config) (*Report, error) {
 		return nil, err
 	}
 
-	persist := cfg.PersistPath
-	if persist == "" && cfg.Kills > 0 {
+	var persist string
+	if cfg.Kills > 0 {
 		dir, err := os.MkdirTemp("", "routetab-chaos-")
 		if err != nil {
 			return nil, err
@@ -264,7 +233,7 @@ func Run(cfg Config) (*Report, error) {
 	ctl.dropShard.Store(-1)
 	opts := serve.ServerOptions{
 		// The queue holds the whole closed loop (no steady-state sheds), but
-		// not the stall surge: SurgeWorkers extra clients overflow a stalled
+		// not the stall surge: surgeWorkers extra clients overflow a stalled
 		// shard in microseconds, trip its breaker, and shunt to siblings.
 		// The short cooldown re-probes quickly once the stall clears.
 		Shards:           4,
@@ -287,8 +256,8 @@ func Run(cfg Config) (*Report, error) {
 	// plan's — deterministic in (graph, config, seed).
 	m := g.M()
 	pc := faultinject.PlanConfig{
-		LinkFailProb:  clampProb(float64(cfg.Bursts*cfg.BurstLinks) / float64(max(m, 1))),
-		NodeCrashProb: clampProb(float64(cfg.Bursts*cfg.BurstNodes) / float64(cfg.N)),
+		LinkFailProb:  min(float64(cfg.Bursts*cfg.BurstLinks)/float64(max(m, 1)), 0.9),
+		NodeCrashProb: min(float64(cfg.Bursts*cfg.BurstNodes)/float64(cfg.N), 0.9),
 		Horizon:       cfg.Bursts,
 		RepairAfter:   1,
 	}
@@ -402,7 +371,7 @@ func (h *harness) buildPhases() []phase {
 	return ps
 }
 
-// surge runs SurgeWorkers extra single-pair clients for the stall window, all
+// surge runs surgeWorkers extra single-pair clients for the stall window, all
 // sourced from nodes owned by the stalled shard. The shard's queue overflows,
 // its breaker trips, and the overflow is answered — correctly, same snapshot —
 // by sibling shards. Every surge lookup is graded like any other.
@@ -420,7 +389,7 @@ func (h *harness) surge(shard int, seed int64) {
 		return
 	}
 	var wg sync.WaitGroup
-	for i := 0; i < h.cfg.SurgeWorkers; i++ {
+	for i := 0; i < h.cfg.surgeWorkers(); i++ {
 		i := i
 		wg.Add(1)
 		go func() {
@@ -504,7 +473,7 @@ func (h *harness) killRestore() error {
 func (h *harness) drive(phases []phase) (*Report, error) {
 	cfg := h.cfg
 	elapsed, phaseErr := loop{
-		n: cfg.N, workers: cfg.Workers, batch: cfg.BatchSize, seed: cfg.Seed, lookups: cfg.Lookups,
+		n: cfg.N, workers: cfg.Workers, batch: batchSize, seed: cfg.Seed, lookups: cfg.Lookups,
 		answered: &h.answered, maxBackoff: 2 * time.Millisecond,
 		lookup: func(pairs [][2]int, out []serve.Result) (time.Duration, error) {
 			if err := h.srv.Load().LookupBatch(pairs, out); err != nil {
@@ -531,13 +500,10 @@ func (h *harness) drive(phases []phase) (*Report, error) {
 		Scheme:             cfg.Scheme,
 		N:                  cfg.N,
 		Seed:               cfg.Seed,
-		Lookups:            h.answered.Load(),
+		Ledger:             h.ledger(elapsed),
 		Correct:            h.correct.Load(),
 		Degraded:           h.degraded.Load(),
 		Incorrect:          h.incorrect.Load(),
-		Rejected:           h.rejected.Load(),
-		Unavailable:        h.unavailable.Load(),
-		Errored:            h.errored.Load(),
 		Stalls:             h.stallsDone,
 		Drops:              h.dropsDone,
 		Bursts:             h.burstsDone,
@@ -551,14 +517,6 @@ func (h *harness) drive(phases []phase) (*Report, error) {
 		RestoredIdentical:  h.restoredOK && h.restoreMismatch == nil,
 		SelfHealed:         selfHealed,
 		FinalSeq:           finalSnap.Seq,
-		Elapsed:            elapsed,
-	}
-	if elapsed > 0 {
-		rep.QPS = float64(rep.Lookups) / elapsed.Seconds()
-	}
-	served := rep.Correct + rep.Degraded
-	if rep.Lookups > 0 {
-		rep.AvailabilityPct = 100 * float64(served) / float64(rep.Lookups)
 	}
 
 	switch {
@@ -568,25 +526,15 @@ func (h *harness) drive(phases []phase) (*Report, error) {
 		return rep, fmt.Errorf("%w: %d of %d", ErrIncorrect, rep.Incorrect, rep.Lookups)
 	case rep.MaxDetourExtraHops > 2:
 		return rep, fmt.Errorf("%w: +%d hops", ErrDetourBudget, rep.MaxDetourExtraHops)
-	case rep.Lookups > 0 && float64(rep.Lookups-served) > cfg.MaxUnavailableFrac*float64(rep.Lookups):
+	case float64(rep.Lookups-rep.Served) > maxUnavailableFrac*float64(rep.Lookups):
 		return rep, fmt.Errorf("%w: %d of %d unserved (budget %.0f%%)",
-			ErrBudget, rep.Lookups-served, rep.Lookups, 100*cfg.MaxUnavailableFrac)
+			ErrBudget, rep.Lookups-rep.Served, rep.Lookups, 100*maxUnavailableFrac)
 	case cfg.Kills > 0 && !rep.RestoredIdentical:
 		return rep, ErrRestore
 	case !selfHealed:
 		return rep, ErrNotHealed
 	}
 	return rep, nil
-}
-
-func clampProb(p float64) float64 {
-	if p < 0 {
-		return 0
-	}
-	if p > 0.9 {
-		return 0.9
-	}
-	return p
 }
 
 // CSVHeader is the docs/chaos artefact header row.

@@ -3,7 +3,6 @@ package chaos
 import (
 	"bytes"
 	"errors"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -12,14 +11,12 @@ import (
 // TestRunSmallSweep is the deterministic tier-1 chaos gate: a small
 // G(32, 1/2) run with every injection kind armed must grade clean.
 func TestRunSmallSweep(t *testing.T) {
-	dir := t.TempDir()
 	cfg := Config{
 		N:           32,
 		Seed:        7,
 		Scheme:      "fulltable",
 		Lookups:     40_000,
 		Workers:     6,
-		BatchSize:   16,
 		Stalls:      2,
 		StallDur:    5 * time.Millisecond,
 		Drops:       2,
@@ -28,7 +25,6 @@ func TestRunSmallSweep(t *testing.T) {
 		BurstLinks:  6,
 		BurstNodes:  1,
 		Kills:       2,
-		PersistPath: filepath.Join(dir, "snap.rtsnap"),
 	}
 	rep, err := Run(cfg)
 	if err != nil {
@@ -100,10 +96,14 @@ func TestRunDegradedDuringChurn(t *testing.T) {
 }
 
 // TestRunRejectsNonShortestPathScheme: strict grading needs stretch-1 ground
-// truth, so stretchy schemes are refused up front.
+// truth, so stretchy schemes are refused up front — by the single-node run
+// too, which spot-grades only schemes with a table codec.
 func TestRunRejectsNonShortestPathScheme(t *testing.T) {
 	if _, err := Run(Config{N: 16, Scheme: "interval-dfs"}); err == nil {
 		t.Fatalf("Run accepted a non-shortest-path scheme")
+	}
+	if _, err := RunNode(NodeConfig{N: 16, Seed: 1, Scheme: "interval-dfs", Workers: 1, Lookups: 100, Swaps: 1}); err == nil {
+		t.Fatalf("RunNode accepted a non-shortest-path scheme")
 	}
 	if _, err := Run(Config{N: 16, Scheme: "no-such-scheme"}); err == nil {
 		t.Fatalf("Run accepted an unknown scheme")
@@ -113,8 +113,8 @@ func TestRunRejectsNonShortestPathScheme(t *testing.T) {
 // TestWriteCSV checks the artefact layout: header plus one row per report,
 // with column count matching the header.
 func TestWriteCSV(t *testing.T) {
-	rep := &Report{Scheme: "fulltable", N: 64, Seed: 1, Lookups: 1000, Correct: 990,
-		Degraded: 10, AvailabilityPct: 100, RestoredIdentical: true, SelfHealed: true}
+	rep := &Report{Scheme: "fulltable", N: 64, Seed: 1, Ledger: Ledger{Lookups: 1000, Served: 1000, AvailabilityPct: 100},
+		Correct: 990, Degraded: 10, RestoredIdentical: true, SelfHealed: true}
 	var buf bytes.Buffer
 	if err := WriteCSV(&buf, []*Report{rep, rep}); err != nil {
 		t.Fatal(err)

@@ -35,11 +35,13 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
+	"strings"
+	"sync/atomic"
 	"time"
 
 	"routetab/internal/cluster"
 	"routetab/internal/faultinject"
-	"routetab/internal/gengraph"
 	"routetab/internal/graph"
 	"routetab/internal/serve"
 	"routetab/internal/serve/spotgrade"
@@ -50,9 +52,6 @@ type ClusterConfig struct {
 	// N is the topology size (default 64 on the full tier, 4096 on the
 	// tables tier).
 	N int
-	// AvgDeg is the tables tier's sparse topology target average degree
-	// (default 8).
-	AvgDeg float64
 	// Seed keys the topology, query streams, churn, corruption, and the
 	// partition plan.
 	Seed int64
@@ -119,12 +118,7 @@ type ClusterReport struct {
 	Members   int    `json:"members"`
 	Landmarks int    `json:"landmarks"`
 
-	Lookups     uint64 `json:"lookups"`
-	Served      uint64 `json:"served"`
-	Rejected    uint64 `json:"rejected"`
-	Unavailable uint64 `json:"unavailable"`
-	Errored     uint64 `json:"errored"`
-
+	Ledger
 	Correct            uint64 `json:"correct"`
 	Degraded           uint64 `json:"degraded"`
 	Incorrect          uint64 `json:"incorrect"`
@@ -155,13 +149,10 @@ type ClusterReport struct {
 	ResyncBytes   int    `json:"resync_bytes"`
 	MatrixBytes   uint64 `json:"matrix_bytes"`
 
-	AvailabilityPct  float64       `json:"availability_pct"`
 	FailoverNs       int64         `json:"failover_ns"`
 	DigestsConverged bool          `json:"digests_converged"`
 	TablesIdentical  bool          `json:"tables_identical"`
 	PerMember        []MemberStats `json:"per_member"`
-	Elapsed          time.Duration `json:"elapsed_ns"`
-	QPS              float64       `json:"qps"`
 }
 
 // String renders the headline figures.
@@ -187,8 +178,8 @@ var (
 // clusterHarness is one run's mutable state.
 type clusterHarness struct {
 	cfg     ClusterConfig
+	plan    tierPlan
 	tier    clusterTier
-	strict  bool // full tier: grade every answer strictly, not by spot sample
 	srvOpts serve.ServerOptions
 	grader
 
@@ -213,7 +204,7 @@ type clusterHarness struct {
 	settleTimeouts  int
 	promoted        bool
 	failoverNs      int64
-	maxLag          uint64
+	maxLag          atomic.Uint64
 	crashRestarts   int
 	walRecovered    bool
 	recoveryResyncs uint64
@@ -248,21 +239,13 @@ func RunCluster(cfg ClusterConfig) (*ClusterReport, error) {
 	if cfg.Scheme == "" {
 		cfg.Scheme = "fulltable"
 	}
-	tierName := serve.TierFull
-	switch {
-	case !serve.KnownScheme(cfg.Scheme):
-		return nil, fmt.Errorf("chaos: unknown scheme %q", cfg.Scheme)
-	case serve.TableCapable(cfg.Scheme):
-		tierName = serve.TierTables
-	case !serve.IsShortestPath(cfg.Scheme):
-		return nil, fmt.Errorf("chaos: scheme %q is not shortest-path; strict grading needs stretch 1", cfg.Scheme)
+	tp, err := planFor(cfg.Scheme)
+	if err != nil {
+		return nil, err
 	}
-	tier := clusterTiers[tierName]
+	tier := clusterTiers[tp.name]
 	if cfg.N < 8 {
 		cfg.N = tier.n
-	}
-	if cfg.AvgDeg <= 0 {
-		cfg.AvgDeg = 8
 	}
 	if cfg.Replicas < 1 {
 		cfg.Replicas = 2
@@ -274,14 +257,13 @@ func RunCluster(cfg ClusterConfig) (*ClusterReport, error) {
 		cfg.Workers = tier.workers
 	}
 
-	h := &clusterHarness{cfg: cfg, tier: tier, strict: tierName == serve.TierFull,
+	h := &clusterHarness{cfg: cfg, plan: tp, tier: tier,
 		srvOpts: serve.ServerOptions{Shards: 2, QueueCap: cfg.Workers * 4}}
 
 	// Member-0 journals every publication to a durable WAL (fsync=always)
 	// behind a fault-injection wrapper; the crash phase tears an append
 	// mid-frame and restarts the primary cold over the surviving bytes.
 	h.walFS = faultinject.NewMemFS()
-	var err error
 	h.walFault, err = faultinject.NewFaultFS(h.walFS, faultinject.DiskFaultConfig{Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
@@ -299,7 +281,7 @@ func RunCluster(cfg ClusterConfig) (*ClusterReport, error) {
 		closePrimary(h.p0, false)
 	}()
 	snap := p.Engine().Current()
-	if !h.strict {
+	if !tp.strict {
 		if err := checkSubQuadratic(snap); err != nil {
 			return nil, err
 		}
@@ -368,33 +350,32 @@ func RunCluster(cfg ClusterConfig) (*ClusterReport, error) {
 }
 
 // boot builds member-0's serving stack from the initial topology and
-// recovers its durable WAL from fs forward: a fresh start and a cold restart
-// after kill -9 are the same code path.
+// recovers its durable WAL from fs forward.
 func (h *clusterHarness) boot(fs faultinject.FS) (*cluster.Primary, *cluster.RecoveryReport, error) {
-	rng := rand.New(rand.NewSource(h.cfg.Seed))
-	var g *graph.Graph
-	var err error
-	newEngine := serve.NewEngine
-	if h.strict {
-		g, err = gengraph.GnHalf(h.cfg.N, rng)
-	} else {
-		g, err = gengraph.SparseConnected(h.cfg.N, h.cfg.AvgDeg, rng)
-		newEngine = serve.NewTieredEngine
-	}
+	return h.plan.bootPrimary(h.cfg.Scheme, h.cfg.N, h.cfg.Seed, h.srvOpts, serve.RepairOptions{}, fs)
+}
+
+// bootPrimary builds a primary's serving stack from the seeded initial
+// topology of the plan's family and recovers its durable WAL from fs
+// forward: a fresh start and a cold restart after kill -9 are the same code
+// path.
+func (p tierPlan) bootPrimary(scheme string, n int, seed int64, srvOpts serve.ServerOptions,
+	repOpts serve.RepairOptions, fs faultinject.FS) (*cluster.Primary, *cluster.RecoveryReport, error) {
+	g, err := p.topology(n, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		return nil, nil, err
 	}
-	eng, err := newEngine(g, h.cfg.Scheme)
+	eng, err := p.newEngine(g, scheme)
 	if err != nil {
 		return nil, nil, err
 	}
-	srv := serve.NewServer(eng, h.srvOpts)
-	rep := serve.NewRepairer(srv, serve.RepairOptions{})
+	srv := serve.NewServer(eng, srvOpts)
+	rep := serve.NewRepairer(srv, repOpts)
 	log, rpt, err := cluster.RecoverPrimaryLog(eng, rep, cluster.RecoverConfig{Dir: "wal", FS: fs})
 	if err == nil {
-		var p *cluster.Primary
-		if p, err = cluster.NewPrimaryAt(eng, srv, rep, rpt.Epoch, log); err == nil {
-			return p, rpt, nil
+		var pri *cluster.Primary
+		if pri, err = cluster.NewPrimaryAt(eng, srv, rep, rpt.Epoch, log); err == nil {
+			return pri, rpt, nil
 		}
 	}
 	rep.Close()
@@ -418,7 +399,7 @@ func closePrimary(p *cluster.Primary, kill bool) {
 // bindGrader points m's spot grader at eng (tables tier only; the full tier
 // grades every answer strictly at the router).
 func (h *clusterHarness) bindGrader(m *member, eng *serve.Engine) {
-	if h.strict {
+	if h.plan.strict {
 		return
 	}
 	g := spotgrade.New(eng, spotgrade.Config{Seed: h.cfg.Seed, SampleEvery: 1})
@@ -430,7 +411,7 @@ func (h *clusterHarness) bindGrader(m *member, eng *serve.Engine) {
 // tier the members' spot graders judge it — and returns the backoff it
 // asked for.
 func (h *clusterHarness) judge(res *serve.Result, err error) time.Duration {
-	if h.strict {
+	if h.plan.strict {
 		return h.grade(res, err)
 	}
 	backoff, _ := h.count(res, err)
@@ -442,7 +423,7 @@ func (h *clusterHarness) judge(res *serve.Result, err error) time.Duration {
 // present — every churn a full landmark rebuild on each member.
 func (h *clusterHarness) churn(round int) error {
 	var err error
-	if h.strict {
+	if h.plan.strict {
 		err = h.churnFull(round)
 	} else {
 		_, err = h.primary.Mutate(toggle(h.toggles[round%len(h.toggles)]))
@@ -454,23 +435,42 @@ func (h *clusterHarness) churn(round int) error {
 	return nil
 }
 
-// churnFull is the full tier's churn: even rounds toggle an existing edge via
-// Mutate (never disconnecting), odd rounds run a link fail + heal cycle
-// through the repairer (exercising RecLink shipping and overlay
-// reconciliation on replicas).
+// churnFull is the full tier's churn: even rounds flip an existing edge
+// (never disconnecting), odd rounds run a link fail + heal cycle through the
+// repairer (exercising RecLink shipping and overlay reconciliation on
+// replicas).
 func (h *clusterHarness) churnFull(round int) error {
-	edges := h.primary.Engine().Current().Graph.Edges()
+	if round%2 == 0 {
+		return flipEdge(h.primary, round)
+	}
+	e, err := roundEdge(h.primary, round)
+	if err != nil {
+		return err
+	}
+	if err := h.primary.SetLinkDown(e[0], e[1], true); err != nil {
+		return err
+	}
+	return h.primary.SetLinkDown(e[0], e[1], false)
+}
+
+// roundEdge is the existing edge of p's topology that churn round picks.
+func roundEdge(p *cluster.Primary, round int) ([2]int, error) {
+	edges := p.Engine().Current().Graph.Edges()
 	if len(edges) == 0 {
-		return errors.New("chaos: topology ran out of edges")
+		return [2]int{}, errors.New("chaos: topology ran out of edges")
 	}
-	e := edges[(round*2654435761)%len(edges)]
-	if round%2 == 1 {
-		if err := h.primary.SetLinkDown(e[0], e[1], true); err != nil {
-			return err
-		}
-		return h.primary.SetLinkDown(e[0], e[1], false)
+	return edges[(round*2654435761)%len(edges)], nil
+}
+
+// flipEdge publishes exactly one record through p: round's edge toggled by a
+// Mutate that never disconnects the topology — a removal that would is
+// undone, a no-op round.
+func flipEdge(p *cluster.Primary, round int) error {
+	e, err := roundEdge(p, round)
+	if err != nil {
+		return err
 	}
-	_, err := h.primary.Mutate(func(gr *graph.Graph) error {
+	_, err = p.Mutate(func(gr *graph.Graph) error {
 		if !gr.HasEdge(e[0], e[1]) {
 			return gr.AddEdge(e[0], e[1])
 		}
@@ -478,48 +478,31 @@ func (h *clusterHarness) churnFull(round int) error {
 			return err
 		}
 		if !gr.IsConnected() {
-			return gr.AddEdge(e[0], e[1]) // keep connected: no-op round
+			return gr.AddEdge(e[0], e[1])
 		}
 		return nil
 	})
 	return err
 }
 
-// sampleLag folds the replicas' current replay lag into the running max.
-func (h *clusterHarness) sampleLag() {
-	for _, r := range h.replicas {
-		if _, _, lag := r.Stats(); lag > h.maxLag {
-			h.maxLag = lag
-		}
-	}
-}
-
 // settle waits for every live replica to catch up with the current primary,
 // counting a wait that runs out its deadline (convergence is verified for
 // real at quiesce).
 func (h *clusterHarness) settle() {
-	until := time.Now().Add(h.tier.settle)
-	for {
-		h.sampleLag()
+	if !waitUntil(h.tier.settle, h.tier.syncInterval, func() bool {
+		sampleLag(&h.maxLag, h.replicas)
 		pd, err := h.primary.FetchDigest()
 		if err != nil {
-			return
+			return true
 		}
-		ok := true
 		for _, r := range h.liveReplicas() {
 			if r.Digest() != pd {
-				ok = false
-				break
+				return false
 			}
 		}
-		if ok {
-			return
-		}
-		if time.Now().After(until) {
-			h.settleTimeouts++
-			return
-		}
-		time.Sleep(h.tier.syncInterval)
+		return true
+	}) {
+		h.settleTimeouts++
 	}
 }
 
@@ -537,7 +520,7 @@ func (h *clusterHarness) buildPhases() []phase {
 			}
 			round++
 		}
-		h.sampleLag()
+		sampleLag(&h.maxLag, h.replicas)
 		return nil
 	}
 	burst := h.tier.churnBurst
@@ -707,18 +690,14 @@ func (h *clusterHarness) killPromote() error {
 	for i := 1; i < len(h.replicas); i++ {
 		h.sources[i].setTarget(np)
 	}
-	for {
+	h.failoverNs, err = probeFailover(start, h.tier.settle, func() bool {
 		res, err := h.router.Lookup(1, 2)
 		h.judge(&res, err)
-		if err == nil && res.Err == nil {
-			break
-		}
-		if time.Since(start) > h.tier.settle {
-			return fmt.Errorf("%w: no routed answer %v after kill", ErrFailover, time.Since(start))
-		}
-		time.Sleep(100 * time.Microsecond)
+		return err == nil && res.Err == nil
+	})
+	if err != nil {
+		return err
 	}
-	h.failoverNs = time.Since(start).Nanoseconds()
 	h.settle()
 	return nil
 }
@@ -749,15 +728,7 @@ func (h *clusterHarness) quiesce(elapsed time.Duration, phaseErr error) (*Cluste
 		}
 	}
 
-	var resyncs uint64
-	for _, r := range h.replicas {
-		_, rs, _ := r.Stats()
-		resyncs += rs
-	}
-	corruptions := 0
-	for _, cs := range h.sources {
-		corruptions += cs.corruptions()
-	}
+	resyncs, corruptions := replicationTotals(h.replicas, h.sources)
 	spot, firstSpotErr := spotTotals(h.graders)
 
 	// Resync economics: what a joining member receives on this tier versus
@@ -776,11 +747,7 @@ func (h *clusterHarness) quiesce(elapsed time.Duration, phaseErr error) (*Cluste
 		N:                  cfg.N,
 		Seed:               cfg.Seed,
 		Members:            len(h.members),
-		Lookups:            h.answered.Load(),
-		Served:             h.served.Load(),
-		Rejected:           h.rejected.Load(),
-		Unavailable:        h.unavailable.Load(),
-		Errored:            h.errored.Load(),
+		Ledger:             h.ledger(elapsed),
 		Correct:            h.correct.Load(),
 		Degraded:           h.degraded.Load(),
 		Incorrect:          h.incorrect.Load(),
@@ -793,7 +760,7 @@ func (h *clusterHarness) quiesce(elapsed time.Duration, phaseErr error) (*Cluste
 		Promoted:           h.promoted,
 		FinalEpoch:         h.primary.Epoch(),
 		Resyncs:            resyncs,
-		MaxReplayLag:       h.maxLag,
+		MaxReplayLag:       h.maxLag.Load(),
 		SettleTimeouts:     h.settleTimeouts,
 		CrashRestarts:      h.crashRestarts,
 		WalRecovered:       h.walRecovered,
@@ -804,16 +771,9 @@ func (h *clusterHarness) quiesce(elapsed time.Duration, phaseErr error) (*Cluste
 		FailoverNs:         h.failoverNs,
 		DigestsConverged:   converged,
 		TablesIdentical:    identical,
-		Elapsed:            elapsed,
 	}
 	if lm, ok := finalSnap.SchemeImpl().(interface{ K() int }); ok {
 		rep.Landmarks = lm.K()
-	}
-	if elapsed > 0 {
-		rep.QPS = float64(rep.Lookups) / elapsed.Seconds()
-	}
-	if rep.Lookups > 0 {
-		rep.AvailabilityPct = 100 * float64(rep.Served) / float64(rep.Lookups)
 	}
 	for name, n := range h.router.Served() {
 		ms := MemberStats{Name: name, Served: n}
@@ -822,7 +782,7 @@ func (h *clusterHarness) quiesce(elapsed time.Duration, phaseErr error) (*Cluste
 		}
 		rep.PerMember = append(rep.PerMember, ms)
 	}
-	sortMembers(rep.PerMember)
+	slices.SortFunc(rep.PerMember, func(a, b MemberStats) int { return strings.Compare(a.Name, b.Name) })
 
 	unserved := rep.Lookups - rep.Served
 	switch {
@@ -834,7 +794,7 @@ func (h *clusterHarness) quiesce(elapsed time.Duration, phaseErr error) (*Cluste
 		return rep, fmt.Errorf("%w: +%d hops", ErrDetourBudget, rep.MaxDetourExtraHops)
 	case rep.SpotViolations > 0:
 		return rep, fmt.Errorf("%w: %v", ErrIncorrect, firstSpotErr)
-	case !h.strict && rep.SpotGraded == 0:
+	case !h.plan.strict && rep.SpotGraded == 0:
 		return rep, fmt.Errorf("chaos: no answers were spot-graded (lookups=%d)", rep.Lookups)
 	case float64(unserved) > h.tier.budget*float64(rep.Lookups):
 		return rep, fmt.Errorf("%w: %d of %d unserved (budget %.1f%%)",

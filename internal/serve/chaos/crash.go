@@ -22,14 +22,11 @@ package chaos
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"routetab/internal/cluster"
 	"routetab/internal/cluster/walstore"
 	"routetab/internal/faultinject"
-	"routetab/internal/gengraph"
-	"routetab/internal/graph"
 	"routetab/internal/serve"
 )
 
@@ -98,8 +95,12 @@ var ErrCrashMatrix = errors.New("chaos: crash matrix violation")
 // error names the first violated boundary.
 func RunCrash(cfg CrashConfig) (*CrashReport, error) {
 	cfg.setDefaults()
-	if !serve.KnownScheme(cfg.Scheme) {
-		return nil, fmt.Errorf("chaos: unknown scheme %q", cfg.Scheme)
+	plan, err := planFor(cfg.Scheme)
+	if err != nil {
+		return nil, err
+	}
+	if !plan.strict {
+		return nil, fmt.Errorf("chaos: scheme %q is not shortest-path", cfg.Scheme)
 	}
 	rep := &CrashReport{Scheme: cfg.Scheme, N: cfg.N, Seed: cfg.Seed, ByteRecords: cfg.ByteRecords}
 	start := time.Now()
@@ -107,7 +108,7 @@ func RunCrash(cfg CrashConfig) (*CrashReport, error) {
 		rep.Elapsed = time.Since(start)
 		return rep, err
 	}
-	err := engineMatrix(cfg, rep)
+	err = engineMatrix(cfg, plan, rep)
 	rep.Elapsed = time.Since(start)
 	if err == nil {
 		rep.EpochPreserved = true
@@ -187,12 +188,12 @@ func byteMatrix(cfg CrashConfig, rep *CrashReport) error {
 }
 
 // engineMatrix is sweep 2: cold primary restarts at every record boundary.
-func engineMatrix(cfg CrashConfig, rep *CrashReport) error {
-	if !serve.IsShortestPath(cfg.Scheme) {
-		return fmt.Errorf("chaos: scheme %q is not shortest-path", cfg.Scheme)
+func engineMatrix(cfg CrashConfig, plan tierPlan, rep *CrashReport) error {
+	boot := func(fs faultinject.FS) (*cluster.Primary, *cluster.RecoveryReport, error) {
+		return plan.bootPrimary(cfg.Scheme, cfg.N, cfg.Seed, serve.ServerOptions{}, serve.RepairOptions{Debounce: -1}, fs)
 	}
 	ref := faultinject.NewMemFS()
-	p, err := crashStack(cfg, ref)
+	p, _, err := boot(ref)
 	if err != nil {
 		return err
 	}
@@ -202,38 +203,38 @@ func engineMatrix(cfg CrashConfig, rep *CrashReport) error {
 	offs := make([]int64, cfg.Records+1)
 	digests := make([]cluster.Digest, cfg.Records+1)
 	offs[0] = ref.JournalBytes()
-	if digests[0], err = p.p.FetchDigest(); err != nil {
+	if digests[0], err = p.FetchDigest(); err != nil {
 		return err
 	}
 	for i := 1; i <= cfg.Records; i++ {
-		if err := crashChurn(p.p, i); err != nil {
+		if err := flipEdge(p, i); err != nil {
 			return err
 		}
 		offs[i] = ref.JournalBytes()
-		if digests[i], err = p.p.FetchDigest(); err != nil {
+		if digests[i], err = p.FetchDigest(); err != nil {
 			return err
 		}
 	}
-	p.close(true) // kill -9: abandon, never seal
+	closePrimary(p, true) // kill -9: abandon, never seal
 
 	check := func(budget int64, wantDigest cluster.Digest, label string) error {
 		clone := ref.CrashClone(budget)
-		rp, err := crashStack(cfg, clone)
+		rp, rpt, err := boot(clone)
 		if err != nil {
 			return fmt.Errorf("%w: %s: restart: %v", ErrCrashMatrix, label, err)
 		}
-		defer rp.close(false)
-		if rp.rpt.EpochBumped || rp.rpt.Epoch != 1 {
-			return fmt.Errorf("%w: %s: epoch %d (bumped=%v): %s", ErrCrashMatrix, label, rp.rpt.Epoch, rp.rpt.EpochBumped, rp.rpt.Reason)
+		defer closePrimary(rp, false)
+		if rpt.EpochBumped || rpt.Epoch != 1 {
+			return fmt.Errorf("%w: %s: epoch %d (bumped=%v): %s", ErrCrashMatrix, label, rpt.Epoch, rpt.EpochBumped, rpt.Reason)
 		}
-		got, err := rp.p.FetchDigest()
+		got, err := rp.FetchDigest()
 		if err != nil {
 			return fmt.Errorf("%w: %s: %v", ErrCrashMatrix, label, err)
 		}
 		if got != wantDigest {
 			return fmt.Errorf("%w: %s: recovered digest %+v, want %+v", ErrCrashMatrix, label, got, wantDigest)
 		}
-		rep.Replayed += rp.rpt.Replayed
+		rep.Replayed += rpt.Replayed
 		return nil
 	}
 	for i := 0; i <= cfg.Records; i++ {
@@ -251,76 +252,4 @@ func engineMatrix(cfg CrashConfig, rep *CrashReport) error {
 		}
 	}
 	return nil
-}
-
-// crashPrimary bundles one primary stack for the engine matrix.
-type crashPrimary struct {
-	p   *cluster.Primary
-	log *cluster.Log
-	rpt *cluster.RecoveryReport
-	srv *serve.Server
-	rep *serve.Repairer
-}
-
-func (cp *crashPrimary) close(abandon bool) {
-	if abandon {
-		cp.log.Abandon()
-	} else {
-		_ = cp.log.CloseWAL()
-	}
-	cp.p.Close()
-	cp.rep.Close()
-	cp.srv.Close()
-}
-
-// crashStack cold-builds a primary from the seed topology and recovers the
-// WAL directory on fs.
-func crashStack(cfg CrashConfig, fs faultinject.FS) (*crashPrimary, error) {
-	g, err := gengraph.GnHalf(cfg.N, rand.New(rand.NewSource(cfg.Seed)))
-	if err != nil {
-		return nil, err
-	}
-	eng, err := serve.NewEngine(g, cfg.Scheme)
-	if err != nil {
-		return nil, err
-	}
-	srv := serve.NewServer(eng, serve.ServerOptions{})
-	rep := serve.NewRepairer(srv, serve.RepairOptions{Debounce: -1})
-	log, rpt, err := cluster.RecoverPrimaryLog(eng, rep, cluster.RecoverConfig{Dir: "wal", FS: fs})
-	if err != nil {
-		rep.Close()
-		srv.Close()
-		return nil, err
-	}
-	p, err := cluster.NewPrimaryAt(eng, srv, rep, rpt.Epoch, log)
-	if err != nil {
-		rep.Close()
-		srv.Close()
-		return nil, err
-	}
-	return &crashPrimary{p: p, log: log, rpt: rpt, srv: srv, rep: rep}, nil
-}
-
-// crashChurn publishes exactly one WAL record: a connectivity-safe edge
-// toggle keyed by the round.
-func crashChurn(p *cluster.Primary, round int) error {
-	cur := p.Engine().Current()
-	edges := cur.Graph.Edges()
-	if len(edges) == 0 {
-		return errors.New("chaos: topology ran out of edges")
-	}
-	e := edges[(round*2654435761)%len(edges)]
-	_, err := p.Mutate(func(gr *graph.Graph) error {
-		if gr.HasEdge(e[0], e[1]) {
-			if err := gr.RemoveEdge(e[0], e[1]); err != nil {
-				return err
-			}
-			if !gr.IsConnected() {
-				return gr.AddEdge(e[0], e[1])
-			}
-			return nil
-		}
-		return gr.AddEdge(e[0], e[1])
-	})
-	return err
 }

@@ -12,10 +12,41 @@ import (
 
 	"routetab/internal/cluster"
 	"routetab/internal/cluster/shard"
+	"routetab/internal/gengraph"
 	"routetab/internal/graph"
 	"routetab/internal/serve"
 	"routetab/internal/serve/spotgrade"
 )
+
+// avgDeg is the target average degree of every sparse topology a run builds.
+const avgDeg = 8
+
+// tierPlan is what a run's scheme decides, by the same rule as routetabd
+// -tier auto: the topology family, the engine constructor, and whether
+// answers are graded strictly or by spot sample.
+type tierPlan struct {
+	name      string // serve.TierFull or serve.TierTables
+	strict    bool
+	topology  func(n int, rng *rand.Rand) (*graph.Graph, error)
+	newEngine func(*graph.Graph, string) (*serve.Engine, error)
+}
+
+// planFor maps scheme onto its tier. A table-capable scheme (landmark) runs
+// the tables tier on SparseConnected(n, 8) and is spot-graded; a
+// shortest-path scheme runs the full tier on G(n, 1/2) and is graded
+// strictly; any other scheme is refused.
+func planFor(scheme string) (tierPlan, error) {
+	switch {
+	case !serve.KnownScheme(scheme):
+		return tierPlan{}, fmt.Errorf("chaos: unknown scheme %q", scheme)
+	case serve.TableCapable(scheme):
+		sparse := func(n int, rng *rand.Rand) (*graph.Graph, error) { return gengraph.SparseConnected(n, avgDeg, rng) }
+		return tierPlan{name: serve.TierTables, topology: sparse, newEngine: serve.NewTieredEngine}, nil
+	case serve.IsShortestPath(scheme):
+		return tierPlan{name: serve.TierFull, strict: true, topology: gengraph.GnHalf, newEngine: serve.NewEngine}, nil
+	}
+	return tierPlan{}, fmt.Errorf("chaos: scheme %q is not shortest-path; strict grading needs stretch 1", scheme)
+}
 
 // phase is one scheduled injection, fired at a lookup-progress milestone.
 type phase struct {
@@ -23,8 +54,8 @@ type phase struct {
 	run  func() error
 }
 
-// loop is the closed-loop load the Run, RunCluster, RunShard, RunWire and
-// RunBig harnesses drive: workers seeded clients draw uniform (src, dst)
+// loop is the closed-loop load the Run, RunCluster, RunShard and RunNode
+// harnesses drive: workers seeded clients draw uniform (src, dst)
 // pairs over 1..n, batch pairs per request, until lookups pairs are issued,
 // while a controller fires the phase schedule at progress milestones of
 // answered.
@@ -180,6 +211,39 @@ func (t *tally) count(r *serve.Result, err error) (time.Duration, bool) {
 	return 0, false
 }
 
+// Ledger is the availability ledger every load-driving report embeds: the
+// lookups answered, each counted once as served, rejected, unavailable or
+// errored, over the load's wall time.
+type Ledger struct {
+	Lookups         uint64        `json:"lookups"`
+	Served          uint64        `json:"served"`
+	Rejected        uint64        `json:"rejected"`
+	Unavailable     uint64        `json:"unavailable"`
+	Errored         uint64        `json:"errored"`
+	AvailabilityPct float64       `json:"availability_pct"`
+	Elapsed         time.Duration `json:"elapsed_ns"`
+	QPS             float64       `json:"qps"`
+}
+
+// ledger fills a Ledger from the tally of a load that ran for elapsed.
+func (t *tally) ledger(elapsed time.Duration) Ledger {
+	l := Ledger{
+		Lookups:     t.answered.Load(),
+		Served:      t.served.Load(),
+		Rejected:    t.rejected.Load(),
+		Unavailable: t.unavailable.Load(),
+		Errored:     t.errored.Load(),
+		Elapsed:     elapsed,
+	}
+	if elapsed > 0 {
+		l.QPS = float64(l.Lookups) / elapsed.Seconds()
+	}
+	if l.Lookups > 0 {
+		l.AvailabilityPct = 100 * float64(l.Served) / float64(l.Lookups)
+	}
+	return l
+}
+
 // grader is the strict judge of full-tier answers, built on the tally. The
 // soundness argument is the same everywhere — Dist/NextDist come from the
 // same snapshot that produced Next, so hot swaps, rebuilds, and replica
@@ -292,12 +356,51 @@ type MemberStats struct {
 	QPS    float64 `json:"qps"`
 }
 
-func sortMembers(ms []MemberStats) {
-	for i := 1; i < len(ms); i++ {
-		for j := i; j > 0 && ms[j].Name < ms[j-1].Name; j-- {
-			ms[j], ms[j-1] = ms[j-1], ms[j]
+// waitUntil polls done every poll until it holds or deadline has passed, and
+// reports whether it held.
+func waitUntil(deadline, poll time.Duration, done func() bool) bool {
+	until := time.Now().Add(deadline)
+	for !done() {
+		if time.Now().After(until) {
+			return false
+		}
+		time.Sleep(poll)
+	}
+	return true
+}
+
+// probeFailover polls answered from a kill at start until a lookup is
+// answered cleanly and returns the failover latency, or fails after deadline.
+func probeFailover(start time.Time, deadline time.Duration, answered func() bool) (int64, error) {
+	for !answered() {
+		if time.Since(start) > deadline {
+			return 0, fmt.Errorf("%w: no routed answer %v after kill", ErrFailover, time.Since(start))
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	return time.Since(start).Nanoseconds(), nil
+}
+
+// sampleLag folds the replicas' current replay lag into the running max.
+func sampleLag(maxLag *atomic.Uint64, replicas []*cluster.Replica) {
+	for _, r := range replicas {
+		_, _, lag := r.Stats()
+		for cur := maxLag.Load(); lag > cur && !maxLag.CompareAndSwap(cur, lag); cur = maxLag.Load() {
 		}
 	}
+}
+
+// replicationTotals sums the replicas' full resyncs and the wire corruptions
+// the sources injected.
+func replicationTotals(replicas []*cluster.Replica, sources []*chaosSource) (resyncs uint64, corruptions int) {
+	for _, r := range replicas {
+		_, rs, _ := r.Stats()
+		resyncs += rs
+	}
+	for _, cs := range sources {
+		corruptions += cs.corruptions()
+	}
+	return resyncs, corruptions
 }
 
 // gate is one member's reachability: both its replication feed and its

@@ -44,8 +44,6 @@ var ErrSplit = errors.New("chaos: shard split did not complete")
 type ShardConfig struct {
 	// N is the sparse topology size (default 4096).
 	N int
-	// AvgDeg is the topology's target average degree (default 8).
-	AvgDeg float64
 	// Groups is the initial shard-group count (default 2).
 	Groups int
 	// Replicas is the replica count per group (default 1 — each group a
@@ -81,14 +79,13 @@ const (
 	// walkSamples is how many full cross-shard route walks are graded per
 	// group at quiesce.
 	walkSamples = 8
+	// shardSettle bounds every wait for the groups to converge mid-run.
+	shardSettle = 10 * time.Second
 )
 
 func (c *ShardConfig) setDefaults() {
 	if c.N < 8 {
 		c.N = 4096
-	}
-	if c.AvgDeg <= 0 {
-		c.AvgDeg = 8
 	}
 	if c.Groups < 2 {
 		c.Groups = 2
@@ -124,12 +121,7 @@ type ShardReport struct {
 	Replicas    int   `json:"replicas"`
 	Members     int   `json:"members"`
 
-	Lookups     uint64 `json:"lookups"`
-	Served      uint64 `json:"served"`
-	Rejected    uint64 `json:"rejected"`
-	Unavailable uint64 `json:"unavailable"`
-	Errored     uint64 `json:"errored"`
-
+	Ledger
 	SpotTotals
 	WalksGraded int `json:"walks_graded"`
 
@@ -145,14 +137,11 @@ type ShardReport struct {
 	Resyncs      uint64 `json:"resyncs"`
 	MaxReplayLag uint64 `json:"max_replay_lag"`
 
-	AvailabilityPct         float64       `json:"availability_pct"`
-	MinShardAvailabilityPct float64       `json:"min_shard_availability_pct"`
-	PerShard                []ShardStats  `json:"per_shard"`
-	DigestsConverged        bool          `json:"digests_converged"`
-	TablesIdentical         bool          `json:"tables_identical"`
-	TopologiesEqual         bool          `json:"topologies_equal"`
-	Elapsed                 time.Duration `json:"elapsed_ns"`
-	QPS                     float64       `json:"qps"`
+	MinShardAvailabilityPct float64      `json:"min_shard_availability_pct"`
+	PerShard                []ShardStats `json:"per_shard"`
+	DigestsConverged        bool         `json:"digests_converged"`
+	TablesIdentical         bool         `json:"tables_identical"`
+	TopologiesEqual         bool         `json:"topologies_equal"`
 }
 
 // String renders the headline figures.
@@ -232,7 +221,7 @@ func (h *shardHarness) bindGraders(id int) {
 // even on failure; the error names the broken invariant.
 func RunShard(cfg ShardConfig) (*ShardReport, error) {
 	cfg.setDefaults()
-	g, err := gengraph.SparseConnected(cfg.N, cfg.AvgDeg, rand.New(rand.NewSource(cfg.Seed)))
+	g, err := gengraph.SparseConnected(cfg.N, avgDeg, rand.New(rand.NewSource(cfg.Seed)))
 	if err != nil {
 		return nil, err
 	}
@@ -299,31 +288,27 @@ func (h *shardHarness) churn(round int) error {
 	return nil
 }
 
-// sampleLag folds every replica's replay lag into the running max.
-func (h *shardHarness) sampleLag() {
+// replicas returns every group's replicas.
+func (h *shardHarness) replicas() []*cluster.Replica {
+	var rs []*cluster.Replica
 	for _, id := range h.c.GroupIDs() {
-		grp := h.c.Group(id)
-		if grp == nil {
-			continue
-		}
-		for _, r := range grp.Replicas() {
-			if _, _, lag := r.Stats(); lag > h.maxLag.Load() {
-				h.maxLag.Store(lag)
-			}
+		if grp := h.c.Group(id); grp != nil {
+			rs = append(rs, grp.Replicas()...)
 		}
 	}
+	return rs
+}
+
+// converged reports whether every group's members agree with its primary.
+func (h *shardHarness) converged() bool {
+	ok, err := h.c.CheckEntropy()
+	return err == nil && ok
 }
 
 // settle waits (bounded) for every group to converge; convergence is verified
 // for real at quiesce.
-func (h *shardHarness) settle(deadline time.Duration) {
-	until := time.Now().Add(deadline)
-	for time.Now().Before(until) {
-		if ok, err := h.c.CheckEntropy(); err == nil && ok {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
+func (h *shardHarness) settle() {
+	waitUntil(shardSettle, time.Millisecond, h.converged)
 }
 
 // buildPhases lays out the injection schedule: churn warmup, a partition +
@@ -350,7 +335,7 @@ func (h *shardHarness) buildPhases() []phase {
 		if err := churnN(2)(); err != nil {
 			return err
 		}
-		h.settle(10 * time.Second)
+		h.settle()
 		return nil
 	}})
 
@@ -364,7 +349,7 @@ func (h *shardHarness) buildPhases() []phase {
 			}
 			time.Sleep(4 * shardSyncInterval)
 			h.gateFor(name).down.Store(false)
-			h.settle(10 * time.Second)
+			h.settle()
 			return nil
 		}})
 	}
@@ -382,7 +367,7 @@ func (h *shardHarness) buildPhases() []phase {
 			if err := churnN(1)(); err != nil {
 				return err
 			}
-			h.settle(10 * time.Second)
+			h.settle()
 			return nil
 		}})
 	}
@@ -421,7 +406,7 @@ func (h *shardHarness) buildPhases() []phase {
 			h.splitNs = time.Since(start).Nanoseconds()
 			h.splitDone, h.newGroupID = true, newID
 			h.bindGraders(newID)
-			h.settle(10 * time.Second)
+			h.settle()
 			return nil
 		}})
 	}
@@ -434,7 +419,7 @@ func (h *shardHarness) buildPhases() []phase {
 		if err := churnN(2)(); err != nil {
 			return err
 		}
-		h.settle(10 * time.Second)
+		h.settle()
 		return nil
 	}})
 	return ps
@@ -444,7 +429,7 @@ func (h *shardHarness) buildPhases() []phase {
 // its first replica under a bumped epoch, and measures kill → first routed
 // answer for a key that shard owns.
 func (h *shardHarness) killPromote() error {
-	h.settle(10 * time.Second)
+	h.settle()
 	id := killGroup
 	grp := h.c.Group(id)
 	if grp == nil || len(grp.Replicas()) == 0 {
@@ -471,19 +456,16 @@ func (h *shardHarness) killPromote() error {
 		return fmt.Errorf("%w: %v", ErrFailover, err)
 	}
 	h.promoted = true
-	for {
+	var err error
+	h.failoverNs, err = probeFailover(start, shardSettle, func() bool {
 		res, err := h.front.Lookup(probeSrc, probeDst)
 		h.count(&res, err)
-		if err == nil && res.Err == nil {
-			break
-		}
-		if time.Since(start) > 10*time.Second {
-			return fmt.Errorf("%w: no routed answer %v after shard kill", ErrFailover, time.Since(start))
-		}
-		time.Sleep(100 * time.Microsecond)
+		return err == nil && res.Err == nil
+	})
+	if err != nil {
+		return err
 	}
-	h.failoverNs = time.Since(start).Nanoseconds()
-	h.settle(10 * time.Second)
+	h.settle()
 	return nil
 }
 
@@ -504,7 +486,7 @@ func (h *shardHarness) drive() (*ShardReport, error) {
 				return
 			case <-t.C:
 				_ = h.c.SyncAll()
-				h.sampleLag()
+				sampleLag(&h.maxLag, h.replicas())
 			}
 		}
 	}()
@@ -554,17 +536,11 @@ func (h *shardHarness) drive() (*ShardReport, error) {
 	close(pumpStop)
 	pumpWG.Wait()
 
-	converged := false
-	until := time.Now().Add(15 * time.Second)
-	for time.Now().Before(until) {
+	converged := waitUntil(15*time.Second, time.Millisecond, func() bool {
 		_ = h.c.SyncAll()
-		if ok, err := h.c.CheckEntropy(); err == nil && ok {
-			converged = true
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	h.sampleLag()
+		return h.converged()
+	})
+	sampleLag(&h.maxLag, h.replicas())
 
 	// Per-group table identity and cross-group topology lockstep.
 	ids := h.c.GroupIDs()
@@ -577,7 +553,7 @@ func (h *shardHarness) drive() (*ShardReport, error) {
 		members += 1 + len(grp.Replicas())
 		if truth == nil {
 			truth = snap.Graph
-		} else if !sameEdges(truth, snap.Graph) {
+		} else if !truth.Equal(snap.Graph) {
 			topoEqual = false
 		}
 		want := snap.TablesBytes()
@@ -610,17 +586,7 @@ func (h *shardHarness) drive() (*ShardReport, error) {
 		}
 	}
 
-	var resyncs uint64
-	for _, id := range ids {
-		for _, r := range h.c.Group(id).Replicas() {
-			_, rs, _ := r.Stats()
-			resyncs += rs
-		}
-	}
-	corruptions := 0
-	for _, cs := range srcs {
-		corruptions += cs.corruptions()
-	}
+	resyncs, corruptions := replicationTotals(h.replicas(), srcs)
 
 	h.mu.Lock()
 	graders := make([]*spotgrade.Grader, 0, len(h.members))
@@ -639,11 +605,7 @@ func (h *shardHarness) drive() (*ShardReport, error) {
 		FinalGroups:             len(ids),
 		Replicas:                cfg.Replicas,
 		Members:                 members,
-		Lookups:                 h.answered.Load(),
-		Served:                  h.served.Load(),
-		Rejected:                h.rejected.Load(),
-		Unavailable:             h.unavailable.Load(),
-		Errored:                 h.errored.Load(),
+		Ledger:                  h.ledger(elapsed),
 		SpotTotals:              spot,
 		WalksGraded:             walked,
 		ChurnRounds:             h.churnDone,
@@ -661,13 +623,6 @@ func (h *shardHarness) drive() (*ShardReport, error) {
 		DigestsConverged:        converged,
 		TablesIdentical:         identical,
 		TopologiesEqual:         topoEqual,
-		Elapsed:                 elapsed,
-	}
-	if elapsed > 0 {
-		rep.QPS = float64(rep.Lookups) / elapsed.Seconds()
-	}
-	if rep.Lookups > 0 {
-		rep.AvailabilityPct = 100 * float64(rep.Served) / float64(rep.Lookups)
 	}
 
 	switch {
@@ -766,23 +721,6 @@ func (h *shardHarness) walkGrade(truth *graph.Graph) (int, error) {
 		}
 	}
 	return walked, nil
-}
-
-// sameEdges compares topologies by their deterministic edge lists.
-func sameEdges(a, b *graph.Graph) bool {
-	if a.N() != b.N() {
-		return false
-	}
-	ae, be := a.Edges(), b.Edges()
-	if len(ae) != len(be) {
-		return false
-	}
-	for i := range ae {
-		if ae[i] != be[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // ShardCSVHeader is the docs/shard artefact header row (EXPERIMENTS.md E21).

@@ -10,15 +10,16 @@ import (
 	"routetab/internal/serve"
 )
 
-// TestRunWire: the mixed-protocol phase must hold its invariants on a small
-// deterministic run — both protocols served, swaps observed by clients, and
-// not one incorrect or errored answer over either transport.
+// TestRunWire: the single-node run on the full tier must hold its
+// invariants on a small deterministic run — both protocols served, swaps
+// observed by clients, and not one incorrect or errored answer over either
+// transport.
 func TestRunWire(t *testing.T) {
-	rep, err := RunWire(WireConfig{N: 24, Seed: 7, Lookups: 4000, Swaps: 2})
+	rep, err := RunNode(NodeConfig{N: 24, Seed: 7, Workers: 4, Lookups: 8000, Swaps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Passed() {
+	if !rep.Passed() || rep.Tier != serve.TierFull {
 		t.Fatalf("invariants not held: %s", rep)
 	}
 	if rep.JSONLookups != 4000 || rep.BinLookups != 4000 {
@@ -26,6 +27,34 @@ func TestRunWire(t *testing.T) {
 	}
 	if rep.Correct+rep.Degraded+rep.Rejected+rep.Unavailable == 0 {
 		t.Fatalf("nothing graded: %s", rep)
+	}
+}
+
+// TestRunBigSmallScale: the single-node run on the tables tier — sparse
+// topology, landmark build, spot-graded closed loop over both transports with
+// hot swaps — at a size small enough for the race detector.
+func TestRunBigSmallScale(t *testing.T) {
+	rep, err := RunNode(NodeConfig{N: 256, Seed: 17, Scheme: "landmark", Workers: 2, Lookups: 3_000, Swaps: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Tier != serve.TierTables || rep.Landmarks < 2 {
+		t.Fatalf("tier = %q, landmarks = %d", rep.Tier, rep.Landmarks)
+	}
+	if rep.Lookups != 3_000 || rep.QPS <= 0 || rep.P50ns <= 0 || rep.P99ns < rep.P50ns {
+		t.Fatalf("load figures: lookups=%d qps=%v p50=%d p99=%d", rep.Lookups, rep.QPS, rep.P50ns, rep.P99ns)
+	}
+	if rep.JSONLookups == 0 || rep.BinLookups == 0 || rep.JSONLookups+rep.BinLookups != rep.Lookups {
+		t.Fatalf("transports: %d json + %d binary of %d lookups", rep.JSONLookups, rep.BinLookups, rep.Lookups)
+	}
+	if rep.SpotGraded == 0 || rep.SpotViolations != 0 {
+		t.Fatalf("spot grading: graded=%d violations=%d", rep.SpotGraded, rep.SpotViolations)
+	}
+	if rep.SpotMaxStretchMilli > 3000 {
+		t.Fatalf("max stretch %d over bound", rep.SpotMaxStretchMilli)
+	}
+	if uint64(rep.SnapshotBytes) >= uint64(rep.N)*uint64(rep.N) {
+		t.Fatalf("snapshot %d bytes is not sub-n² at n=%d", rep.SnapshotBytes, rep.N)
 	}
 }
 
