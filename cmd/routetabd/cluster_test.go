@@ -1,14 +1,18 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"os"
 	"regexp"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -126,13 +130,13 @@ func TestWALKeepTrims(t *testing.T) {
 			t.Fatalf("mutate %d failed", i)
 		}
 	}
-	if _, err := pri.FetchWAL(0); !errors.Is(err, cluster.ErrGone) {
+	if _, err := pri.FetchWAL(context.Background(), 0); !errors.Is(err, cluster.ErrGone) {
 		t.Fatalf("FetchWAL(0) after trim: %v, want ErrGone", err)
 	}
 	if last := pri.Log().LastSeq(); last < 5 {
 		t.Fatalf("LastSeq = %d, want ≥ 5", last)
 	}
-	if _, err := pri.FetchWAL(pri.Log().LastSeq() - 2); err != nil {
+	if _, err := pri.FetchWAL(context.Background(), pri.Log().LastSeq()-2); err != nil {
 		t.Fatalf("recent position must stay fetchable: %v", err)
 	}
 }
@@ -270,6 +274,19 @@ func TestSigtermFinalizesWAL(t *testing.T) {
 		t.Fatalf("healthz wal fields: %v", health)
 	}
 
+	// A replica's long poll parked on the feed must not hold up the drain:
+	// shutdown answers it at once instead of sitting out its wait. (If the
+	// server had not read the request yet when shutdown began, the client
+	// gets a transport error instead; either way nothing waits.)
+	wrote := make(chan struct{})
+	poll := make(chan error, 1)
+	go func() { poll <- longPoll("http://"+addr, 2, wrote) }()
+	select {
+	case <-wrote:
+	case err := <-poll:
+		t.Fatalf("long poll: %v", err)
+	}
+	sent := time.Now()
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
@@ -280,6 +297,12 @@ func TestSigtermFinalizesWAL(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("daemon did not exit on SIGTERM")
+	}
+	if took := time.Since(sent); took >= cluster.MaxFeedWait/2 {
+		t.Fatalf("daemon took %v to drain, want well under the long poll's %v wait", took, cluster.MaxFeedWait)
+	}
+	if err := <-poll; errors.Is(err, errPollRecords) {
+		t.Fatal(err)
 	}
 	blob, _ := os.ReadFile(out.Name())
 	if !strings.Contains(string(blob), "wal finalized (seq=2)") {
@@ -345,7 +368,8 @@ func tablesPrimaryAPI(t *testing.T, n int) (*api, *cluster.Primary) {
 
 // TestClusterObservabilitySurfaces: tier, wal_seq, and replica_lag_seq must
 // be visible on /healthz and as /metrics gauges, on both halves of a
-// tables-tier primary/replica pair.
+// tables-tier primary/replica pair, and the replica's fetch counters as
+// /metrics gauges.
 func TestClusterObservabilitySurfaces(t *testing.T) {
 	pa, pri := tablesPrimaryAPI(t, 64)
 	registerClusterGauges(pa)
@@ -402,6 +426,18 @@ func TestClusterObservabilitySurfaces(t *testing.T) {
 	if _, ok := gauges["replica_lag_seq"].(float64); !ok {
 		t.Fatalf("replica metrics missing replica_lag_seq: %v", gauges)
 	}
+	// One Sync so far, and it brought the mutation; a second finds nothing.
+	if gauges["cluster_replica_fetches_total"] != float64(1) || gauges["cluster_replica_empty_fetches_total"] != float64(0) {
+		t.Fatalf("replica fetch gauges after one sync: %v", gauges)
+	}
+	if err := rpl.Sync(); err != nil {
+		t.Fatalf("sync: %v", err)
+	}
+	_, metrics = getJSON(t, rh, "GET", "/metrics", "")
+	gauges = metrics["gauges"].(map[string]any)
+	if gauges["cluster_replica_fetches_total"] != float64(2) || gauges["cluster_replica_empty_fetches_total"] != float64(1) {
+		t.Fatalf("replica fetch gauges after an empty sync: %v", gauges)
+	}
 
 	// The full tier reports tier 0 on the same gauge.
 	fa, _ := primaryAPI(t, 16, 0)
@@ -411,4 +447,37 @@ func TestClusterObservabilitySurfaces(t *testing.T) {
 	if gauges["tier"] != float64(0) {
 		t.Fatalf("full-tier gauge: %v", gauges["tier"])
 	}
+}
+
+// errPollRecords reports a long poll that returned records where none exist.
+var errPollRecords = errors.New("long poll returned records past the frontier")
+
+// longPoll asks base's feed for the records after `after` with the longest
+// wait, closes wrote once the request is on the wire, and expects a 200 with
+// an empty batch.
+func longPoll(base string, after uint64, wrote chan struct{}) error {
+	req, err := http.NewRequest(http.MethodGet, fmt.Sprintf("%s%s?after=%d&wait=%v", base, cluster.PathWAL, after, cluster.MaxFeedWait), nil)
+	if err != nil {
+		return err
+	}
+	var once sync.Once
+	req = req.WithContext(httptrace.WithClientTrace(req.Context(), &httptrace.ClientTrace{
+		WroteRequest: func(httptrace.WroteRequestInfo) { once.Do(func() { close(wrote) }) },
+	}))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("status %s", resp.Status)
+	}
+	b, err := cluster.DecodeWALBatch(resp.Body)
+	if err != nil {
+		return err
+	}
+	if len(b.Records) != 0 {
+		return fmt.Errorf("%w: %d", errPollRecords, len(b.Records))
+	}
+	return nil
 }

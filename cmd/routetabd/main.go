@@ -152,10 +152,9 @@ type config struct {
 	batch   int
 	persist string
 	// cluster
-	join         string
-	promote      string
-	syncInterval time.Duration
-	walKeep      int
+	join    string
+	promote string
+	walKeep int
 	// durable WAL
 	walDir   string
 	walFsync string
@@ -185,7 +184,6 @@ func parseFlags(args []string) (*config, error) {
 	fs.StringVar(&cfg.persist, "persist", "", "snapshot persistence file: save every published snapshot, warm-boot from it on start")
 	fs.StringVar(&cfg.join, "join", "", "join URL of a primary to replicate from (replica mode)")
 	fs.StringVar(&cfg.promote, "promote", "", "ask the replica at this URL to promote itself to primary, then exit")
-	fs.DurationVar(&cfg.syncInterval, "sync-interval", 50*time.Millisecond, "replica: WAL poll interval")
 	fs.IntVar(&cfg.walKeep, "wal-keep", 4096, "primary: WAL records retained for replicas (older positions force a full resync)")
 	fs.StringVar(&cfg.walDir, "wal-dir", "", "primary: durable segmented WAL directory (empty = in-memory WAL only)")
 	fs.StringVar(&cfg.walFsync, "wal-fsync", "always", "primary: WAL fsync policy: always|batch|off (non-always policies bump the epoch on every restart)")
@@ -332,7 +330,6 @@ func runReplica(cfg *config, out *os.File) error {
 			QueueCap: cfg.queue,
 			MaxBatch: cfg.batch,
 		},
-		SyncInterval: cfg.syncInterval,
 	})
 	if err != nil {
 		return fmt.Errorf("join %s: %w", cfg.join, err)
@@ -471,9 +468,12 @@ func registerServingGauges(srv *serve.Server) {
 // registerClusterGauges exposes the serving tier and replication position on
 // /metrics so operators can graph tables-tier lag alongside QPS: tier (0 =
 // full matrix, 1 = scheme tables), wal_seq (primary: last appended record;
-// replica: last applied position), and replica_lag_seq (how many records the
-// replica was behind at its last sync; 0 on a primary). The gauges read
-// through the api's role pointers, so an in-place promotion repoints them.
+// replica: last applied position), replica_lag_seq (how many records the
+// replica was behind at its last sync; 0 on a primary), and the replica's
+// WAL long polls: cluster_replica_fetches_total (FetchWAL calls) and
+// cluster_replica_empty_fetches_total (those that came back with nothing —
+// an idle replica makes about one a second). The gauges read through the
+// api's role pointers, so an in-place promotion repoints them.
 func registerClusterGauges(a *api) {
 	m := a.srv.Metrics()
 	m.GaugeFunc("tier", func() int64 {
@@ -492,13 +492,25 @@ func registerClusterGauges(a *api) {
 		}
 		return 0
 	})
-	m.GaugeFunc("replica_lag_seq", func() int64 {
-		_, rpl := a.roles()
-		if rpl == nil {
+	replicaGauge := func(name string, read func(*cluster.Replica) uint64) {
+		m.GaugeFunc(name, func() int64 {
+			if _, rpl := a.roles(); rpl != nil {
+				return int64(read(rpl))
+			}
 			return 0
-		}
-		_, _, lastLag := rpl.Stats()
-		return int64(lastLag)
+		})
+	}
+	replicaGauge("replica_lag_seq", func(r *cluster.Replica) uint64 {
+		_, _, lastLag := r.Stats()
+		return lastLag
+	})
+	replicaGauge("cluster_replica_fetches_total", func(r *cluster.Replica) uint64 {
+		calls, _ := r.Fetches()
+		return calls
+	})
+	replicaGauge("cluster_replica_empty_fetches_total", func(r *cluster.Replica) uint64 {
+		_, empty := r.Fetches()
+		return empty
 	})
 }
 
@@ -631,7 +643,16 @@ func serveHTTP(a *api, cfg *config, out *os.File) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: newHandler(a, cfg.pprofOn)}
+	// Only the /cluster/wal long poll waits on its request context. Ending
+	// every request context when Shutdown starts answers parked polls at
+	// once, so the drain does not sit out their waits.
+	base, endRequests := context.WithCancel(context.Background())
+	defer endRequests()
+	hs := &http.Server{
+		Handler:     newHandler(a, cfg.pprofOn),
+		BaseContext: func(net.Listener) context.Context { return base },
+	}
+	hs.RegisterOnShutdown(endRequests)
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	var ws *wire.Server

@@ -5,10 +5,10 @@ import (
 	"time"
 )
 
-// TestBackoffDelayBounds pins the resync backoff contract: the steady state
-// is exactly the sync interval (no jitter — the healthy cadence must be
-// stable), each failure doubles the delay up to the cap, and jitter never
-// leaves the ±25% band around the capped nominal delay.
+// TestBackoffDelayBounds pins the resync backoff contract: with no failures
+// the delay is exactly the base (no jitter), each failure doubles the delay
+// up to the cap, and jitter never leaves the ±25% band around the capped
+// nominal delay.
 func TestBackoffDelayBounds(t *testing.T) {
 	base := 100 * time.Millisecond
 	max := 800 * time.Millisecond
@@ -53,19 +53,5 @@ func TestBackoffDelayBounds(t *testing.T) {
 			t.Fatalf("failures=%d: delay %v shrank from %v", failures, d, prev)
 		}
 		prev = d
-	}
-}
-
-// TestBackoffDefaultCap: JoinReplica defaults the cap to 32× the sync
-// interval so an unconfigured replica cannot back off unboundedly.
-func TestBackoffDefaultCap(t *testing.T) {
-	p := testPrimary(t, 16, 5)
-	r, err := JoinReplica(p, ReplicaOptions{SyncInterval: 3 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if got, want := r.opts.SyncBackoffCap, 32*3*time.Millisecond; got != want {
-		t.Fatalf("default SyncBackoffCap = %v, want %v", got, want)
 	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"sync"
@@ -495,8 +496,8 @@ type corruptingSource struct {
 	corrupt bool
 }
 
-func (c *corruptingSource) FetchWAL(after uint64) (*WALBatch, error) {
-	b, err := c.Source.FetchWAL(after)
+func (c *corruptingSource) FetchWAL(ctx context.Context, after uint64) (*WALBatch, error) {
+	b, err := c.Source.FetchWAL(ctx, after)
 	if err != nil {
 		return nil, err
 	}
@@ -731,11 +732,11 @@ func (g *gatedSource) FetchState() (*State, error) {
 	return g.Source.FetchState()
 }
 
-func (g *gatedSource) FetchWAL(after uint64) (*WALBatch, error) {
+func (g *gatedSource) FetchWAL(ctx context.Context, after uint64) (*WALBatch, error) {
 	if g.isDown() {
 		return nil, errPartitioned
 	}
-	return g.Source.FetchWAL(after)
+	return g.Source.FetchWAL(ctx, after)
 }
 
 func (g *gatedSource) FetchDigest() (Digest, error) {

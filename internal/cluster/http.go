@@ -4,13 +4,17 @@
 // same CRC-framed binary forms used in-process (EncodeState/EncodeWALBatch),
 // so a corrupted or truncated response is rejected by the codec and surfaces
 // as ErrBadRecord, which drives the replica's full-resync fallback; digests
-// travel as JSON. A follower answering the feed endpoints returns 503 — the
+// travel as JSON. The WAL feed is a long poll: GET /cluster/wal?after=N&wait=D
+// parks on the primary's change signal for at most D (capped at
+// MaxFeedWait) and answers as soon as a record past N exists; without wait
+// it answers at once. A follower answering the feed endpoints returns 503 — the
 // caller treats that like any other transport failure and keeps serving its
 // last-adopted state.
 package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -27,6 +31,10 @@ const (
 	PathWAL    = "/cluster/wal"
 	PathDigest = "/cluster/digest"
 )
+
+// MaxFeedWait caps the wait a /cluster/wal request may ask for, well under
+// NewHTTPSource's 10 s default client timeout.
+const MaxFeedWait = 5 * time.Second
 
 // SourceProvider returns the Source to feed replicas from, or nil when this
 // member is not currently a primary (the endpoints then answer 503). A
@@ -91,12 +99,24 @@ func (h *httpFeed) wal(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	after, err := strconv.ParseUint(r.URL.Query().Get("after"), 10, 64)
+	q := r.URL.Query()
+	after, err := strconv.ParseUint(q.Get("after"), 10, 64)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad after: %w", err))
 		return
 	}
-	batch, err := src.FetchWAL(after)
+	ctx := NoWait
+	if q.Has("wait") {
+		wait, err := time.ParseDuration(q.Get("wait"))
+		if err != nil || wait < 0 {
+			httpError(w, http.StatusBadRequest, fmt.Errorf("bad wait %q", q.Get("wait")))
+			return
+		}
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(r.Context(), min(wait, MaxFeedWait))
+		defer cancel()
+	}
+	batch, err := src.FetchWAL(ctx, after)
 	switch {
 	case errors.Is(err, ErrGone):
 		// 410 Gone is the wire form of ErrGone: the requested records were
@@ -156,8 +176,12 @@ func (s *HTTPSource) Base() string { return s.base }
 // get performs one feed request and hands back the body. Status mapping: 410
 // becomes ErrGone; anything else non-200 is a transport-level error carrying
 // the peer's message.
-func (s *HTTPSource) get(path string) (io.ReadCloser, error) {
-	resp, err := s.c.Get(s.base + path)
+func (s *HTTPSource) get(ctx context.Context, path string) (io.ReadCloser, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.base+path, nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := s.c.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -190,7 +214,7 @@ func readErrBody(r io.Reader) string {
 
 // FetchState implements Source.
 func (s *HTTPSource) FetchState() (*State, error) {
-	body, err := s.get(PathState)
+	body, err := s.get(context.TODO(), PathState)
 	if err != nil {
 		return nil, err
 	}
@@ -200,19 +224,40 @@ func (s *HTTPSource) FetchState() (*State, error) {
 
 // FetchWAL implements Source. A truncated-away position surfaces as ErrGone
 // (from the peer's 410); a corrupted body is rejected by the codec as
-// ErrBadRecord — both drive the replica to a full resync.
-func (s *HTTPSource) FetchWAL(after uint64) (*WALBatch, error) {
-	body, err := s.get(PathWAL + "?after=" + strconv.FormatUint(after, 10))
+// ErrBadRecord — both drive the replica to a full resync. A live ctx becomes
+// the request's wait: MaxFeedWait, or 7/8 of the time left before ctx's
+// deadline, so the peer's empty answer (which carries its epoch) arrives
+// before the deadline aborts the request. If ctx ends mid-request the batch
+// is empty with Epoch 0.
+func (s *HTTPSource) FetchWAL(ctx context.Context, after uint64) (*WALBatch, error) {
+	path := PathWAL + "?after=" + strconv.FormatUint(after, 10)
+	if ctx.Err() != nil {
+		ctx = context.Background() // one poll: the peer answers at once
+	} else {
+		wait := MaxFeedWait
+		if dl, ok := ctx.Deadline(); ok {
+			wait = min(wait, time.Until(dl)*7/8)
+		}
+		path += "&wait=" + max(wait, 0).String()
+	}
+	body, err := s.get(ctx, path)
 	if err != nil {
+		if ctx.Err() != nil {
+			return &WALBatch{}, nil
+		}
 		return nil, err
 	}
 	defer body.Close()
-	return DecodeWALBatch(body)
+	b, err := DecodeWALBatch(body)
+	if err != nil && ctx.Err() != nil {
+		return &WALBatch{}, nil
+	}
+	return b, err
 }
 
 // FetchDigest implements Source.
 func (s *HTTPSource) FetchDigest() (Digest, error) {
-	body, err := s.get(PathDigest)
+	body, err := s.get(context.TODO(), PathDigest)
 	if err != nil {
 		return Digest{}, err
 	}

@@ -11,6 +11,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -32,12 +33,22 @@ type Source interface {
 	// overlay, and snapshot.
 	FetchState() (*State, error)
 	// FetchWAL returns every record with Seq > after under the current
-	// epoch, or ErrGone if those records have been truncated.
-	FetchWAL(after uint64) (*WALBatch, error)
+	// epoch, or ErrGone if those records have been truncated. It is a long
+	// poll: it returns as soon as at least one such record exists, and an
+	// empty batch (not an error) if ctx ends first. A ctx that is already
+	// done asks for one answer without waiting. Wrappers forward ctx.
+	FetchWAL(ctx context.Context, after uint64) (*WALBatch, error)
 	// FetchDigest returns the convergence fingerprint of the peer's
 	// currently served state.
 	FetchDigest() (Digest, error)
 }
+
+// NoWait is an already-done context: FetchWAL under it answers at once.
+var NoWait = func() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}()
 
 // Primary owns mutation for a replicated serving group. Construct it over an
 // engine/server/repairer stack with NewPrimary; every snapshot the engine
@@ -51,6 +62,9 @@ type Primary struct {
 	epoch uint64
 
 	closed atomic.Bool
+	// life ends at Close, waking every parked FetchWAL.
+	life context.Context
+	end  context.CancelFunc
 }
 
 var _ Source = (*Primary)(nil)
@@ -76,6 +90,7 @@ func NewPrimaryAt(eng *serve.Engine, srv *serve.Server, rep *serve.Repairer, epo
 		log = NewLog()
 	}
 	p := &Primary{eng: eng, srv: srv, rep: rep, log: log, epoch: epoch}
+	p.life, p.end = context.WithCancel(context.Background())
 	eng.SetPublishHook(p.onPublish)
 	return p, nil
 }
@@ -95,11 +110,12 @@ func (p *Primary) Repairer() *serve.Repairer { return p.rep }
 // Log exposes the primary's WAL (for truncation policy and tests).
 func (p *Primary) Log() *Log { return p.log }
 
-// Close detaches the publish hook. It does not close the underlying stack,
-// which the caller owns.
+// Close detaches the publish hook and wakes every parked FetchWAL with
+// ErrClosed. It does not close the underlying stack, which the caller owns.
 func (p *Primary) Close() {
 	if p.closed.CompareAndSwap(false, true) {
 		p.eng.SetPublishHook(nil)
+		p.end()
 	}
 }
 
@@ -203,12 +219,19 @@ func (p *Primary) FetchState() (*State, error) {
 	}, nil
 }
 
-// FetchWAL implements Source.
-func (p *Primary) FetchWAL(after uint64) (*WALBatch, error) {
+// FetchWAL implements Source: it parks on the log's change signal until a
+// record past after is appended, ctx ends, or Close wakes it.
+func (p *Primary) FetchWAL(ctx context.Context, after uint64) (*WALBatch, error) {
 	if p.closed.Load() {
 		return nil, ErrClosed
 	}
-	recs, err := p.log.Since(after)
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	defer context.AfterFunc(p.life, cancel)()
+	recs, err := p.log.Wait(ctx, after)
+	if p.closed.Load() {
+		return nil, ErrClosed
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -11,6 +11,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -21,29 +22,32 @@ import (
 	"routetab/internal/serve"
 )
 
+const (
+	// feedSafetyWait caps one parked FetchWAL of the sync loop. Appends wake
+	// the fetch; the cap only bounds how long a replica goes without hearing
+	// its source's epoch when nothing is appended.
+	feedSafetyWait = time.Second
+	// syncBackoffBase and syncBackoffCap pace the sync loop's retries after
+	// consecutive failures (transport errors during a partition, resync
+	// failures against a dead source): delays double from the base up to the
+	// cap, with ±25% jitter so healed replicas do not retry in lockstep.
+	syncBackoffBase = 2 * time.Millisecond
+	syncBackoffCap  = 32 * syncBackoffBase
+)
+
 // ReplicaOptions configures JoinReplica.
 type ReplicaOptions struct {
 	// Server configures the replica's local lookup server.
 	Server serve.ServerOptions
-	// SyncInterval paces the background Sync loop started by Start
-	// (default 2ms).
-	SyncInterval time.Duration
-	// SyncBackoffCap bounds the exponential backoff the sync loop applies
-	// after consecutive Sync failures (transport errors during a partition,
-	// resync failures against a dead source). Delays double from SyncInterval
-	// up to this cap, with ±25% jitter so healed replicas do not retry in
-	// lockstep. Default 32×SyncInterval.
-	SyncBackoffCap time.Duration
 }
 
 // Replica is a follower: it serves lookups from its own engine and keeps
 // that engine converged with a Source by WAL replay.
 type Replica struct {
-	src  Source
-	eng  *serve.Engine
-	srv  *serve.Server
-	rep  *serve.Repairer
-	opts ReplicaOptions
+	src Source
+	eng *serve.Engine
+	srv *serve.Server
+	rep *serve.Repairer
 
 	mu      sync.Mutex
 	epoch   uint64
@@ -51,10 +55,13 @@ type Replica struct {
 	applied uint64 // records replayed
 	resyncs uint64 // full state fetches after bootstrap
 	lastLag uint64 // records behind the source at the start of the last Sync
+	fetches uint64 // FetchWAL calls
+	empty   uint64 // FetchWAL calls that returned no records and no error
 
-	stop chan struct{}
+	// life ends at Close or Promote, cancelling the sync loop's parked fetch.
+	life context.Context
+	end  context.CancelFunc
 	wg   sync.WaitGroup
-	once sync.Once
 }
 
 // JoinReplica bootstraps a replica from src: fetch full state, build an
@@ -62,12 +69,6 @@ type Replica struct {
 // caller should then call Start (or drive Sync directly) to keep it
 // converged, and Close when done.
 func JoinReplica(src Source, opts ReplicaOptions) (*Replica, error) {
-	if opts.SyncInterval <= 0 {
-		opts.SyncInterval = 2 * time.Millisecond
-	}
-	if opts.SyncBackoffCap <= 0 {
-		opts.SyncBackoffCap = 32 * opts.SyncInterval
-	}
 	st, err := src.FetchState()
 	if err != nil {
 		return nil, fmt.Errorf("cluster: join: %w", err)
@@ -79,10 +80,10 @@ func JoinReplica(src Source, opts ReplicaOptions) (*Replica, error) {
 	srv := serve.NewServer(eng, opts.Server)
 	rep := serve.NewRepairer(srv, serve.RepairOptions{Passive: true})
 	r := &Replica{
-		src: src, eng: eng, srv: srv, rep: rep, opts: opts,
+		src: src, eng: eng, srv: srv, rep: rep,
 		epoch: st.Epoch, walSeq: st.WalSeq,
-		stop: make(chan struct{}),
 	}
+	r.life, r.end = context.WithCancel(context.Background())
 	if err := r.applyOverlay(st.DownLinks, st.DownNodes); err != nil {
 		r.Close()
 		return nil, fmt.Errorf("cluster: join: %w", err)
@@ -120,6 +121,15 @@ func (r *Replica) Stats() (applied, resyncs, lastLag uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.applied, r.resyncs, r.lastLag
+}
+
+// Fetches returns how many FetchWAL calls the replica made and how many of
+// them came back empty without an error — the long polls that ran out their
+// wait, and the polls of a hand-driven Sync with nothing new.
+func (r *Replica) Fetches() (calls, empty uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.fetches, r.empty
 }
 
 // Digest returns the replica's convergence fingerprint.
@@ -174,26 +184,44 @@ func (r *Replica) applyOverlay(links [][2]int, nodes []int) error {
 	return nil
 }
 
-// Sync performs one replication round: fetch records after the current
-// position and replay them. Gap, epoch change, corruption, or divergence
-// triggers a full Resync. Transport errors are returned to the caller (the
-// source is unreachable — a partition — and the replica keeps serving its
-// last applied state).
+// Sync performs one replication round without waiting: fetch records after
+// the current position and replay them. Gap, epoch change, corruption, or
+// divergence triggers a full Resync. Transport errors are returned to the
+// caller (the source is unreachable — a partition — and the replica keeps
+// serving its last applied state).
 func (r *Replica) Sync() error {
+	_, err := r.sync(NoWait)
+	return err
+}
+
+// sync is Sync with its fetch parked on the source until a record arrives or
+// ctx ends. It reports whether the source answered under the replica's epoch
+// and every record applied, which proves the position current.
+func (r *Replica) sync(ctx context.Context) (bool, error) {
 	r.mu.Lock()
 	after := r.walSeq
 	epoch := r.epoch
+	r.fetches++
 	r.mu.Unlock()
 
-	batch, err := r.src.FetchWAL(after)
+	batch, err := r.src.FetchWAL(ctx, after)
 	if err != nil {
 		if errors.Is(err, ErrGone) || errors.Is(err, ErrBadRecord) {
-			return r.Resync()
+			return false, r.Resync()
 		}
-		return err
+		return false, err
+	}
+	if len(batch.Records) == 0 {
+		r.mu.Lock()
+		r.empty++
+		r.mu.Unlock()
+		if batch.Epoch == 0 {
+			// The wait ended before the source answered.
+			return false, nil
+		}
 	}
 	if batch.Epoch != epoch {
-		return r.Resync()
+		return false, r.Resync()
 	}
 	r.mu.Lock()
 	r.lastLag = uint64(len(batch.Records))
@@ -201,10 +229,10 @@ func (r *Replica) Sync() error {
 	for _, rec := range batch.Records {
 		if rec.Seq != after+1 {
 			// Dense-sequence violation inside a batch: treat as corruption.
-			return r.Resync()
+			return false, r.Resync()
 		}
 		if err := r.apply(rec); err != nil {
-			return r.Resync()
+			return false, r.Resync()
 		}
 		after = rec.Seq
 		r.mu.Lock()
@@ -212,7 +240,7 @@ func (r *Replica) Sync() error {
 		r.applied++
 		r.mu.Unlock()
 	}
-	return nil
+	return true, nil
 }
 
 // apply replays one record. An error means divergence and must trigger a
@@ -300,38 +328,50 @@ func (r *Replica) Resync() error {
 	return nil
 }
 
-// Start launches the background sync loop. Transport errors are retried with
-// jittered exponential backoff (SyncInterval doubling up to SyncBackoffCap)
-// instead of hammering a partitioned source at full tick rate; the replica
-// serves stale-but-correct answers meanwhile and the first success resets the
-// pace.
+// Start launches the background sync loop: each round parks a fetch on the
+// source until a record is appended (or feedSafetyWait passes) and applies
+// what it returns, so a record is applied as soon as it is appended instead
+// of on the next tick. A round that ends without proving the position
+// current — a failure, a resync, or an answer without an epoch (the fetch's
+// source was retargeted under it) — is followed by one fetch that does not
+// wait, so an epoch change is seen at once instead of after the safety wait.
+// Failures are retried with jittered exponential backoff (syncBackoffBase
+// doubling up to syncBackoffCap) instead of hammering a partitioned source;
+// the replica serves stale-but-correct answers meanwhile and the first
+// success resets the pace.
 func (r *Replica) Start() {
 	r.wg.Add(1)
 	go func() {
 		defer r.wg.Done()
 		failures := 0
-		t := time.NewTimer(r.opts.SyncInterval)
-		defer t.Stop()
-		for {
+		poll := false
+		for r.life.Err() == nil {
+			ctx, cancel := context.WithTimeout(r.life, feedSafetyWait)
+			if poll {
+				ctx = NoWait
+			}
+			current, err := r.sync(ctx)
+			poll = !current
+			cancel()
+			if err == nil {
+				failures = 0
+				continue
+			}
+			failures++
+			t := time.NewTimer(backoffDelay(syncBackoffBase, syncBackoffCap, failures, rand.Float64()))
 			select {
-			case <-r.stop:
+			case <-r.life.Done():
+				t.Stop()
 				return
 			case <-t.C:
-				if err := r.Sync(); err != nil {
-					failures++
-				} else {
-					failures = 0
-				}
-				t.Reset(backoffDelay(r.opts.SyncInterval, r.opts.SyncBackoffCap, failures, rand.Float64()))
 			}
 		}
 	}()
 }
 
-// backoffDelay returns the pause before the next sync attempt: base while
-// healthy (failures == 0, no jitter — the steady-state pace is exact), else
-// base·2^failures capped at max, scaled by ±25% jitter with unit ∈ [0,1).
-// Pure so the bound is unit-testable.
+// backoffDelay returns the pause before the next sync attempt: base with no
+// jitter when failures == 0, else base·2^failures capped at max, scaled by
+// ±25% jitter with unit ∈ [0,1). Pure so the bound is unit-testable.
 func backoffDelay(base, max time.Duration, failures int, unit float64) time.Duration {
 	if failures <= 0 {
 		return base
@@ -346,9 +386,10 @@ func backoffDelay(base, max time.Duration, failures int, unit float64) time.Dura
 	return time.Duration(float64(d) * (0.75 + 0.5*unit))
 }
 
-// Close stops the sync loop and the replica's serving stack.
+// Close stops the sync loop, cancelling its parked fetch, and the replica's
+// serving stack.
 func (r *Replica) Close() {
-	r.once.Do(func() { close(r.stop) })
+	r.end()
 	r.wg.Wait()
 	r.rep.Close()
 	r.srv.Close()
@@ -362,7 +403,7 @@ func (r *Replica) Close() {
 // dead or demoted); the replica's server and engine live on inside the
 // returned Primary.
 func (r *Replica) Promote() (*Primary, error) {
-	r.once.Do(func() { close(r.stop) })
+	r.end()
 	r.wg.Wait()
 	r.rep.Activate()
 	p, err := NewPrimary(r.eng, r.srv, r.rep, r.Epoch()+1)

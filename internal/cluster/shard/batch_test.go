@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"errors"
 	"maps"
 	"math/rand"
@@ -93,7 +94,7 @@ type splitGate struct {
 	release chan struct{}
 }
 
-func (s splitGate) FetchWAL(after uint64) (*cluster.WALBatch, error) {
+func (s splitGate) FetchWAL(ctx context.Context, after uint64) (*cluster.WALBatch, error) {
 	s.mu.Lock()
 	armed := *s.armed
 	*s.armed = false
@@ -102,7 +103,7 @@ func (s splitGate) FetchWAL(after uint64) (*cluster.WALBatch, error) {
 		close(s.entered)
 		<-s.release
 	}
-	return s.Source.FetchWAL(after)
+	return s.Source.FetchWAL(ctx, after)
 }
 
 // frontLike builds a fresh front over c's group routers with map m (the

@@ -12,6 +12,7 @@ package shard
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -61,10 +62,26 @@ func (o *ClusterOptions) setDefaults() {
 }
 
 // retargetableSource lets a replica's feed follow a promotion: the cluster
-// repoints survivors at the new primary without rejoining them.
+// repoints survivors at the new primary without rejoining them. A fetch
+// parked on the old target is woken by set and answers an empty batch with
+// Epoch 0 (no answer: the old target's epoch is moot), and the first fetch
+// after set does not wait: the new primary may sit at the very position the
+// replica holds under the old epoch, where a parked fetch would not learn the
+// epoch until its wait ran out.
 type retargetableSource struct {
 	mu     sync.Mutex
 	target cluster.Source
+	// retarget ends when set replaces target; every fetch parked on target
+	// is bound to it.
+	retarget context.Context
+	moved    context.CancelFunc
+	fresh    bool // target has not been fetched from since set
+}
+
+func newRetargetableSource(t cluster.Source) *retargetableSource {
+	s := &retargetableSource{target: t}
+	s.retarget, s.moved = context.WithCancel(context.Background())
+	return s
 }
 
 func (s *retargetableSource) get() cluster.Source {
@@ -76,14 +93,30 @@ func (s *retargetableSource) get() cluster.Source {
 func (s *retargetableSource) set(t cluster.Source) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.target = t
+	s.target, s.fresh = t, true
+	s.moved()
+	s.retarget, s.moved = context.WithCancel(context.Background())
 }
 
-func (s *retargetableSource) FetchState() (*cluster.State, error) { return s.get().FetchState() }
-func (s *retargetableSource) FetchWAL(after uint64) (*cluster.WALBatch, error) {
-	return s.get().FetchWAL(after)
-}
+func (s *retargetableSource) FetchState() (*cluster.State, error)  { return s.get().FetchState() }
 func (s *retargetableSource) FetchDigest() (cluster.Digest, error) { return s.get().FetchDigest() }
+
+func (s *retargetableSource) FetchWAL(ctx context.Context, after uint64) (*cluster.WALBatch, error) {
+	s.mu.Lock()
+	t, retarget := s.target, s.retarget
+	if s.fresh {
+		s.fresh, ctx = false, cluster.NoWait
+	}
+	s.mu.Unlock()
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	defer context.AfterFunc(retarget, cancel)()
+	b, err := t.FetchWAL(ctx, after)
+	if retarget.Err() != nil {
+		return &cluster.WALBatch{}, nil
+	}
+	return b, err
+}
 
 // localBackend answers lookups straight off a member's in-process server.
 type localBackend struct {
@@ -211,7 +244,7 @@ func (c *Cluster) newGroup(id int, eng *serve.Engine) (*Group, error) {
 	grp.members = append(grp.members, &member{name: pname, srv: srv, backend: c.wrapBackend(id, pname, srv)})
 	for i := 0; i < c.opts.Replicas; i++ {
 		name := fmt.Sprintf("g%d-m%d", id, i+1)
-		src := &retargetableSource{target: p}
+		src := newRetargetableSource(p)
 		var feed cluster.Source = src
 		if c.opts.WrapSource != nil {
 			feed = c.opts.WrapSource(id, name, feed)
@@ -509,7 +542,7 @@ func (c *Cluster) Split(srcID int) (int, error) {
 // records it consumed. Publications at or below the already-transferred
 // snapshot are skipped idempotently.
 func (c *Cluster) catchUp(eng *serve.Engine, src *cluster.Primary, walSeq, snapSeq *uint64) (int, error) {
-	batch, err := src.FetchWAL(*walSeq)
+	batch, err := src.FetchWAL(cluster.NoWait, *walSeq)
 	if err != nil {
 		return 0, fmt.Errorf("shard: split: WAL catch-up: %w", err)
 	}

@@ -17,6 +17,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -375,7 +376,10 @@ func verifyPublish(rec Record, snap *serve.Snapshot) error {
 
 // WALBatch is a contiguous run of records fetched from a primary, stamped
 // with the primary's epoch so a replica detects promotion (epoch change →
-// its log position is meaningless → full resync).
+// its log position is meaningless → full resync). Epoch is 0 only on an
+// empty batch that carries no answer — the caller's context ended before a
+// remote peer answered, or the feed was repointed mid-fetch — and says
+// nothing about any epoch.
 type WALBatch struct {
 	Epoch   uint64
 	Records []Record
@@ -541,12 +545,19 @@ func DecodeState(r io.Reader) (*State, error) {
 // availability beats durability: the in-memory log keeps serving, journaling
 // wedges permanently (so the on-disk WAL stays a dense prefix), and a dirty
 // marker forces the next recovery to bump the epoch instead of resuming.
+//
+// Wait is the long-poll half of the feed: a waiter parks on changed, which
+// Append closes (and drops, so the next waiter makes a fresh one). A waiter
+// reads the log and takes changed under the same mu, so an append between
+// the read and the park always closes the channel it parks on.
 type Log struct {
 	mu   sync.Mutex
 	recs []Record
 	// base is the seq of recs[0]−1: records 1…base have been truncated away.
 	base uint64
 	last uint64
+	// changed is nil while nobody waits.
+	changed chan struct{}
 
 	store         *walstore.Store
 	storeFailures uint64
@@ -610,6 +621,10 @@ func (l *Log) Append(rec Record) uint64 {
 		}
 	}
 	l.recs = append(l.recs, rec)
+	if l.changed != nil {
+		close(l.changed)
+		l.changed = nil
+	}
 	return rec.Seq
 }
 
@@ -688,6 +703,36 @@ func (l *Log) LastSeq() uint64 {
 func (l *Log) Since(after uint64) ([]Record, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.sinceLocked(after)
+}
+
+// Wait is Since that parks until at least one record exists past after. If
+// ctx ends first it returns no records and no error; a ctx that is already
+// done makes it a plain Since. A position past the frontier (a caller that
+// followed another log) also returns at once, so the caller learns the
+// epoch instead of parking on records it would never be sent.
+func (l *Log) Wait(ctx context.Context, after uint64) ([]Record, error) {
+	for {
+		l.mu.Lock()
+		recs, err := l.sinceLocked(after)
+		if err != nil || len(recs) > 0 || after > l.last || ctx.Err() != nil {
+			l.mu.Unlock()
+			return recs, err
+		}
+		if l.changed == nil {
+			l.changed = make(chan struct{})
+		}
+		changed := l.changed
+		l.mu.Unlock()
+		select {
+		case <-changed:
+		case <-ctx.Done():
+			return nil, nil
+		}
+	}
+}
+
+func (l *Log) sinceLocked(after uint64) ([]Record, error) {
 	if after < l.base {
 		return nil, fmt.Errorf("%w: have %d…%d, asked after %d", ErrGone, l.base+1, l.last, after)
 	}

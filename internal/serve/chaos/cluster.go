@@ -92,8 +92,8 @@ type clusterTier struct {
 	// rebuilds are ~100× heavier than the full tier's at n=256, so
 	// partitions and the kill window cost proportionally more.
 	budget float64
-	// syncInterval paces replica WAL pulls and settle polls.
-	syncInterval time.Duration
+	// settlePoll paces settle's convergence checks.
+	settlePoll time.Duration
 	// settle bounds every wait for the replicas to catch up.
 	settle time.Duration
 	// churnBurst is the churn rounds a churn phase publishes.
@@ -102,9 +102,9 @@ type clusterTier struct {
 
 var clusterTiers = map[string]clusterTier{
 	serve.TierFull: {n: 64, workers: 6, lookups: 120_000, budget: 0.01,
-		syncInterval: 300 * time.Microsecond, settle: 2 * time.Second, churnBurst: 2},
+		settlePoll: 300 * time.Microsecond, settle: 2 * time.Second, churnBurst: 2},
 	serve.TierTables: {n: 4096, workers: 4, lookups: 20_000, budget: 0.02,
-		syncInterval: time.Millisecond, settle: 10 * time.Second, churnBurst: 1},
+		settlePoll: time.Millisecond, settle: 10 * time.Second, churnBurst: 1},
 }
 
 // ClusterReport is one cluster chaos run's graded outcome. Strict counts
@@ -143,8 +143,11 @@ type ClusterReport struct {
 	RecoveryResyncs uint64 `json:"recovery_resyncs"` // full resyncs caused by the restart (must be 0)
 
 	// Space figures: ResyncBytes is the encoded state a joining or resyncing
-	// member actually receives; MatrixBytes is the n² one-byte-per-pair
-	// packed matrix a full-tier resync ships and the tables tier avoids.
+	// member actually receives; MatrixBytes is n², the one-byte-per-pair
+	// packed distance matrix the tables tier never materialises. n² is only a
+	// lower bound on what a full-tier resync ships: that is the whole arena
+	// (matrix, ports and scheme tables), so a full-tier run's ResyncBytes is
+	// the figure to compare against.
 	SnapshotBytes int    `json:"snapshot_bytes"`
 	ResyncBytes   int    `json:"resync_bytes"`
 	MatrixBytes   uint64 `json:"matrix_bytes"`
@@ -296,10 +299,7 @@ func RunCluster(cfg ClusterConfig) (*ClusterReport, error) {
 
 	for i := 0; i < cfg.Replicas; i++ {
 		cs := &chaosSource{target: p, gate: &gate{}, rng: rand.New(rand.NewSource(cfg.Seed*7919 + int64(i)))}
-		r, err := cluster.JoinReplica(cs, cluster.ReplicaOptions{
-			Server:       h.srvOpts,
-			SyncInterval: tier.syncInterval,
-		})
+		r, err := cluster.JoinReplica(cs, cluster.ReplicaOptions{Server: h.srvOpts})
 		if err != nil {
 			return nil, fmt.Errorf("chaos: replica %d join: %w", i, err)
 		}
@@ -489,7 +489,7 @@ func flipEdge(p *cluster.Primary, round int) error {
 // counting a wait that runs out its deadline (convergence is verified for
 // real at quiesce).
 func (h *clusterHarness) settle() {
-	if !waitUntil(h.tier.settle, h.tier.syncInterval, func() bool {
+	if !waitUntil(h.tier.settle, h.tier.settlePoll, func() bool {
 		sampleLag(&h.maxLag, h.replicas)
 		pd, err := h.primary.FetchDigest()
 		if err != nil {
@@ -732,7 +732,8 @@ func (h *clusterHarness) quiesce(elapsed time.Duration, phaseErr error) (*Cluste
 	spot, firstSpotErr := spotTotals(h.graders)
 
 	// Resync economics: what a joining member receives on this tier versus
-	// the n² matrix a full-tier resync at the same n has to ship.
+	// the n² matrix, a lower bound on what a full-tier resync at the same n
+	// ships.
 	resyncBytes := 0
 	if st, err := h.primary.FetchState(); err == nil {
 		var buf bytes.Buffer

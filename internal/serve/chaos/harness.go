@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -487,14 +488,18 @@ type chaosSource struct {
 	target      cluster.Source
 	gate        *gate
 	feedDown    atomic.Bool // severs replication only, not client traffic
+	fresh       bool        // target has not been fetched from since setTarget
 	corruptNext bool
 	corrupted   int
 	rng         *rand.Rand
 }
 
+// setTarget repoints the feed. The first fetch after it does not wait: the
+// new target may sit at the replica's position under another epoch, where a
+// parked fetch would learn the epoch only when its wait ran out.
 func (cs *chaosSource) setTarget(s cluster.Source) {
 	cs.mu.Lock()
-	cs.target = s
+	cs.target, cs.fresh = s, true
 	cs.mu.Unlock()
 }
 
@@ -511,8 +516,11 @@ func (cs *chaosSource) corruptions() int {
 	return cs.corrupted
 }
 
+// cut reports whether the replica is partitioned from its feed.
+func (cs *chaosSource) cut() bool { return cs.gate.down.Load() || cs.feedDown.Load() }
+
 func (cs *chaosSource) current() (cluster.Source, error) {
-	if cs.gate.down.Load() || cs.feedDown.Load() {
+	if cs.cut() {
 		return nil, errUnreachable
 	}
 	cs.mu.Lock()
@@ -536,12 +544,23 @@ func (cs *chaosSource) FetchState() (*cluster.State, error) {
 	return cluster.DecodeState(&buf)
 }
 
-func (cs *chaosSource) FetchWAL(after uint64) (*cluster.WALBatch, error) {
-	t, err := cs.current()
-	if err != nil {
-		return nil, err
+// FetchWAL forwards ctx and re-checks the gate after the (possibly parked)
+// fetch returns: a partition that came down while the fetch waited must not
+// leak the records appended behind it.
+func (cs *chaosSource) FetchWAL(ctx context.Context, after uint64) (*cluster.WALBatch, error) {
+	if cs.cut() {
+		return nil, errUnreachable
 	}
-	b, err := t.FetchWAL(after)
+	cs.mu.Lock()
+	t := cs.target
+	if cs.fresh {
+		cs.fresh, ctx = false, cluster.NoWait
+	}
+	cs.mu.Unlock()
+	b, err := t.FetchWAL(ctx, after)
+	if cs.cut() {
+		return nil, errUnreachable
+	}
 	if err != nil {
 		return nil, err
 	}

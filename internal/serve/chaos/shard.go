@@ -244,7 +244,6 @@ func RunShard(cfg ShardConfig) (*ShardReport, error) {
 	c, err := shard.NewCluster(g, m, shard.ClusterOptions{
 		Replicas: cfg.Replicas,
 		Server:   serve.ServerOptions{Shards: 2, QueueCap: cfg.Workers * 4, StretchSampleEvery: -1},
-		Replica:  cluster.ReplicaOptions{SyncInterval: shardSyncInterval},
 		GroupRouter: cluster.RouterOptions{
 			HedgeAfter: 500 * time.Microsecond,
 			ProbeAfter: 2 * time.Millisecond,
