@@ -20,7 +20,7 @@
 //	                                self-healing rebuild off-path)
 //
 // With -persist FILE every published snapshot is also saved through an
-// atomic checksummed binary file (the RTARENA1 flat arena: one contiguous
+// atomic checksummed binary file (the RTARENA3 flat arena: one contiguous
 // read restores it zero-copy); on startup the daemon warm-boots from it
 // (same Seq, byte-identical tables, no cold rebuild) when the file matches
 // the requested scheme. Overload rejections carry a Retry-After header and

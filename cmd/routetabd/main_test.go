@@ -224,10 +224,12 @@ func TestPersistWarmBoot(t *testing.T) {
 	}
 }
 
-// TestRTSNAP1FileColdBuilds: the retired RTSNAP1 snapshot layout no longer
-// decodes — a well-formed RTSNAP1 file fails with ErrBadSnapshotFile on both
-// the stream and the file path — and a daemon whose -persist file holds one
-// cold-builds and overwrites it with an arena.
+// TestRTSNAP1FileColdBuilds: the retired snapshot layouts no longer decode —
+// a well-formed RTSNAP1 file, and the checked-in RTARENA1 (full tier) and
+// RTARENA2 (tables tier) files, whose arenas still stored the port
+// assignment, each fail with ErrBadSnapshotFile on both the stream and the
+// file path — and a daemon whose -persist file holds one cold-builds and
+// overwrites it with an arena.
 func TestRTSNAP1FileColdBuilds(t *testing.T) {
 	g, err := gengraph.GnHalf(32, rand.New(rand.NewSource(1)))
 	if err != nil {
@@ -255,36 +257,45 @@ func TestRTSNAP1FileColdBuilds(t *testing.T) {
 			ports = le.AppendUint32(ports, uint32(v))
 		}
 	}
-	var old bytes.Buffer
-	old.WriteString("RTSNAP1\n")
+	var rtsnap1 bytes.Buffer
+	rtsnap1.WriteString("RTSNAP1\n")
 	for _, f := range []struct {
 		tag     string
 		payload []byte
 	}{{"HEAD", head}, {"EGRF", egrf}, {"PORT", ports}, {"DIST", cur.Dist.Packed()}} {
-		if err := serve.WriteFrame(&old, [4]byte([]byte(f.tag)), f.payload); err != nil {
+		if err := serve.WriteFrame(&rtsnap1, [4]byte([]byte(f.tag)), f.payload); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := serve.DecodeSnapshot(bytes.NewReader(old.Bytes())); !errors.Is(err, serve.ErrBadSnapshotFile) {
-		t.Fatalf("stream decode: err = %v, want ErrBadSnapshotFile", err)
+	olds := map[string][]byte{"RTSNAP1": rtsnap1.Bytes()}
+	for _, name := range []string{"rtarena1_n16_seed2_fulltable", "rtarena2_n32_seed2_landmark"} {
+		b, err := os.ReadFile("testdata/" + name + ".rtarena")
+		if err != nil {
+			t.Fatal(err)
+		}
+		olds[name] = b
 	}
-	dir := t.TempDir()
-	snap := dir + "/snap.rtsnap"
-	if err := os.WriteFile(snap, old.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := serve.LoadSnapshot(snap); !errors.Is(err, serve.ErrBadSnapshotFile) {
-		t.Fatalf("file load: err = %v, want ErrBadSnapshotFile", err)
-	}
-	log, err := openEngineLog(t, "-n", "32", "-seed", "1", "-scheme", "fulltable", "-persist", snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(log, "cold-building") {
-		t.Fatalf("daemon did not cold-build: %s", log)
-	}
-	if _, err := serve.LoadSnapshot(snap); err != nil {
-		t.Fatalf("persist file not rewritten as an arena: %v", err)
+	for name, old := range olds {
+		if _, err := serve.DecodeSnapshot(bytes.NewReader(old)); !errors.Is(err, serve.ErrBadSnapshotFile) {
+			t.Fatalf("%s: stream decode: err = %v, want ErrBadSnapshotFile", name, err)
+		}
+		snap := t.TempDir() + "/snap.rtsnap"
+		if err := os.WriteFile(snap, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := serve.LoadSnapshot(snap); !errors.Is(err, serve.ErrBadSnapshotFile) {
+			t.Fatalf("%s: file load: err = %v, want ErrBadSnapshotFile", name, err)
+		}
+		log, err := openEngineLog(t, "-n", "32", "-seed", "1", "-scheme", "fulltable", "-persist", snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(log, "cold-building") {
+			t.Fatalf("%s: daemon did not cold-build: %s", name, log)
+		}
+		if _, err := serve.LoadSnapshot(snap); err != nil {
+			t.Fatalf("%s: persist file not rewritten as an arena: %v", name, err)
+		}
 	}
 }
 

@@ -160,7 +160,7 @@ func TestTablesTierReplicaFollowsMutations(t *testing.T) {
 }
 
 // TestTablesTierResyncAfterTruncation: a lagging tables-tier replica falls
-// back to an RTARENA2 full state fetch and still converges byte-identically.
+// back to a tables-tier full state fetch and still converges byte-identically.
 func TestTablesTierResyncAfterTruncation(t *testing.T) {
 	p := testTablesPrimary(t, 48, 11)
 	r, err := JoinReplica(p, ReplicaOptions{})
@@ -368,7 +368,7 @@ func TestFullTierIncrementalRebuilds(t *testing.T) {
 			want := ref.Current()
 			arena := func(s *serve.Snapshot) []byte {
 				return serve.EncodeArena(&serve.SnapshotData{
-					Seq: cur.Seq, Scheme: s.Scheme, Graph: s.Graph, Ports: s.Ports, Dist: s.Dist,
+					Seq: cur.Seq, Scheme: s.Scheme, Graph: s.Graph, Dist: s.Dist,
 				})
 			}
 			if !bytes.Equal(arena(cur), arena(want)) {

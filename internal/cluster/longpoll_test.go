@@ -242,3 +242,36 @@ func TestLogWaitReturnsEarly(t *testing.T) {
 		t.Fatalf("expired wait: %d records, err %v", len(recs), err)
 	}
 }
+
+// TestConcurrentSyncsApplyOnce: hand-driven Sync calls racing a started
+// replica's loop — what a shard split's post-cutover Sync, SyncAll and a
+// gate's quiesce do — apply each record once. Three Syncs race the loop
+// after every toggle; the replica must never resync and must end converged.
+func TestConcurrentSyncsApplyOnce(t *testing.T) {
+	p := testTablesPrimary(t, 64, 3)
+	r, err := JoinReplica(p, ReplicaOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	r.Start()
+	e := absentEdge(t, p)
+	for i := 0; i < 200; i++ {
+		toggleEdge(t, p, e)
+		var wg sync.WaitGroup
+		for k := 0; k < 3; k++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_ = r.Sync()
+			}()
+		}
+		wg.Wait()
+	}
+	want := p.Log().LastSeq()
+	waitFor(t, "the replica to apply every record", func() bool { return r.WalSeq() == want })
+	if _, resyncs, _ := r.Stats(); resyncs != 0 {
+		t.Fatalf("%d resyncs, want 0", resyncs)
+	}
+	requireConverged(t, p, r)
+}

@@ -213,8 +213,7 @@ func (p *Primary) FetchState() (*State, error) {
 		DownLinks: links,
 		DownNodes: nodes,
 		Snap: &serve.SnapshotData{
-			Seq: cur.Seq, Scheme: cur.Scheme, Graph: cur.Graph, Ports: cur.Ports,
-			Dist: cur.Dist, Tables: cur.TablesBytes(),
+			Seq: cur.Seq, Scheme: cur.Scheme, Graph: cur.Graph, Dist: cur.Dist, Tables: cur.TablesBytes(),
 		},
 	}, nil
 }

@@ -49,6 +49,9 @@ type Replica struct {
 	srv *serve.Server
 	rep *serve.Repairer
 
+	// replay serialises whole replication rounds' apply and resync steps;
+	// mu guards the fields below it and is never held across a fetch.
+	replay  sync.Mutex
 	mu      sync.Mutex
 	epoch   uint64
 	walSeq  uint64
@@ -197,10 +200,14 @@ func (r *Replica) Sync() error {
 // sync is Sync with its fetch parked on the source until a record arrives or
 // ctx ends. It reports whether the source answered under the replica's epoch
 // and every record applied, which proves the position current.
+//
+// Rounds may run concurrently (Start's loop and a caller's Sync), so the
+// fetch runs unlocked but the batch applies under the replay lock, from the
+// position and epoch read under it: records a concurrent round applied
+// meanwhile are skipped.
 func (r *Replica) sync(ctx context.Context) (bool, error) {
 	r.mu.Lock()
 	after := r.walSeq
-	epoch := r.epoch
 	r.fetches++
 	r.mu.Unlock()
 
@@ -220,23 +227,31 @@ func (r *Replica) sync(ctx context.Context) (bool, error) {
 			return false, nil
 		}
 	}
+	r.replay.Lock()
+	defer r.replay.Unlock()
+	r.mu.Lock()
+	pos, epoch := r.walSeq, r.epoch
+	r.mu.Unlock()
 	if batch.Epoch != epoch {
-		return false, r.Resync()
+		return false, r.resync()
 	}
 	r.mu.Lock()
 	r.lastLag = uint64(len(batch.Records))
 	r.mu.Unlock()
 	for _, rec := range batch.Records {
-		if rec.Seq != after+1 {
+		if rec.Seq <= pos {
+			continue
+		}
+		if rec.Seq != pos+1 {
 			// Dense-sequence violation inside a batch: treat as corruption.
-			return false, r.Resync()
+			return false, r.resync()
 		}
 		if err := r.apply(rec); err != nil {
-			return false, r.Resync()
+			return false, r.resync()
 		}
-		after = rec.Seq
+		pos = rec.Seq
 		r.mu.Lock()
-		r.walSeq = after
+		r.walSeq = pos
 		r.applied++
 		r.mu.Unlock()
 	}
@@ -308,6 +323,13 @@ func (r *Replica) apply(rec Record) error {
 // path for truncation gaps, epoch changes (promotion), and corruption. The
 // replica keeps serving throughout — Adopt swaps the snapshot atomically.
 func (r *Replica) Resync() error {
+	r.replay.Lock()
+	defer r.replay.Unlock()
+	return r.resync()
+}
+
+// resync is Resync with the replay lock held.
+func (r *Replica) resync() error {
 	st, err := r.src.FetchState()
 	if err != nil {
 		return fmt.Errorf("cluster: resync: %w", err)

@@ -462,9 +462,9 @@ type State struct {
 }
 
 // EncodeState frames a State: CHDR (epoch, wal seq), OVLY (overlay), then
-// the snapshot as one contiguous RTARENA1 arena — a bootstrapping replica
-// receives the O(n²) payload as a single CRC-guarded buffer and adopts its
-// distance matrix in place. DecodeState accepts arena bodies only.
+// the snapshot as one contiguous arena — a bootstrapping replica receives
+// the payload (the O(n²) matrix or the scheme tables) as a single
+// CRC-guarded buffer and adopts it in place. DecodeState accepts arena bodies only.
 func EncodeState(w io.Writer, st *State) error {
 	var hdr bytes.Buffer
 	var tmp [binary.MaxVarintLen64]byte

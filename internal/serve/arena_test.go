@@ -3,126 +3,123 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
-	"math/rand"
 	"os"
-	"slices"
 	"testing"
-
-	"routetab/internal/gengraph"
-	"routetab/internal/graph"
 )
 
-func snapshotData(t *testing.T, n int, seed int64, scheme string) *SnapshotData {
-	t.Helper()
-	snap := buildTestEngine(t, n, seed, scheme).Current()
-	return &SnapshotData{
-		Seq:    snap.Seq,
-		Scheme: snap.Scheme,
-		Graph:  snap.Graph,
-		Ports:  snap.Ports,
-		Dist:   snap.Dist,
+// arenaCase is one snapshot the arena tests encode. Every property is
+// checked on one case per tier.
+type arenaCase struct {
+	name   string
+	snap   *Snapshot
+	golden string // the checked-in encoding
+}
+
+func arenaCases(tb testing.TB) []arenaCase {
+	tb.Helper()
+	return []arenaCase{
+		{"full", buildTestEngine(tb, 16, 2, "fulltable").Current(), "testdata/arena_n16_seed2_fulltable.rtarena"},
+		{"tables", tieredEngine(tb, 32, 2).Current(), "testdata/arena_n32_seed2_landmark.rtarena"},
 	}
+}
+
+// payload returns the bytes an arena's DATA section carries for sd.
+func payload(sd *SnapshotData) []byte {
+	if sd.Dist != nil {
+		return sd.Dist.Packed()
+	}
+	return sd.Tables
 }
 
 // TestArenaRoundTrip: EncodeArena → OpenArena → SnapshotData must reproduce
-// graph, ports, packed distances, scheme, and Seq exactly, and encoding must
-// be byte-identical on re-encode — the determinism contract every downstream
-// CRC comparison (anti-entropy digests, golden files) leans on.
+// graph, payload, scheme and Seq exactly, re-encode byte-identically (the
+// determinism contract every downstream CRC comparison leans on), adopt the
+// payload in place, and restore an engine answering as the original did on
+// the sorted ports the arena implies. The arena is the bitset, the payload
+// and at most 128 bytes of header, name and padding: no port table.
 func TestArenaRoundTrip(t *testing.T) {
-	for _, scheme := range []string{"fulltable", "compact"} {
-		sd := snapshotData(t, 48, 3, scheme)
+	for _, c := range arenaCases(t) {
+		sd := c.snap.data()
 		buf := EncodeArena(sd)
+		if len(buf) != c.snap.ArenaSize() {
+			t.Fatalf("%s: encoded %d bytes, ArenaSize says %d", c.name, len(buf), c.snap.ArenaSize())
+		}
 		a, err := OpenArena(buf)
 		if err != nil {
-			t.Fatalf("%s: open: %v", scheme, err)
+			t.Fatalf("%s: open: %v", c.name, err)
 		}
-		if a.Seq() != sd.Seq || a.Scheme() != sd.Scheme || a.N() != sd.Graph.N() || a.M() != sd.Graph.M() {
-			t.Fatalf("%s: header (%d,%q,%d,%d)", scheme, a.Seq(), a.Scheme(), a.N(), a.M())
+		if a.seq != sd.Seq || a.scheme != sd.Scheme || a.n != sd.Graph.N() || a.m != sd.Graph.M() {
+			t.Fatalf("%s: header (%d,%q,%d,%d)", c.name, a.seq, a.scheme, a.n, a.m)
 		}
-		if !bytes.Equal(a.PackedDist(), sd.Dist.Packed()) {
-			t.Fatalf("%s: packed distances differ", scheme)
+		if !bytes.Equal(a.data, payload(sd)) {
+			t.Fatalf("%s: DATA section differs from the snapshot's payload", c.name)
+		}
+		if over := len(buf) - len(a.adj) - len(a.data); over > 128 {
+			t.Fatalf("%s: %d bytes beyond the bitset and payload, want ≤ 128", c.name, over)
 		}
 		got, err := a.SnapshotData()
 		if err != nil {
-			t.Fatalf("%s: materialise: %v", scheme, err)
+			t.Fatalf("%s: materialise: %v", c.name, err)
 		}
-		if !got.Graph.Equal(sd.Graph) {
-			t.Fatalf("%s: graph does not round-trip", scheme)
+		if !got.Graph.Equal(sd.Graph) || (got.Dist == nil) != (sd.Dist == nil) {
+			t.Fatalf("%s: graph or tier does not round-trip", c.name)
 		}
-		for u := 1; u <= sd.Graph.N(); u++ {
-			av, bv := sd.Ports.NeighborsByPort(u), got.Ports.NeighborsByPort(u)
-			if len(av) != len(bv) {
-				t.Fatalf("%s: node %d port count %d vs %d", scheme, u, len(av), len(bv))
-			}
-			for p := range av {
-				if av[p] != bv[p] {
-					t.Fatalf("%s: node %d port %d: %d vs %d", scheme, u, p, av[p], bv[p])
+		// The payload is adopted, not copied: a zero-copy restore must alias
+		// the arena buffer.
+		if p := payload(got); !bytes.Equal(p, payload(sd)) || &p[0] != &a.data[0] {
+			t.Fatalf("%s: materialised payload differs or is a copy", c.name)
+		}
+		if !bytes.Equal(EncodeArena(sd), buf) || !bytes.Equal(EncodeArena(got), buf) {
+			t.Fatalf("%s: encoding is not deterministic", c.name)
+		}
+		eng, err := NewEngineFromSnapshot(got)
+		if err != nil {
+			t.Fatalf("%s: restore: %v", c.name, err)
+		}
+		rs := eng.Current()
+		if rs.Seq != sd.Seq || !rs.Ports.Sorted() {
+			t.Fatalf("%s: restored seq %d, sorted ports %v", c.name, rs.Seq, rs.Ports.Sorted())
+		}
+		for src := 1; src <= rs.N(); src++ {
+			for dst := 1; dst <= rs.N(); dst++ {
+				if src == dst {
+					continue
+				}
+				want, werr := c.snap.NextHop(src, dst)
+				next, err := rs.NextHop(src, dst)
+				if next != want || (err == nil) != (werr == nil) {
+					t.Fatalf("%s: NextHop(%d,%d) = %d/%v, original %d/%v", c.name, src, dst, next, err, want, werr)
 				}
 			}
 		}
-		if !bytes.Equal(got.Dist.Packed(), sd.Dist.Packed()) {
-			t.Fatalf("%s: distances do not round-trip", scheme)
-		}
-		if !bytes.Equal(EncodeArena(sd), buf) {
-			t.Fatalf("%s: encoding is not deterministic", scheme)
-		}
-		// The distance section is adopted, not copied: a zero-copy restore
-		// must alias the arena buffer.
-		if &got.Dist.Packed()[0] != &a.PackedDist()[0] {
-			t.Fatalf("%s: materialised distances are a copy, want arena alias", scheme)
-		}
 	}
 }
 
-// TestArenaPortOrders: a PDAT in sorted order decodes to the sorted view, and
-// one out of sorted order (a model-IA assignment) still decodes, as a
-// permutation overlay with every port where the encoder put it.
-func TestArenaPortOrders(t *testing.T) {
-	sd := snapshotData(t, 48, 3, "fulltable")
-	for _, ports := range []*graph.Ports{sd.Ports, graph.RandomPorts(sd.Graph, rand.New(rand.NewSource(5)))} {
-		sd.Ports = ports
-		a, err := OpenArena(EncodeArena(sd))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := a.SnapshotData()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for u := 1; u <= sd.Graph.N(); u++ {
-			if av, bv := ports.NeighborsByPort(u), got.Ports.NeighborsByPort(u); !slices.Equal(av, bv) {
-				t.Fatalf("node %d: ports %v decode as %v", u, av, bv)
+// TestArenaGoldenFile pins the on-disk bytes: a checked-in arena of a small
+// seeded topology per tier must stay byte-identical to a fresh encode, so
+// any layout change fails loudly here instead of at a production restart.
+func TestArenaGoldenFile(t *testing.T) {
+	for _, c := range arenaCases(t) {
+		want := EncodeArena(c.snap.data())
+		if os.Getenv("UPDATE_GOLDEN") != "" {
+			if err := os.WriteFile(c.golden, want, 0o644); err != nil {
+				t.Fatal(err)
 			}
 		}
-	}
-}
-
-// TestArenaGoldenFile pins the RTARENA1 on-disk bytes: a checked-in arena of
-// a small seeded topology must stay byte-identical to a fresh encode, so any
-// layout change fails loudly here instead of at a production restart.
-func TestArenaGoldenFile(t *testing.T) {
-	const golden = "testdata/snapshot_n16_seed2_fulltable.rtarena"
-	sd := snapshotData(t, 16, 2, "fulltable")
-	want := EncodeArena(sd)
-
-	if os.Getenv("UPDATE_GOLDEN") != "" {
-		if err := os.WriteFile(golden, want, 0o644); err != nil {
-			t.Fatal(err)
+		got, err := os.ReadFile(c.golden)
+		if err != nil {
+			t.Fatalf("%s: golden file unreadable (regenerate with UPDATE_GOLDEN=1): %v", c.name, err)
 		}
-	}
-	got, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("golden file unreadable (regenerate with UPDATE_GOLDEN=1): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("golden arena differs from seeded rebuild (%d vs %d bytes)", len(got), len(want))
-	}
-	a, err := OpenArena(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Scheme() != "fulltable" || a.N() != 16 {
-		t.Fatalf("golden header: scheme=%q n=%d", a.Scheme(), a.N())
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: golden arena differs from seeded rebuild (%d vs %d bytes)", c.name, len(got), len(want))
+		}
+		a, err := OpenArena(got)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if a.scheme != c.snap.Scheme || a.n != c.snap.N() {
+			t.Fatalf("%s: golden header: scheme=%q n=%d", c.name, a.scheme, a.n)
+		}
 	}
 }
 
@@ -131,27 +128,36 @@ func TestArenaGoldenFile(t *testing.T) {
 // slack the CRC ignores (only padding bytes, which are covered too since the
 // checksum spans the full buffer past the CRC field).
 func TestOpenArenaRejectsCorruption(t *testing.T) {
-	buf := EncodeArena(snapshotData(t, 16, 2, "fulltable"))
-
+	cases := arenaCases(t)
+	bufs := make([][]byte, len(cases))
+	for i, c := range cases {
+		bufs[i] = EncodeArena(c.snap.data())
+	}
 	t.Run("truncation", func(t *testing.T) {
-		for l := 0; l < len(buf); l++ {
-			if _, err := OpenArena(buf[:l]); err == nil {
-				t.Fatalf("truncation to %d bytes accepted", l)
+		for i, buf := range bufs {
+			for l := 0; l < len(buf); l++ {
+				if _, err := OpenArena(buf[:l]); err == nil {
+					t.Fatalf("%s: truncation to %d bytes accepted", cases[i].name, l)
+				}
 			}
 		}
 	})
 	t.Run("bitflip", func(t *testing.T) {
-		for i := 0; i < len(buf); i++ {
-			mut := bytes.Clone(buf)
-			mut[i] ^= 1 << uint(i%8)
-			if _, err := OpenArena(mut); err == nil {
-				t.Fatalf("bit flip at byte %d accepted", i)
+		for i, buf := range bufs {
+			for b := 0; b < len(buf); b++ {
+				mut := bytes.Clone(buf)
+				mut[b] ^= 1 << uint(b%8)
+				if _, err := OpenArena(mut); err == nil {
+					t.Fatalf("%s: bit flip at byte %d accepted", cases[i].name, b)
+				}
 			}
 		}
 	})
 	t.Run("trailing garbage", func(t *testing.T) {
-		if _, err := OpenArena(append(bytes.Clone(buf), 0xEE)); err == nil {
-			t.Fatal("trailing byte accepted")
+		for i, buf := range bufs {
+			if _, err := OpenArena(append(bytes.Clone(buf), 0xEE)); err == nil {
+				t.Fatalf("%s: trailing byte accepted", cases[i].name)
+			}
 		}
 	})
 }
@@ -163,39 +169,35 @@ func TestReadArenaRejectsOversize(t *testing.T) {
 	hdr := make([]byte, 16)
 	copy(hdr, arenaMagic[:])
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(maxArenaLen)+1)
-	if _, err := readArena(bytes.NewReader(hdr[8:]), arenaMagic); err == nil {
+	if _, err := readArena(bytes.NewReader(hdr)); err == nil {
 		t.Fatal("oversize total accepted")
 	}
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(arenaHeaderLen)-1)
-	if _, err := readArena(bytes.NewReader(hdr[8:]), arenaMagic); err == nil {
+	if _, err := readArena(bytes.NewReader(hdr)); err == nil {
 		t.Fatal("undersize total accepted")
 	}
+}
+
+// fuzzSeeds adds each tier's valid arena, its first half and a one-bit
+// mutant, then the bare magic and the empty input.
+func fuzzSeeds(f *testing.F) {
+	for _, c := range arenaCases(f) {
+		valid := EncodeArena(c.snap.data())
+		mut := bytes.Clone(valid)
+		mut[len(mut)/2] ^= 0x40
+		f.Add(valid)
+		f.Add(valid[:len(valid)/2])
+		f.Add(mut)
+	}
+	f.Add(arenaMagic[:])
+	f.Add([]byte{})
 }
 
 // FuzzOpenArena mirrors the walstore fuzz pattern: whatever bytes arrive,
 // OpenArena must either reject them or return an arena whose materialisation
 // succeeds with consistent invariants — never panic, never over-read.
 func FuzzOpenArena(f *testing.F) {
-	g, err := gengraph.GnHalf(12, rand.New(rand.NewSource(4)))
-	if err != nil {
-		f.Fatal(err)
-	}
-	eng, err := NewEngine(g, "fulltable")
-	if err != nil {
-		f.Fatal(err)
-	}
-	snap := eng.Current()
-	valid := EncodeArena(&SnapshotData{
-		Seq: snap.Seq, Scheme: snap.Scheme, Graph: snap.Graph, Ports: snap.Ports, Dist: snap.Dist,
-	})
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	f.Add([]byte("RTARENA1"))
-	f.Add([]byte{})
-	mut := bytes.Clone(valid)
-	mut[len(mut)/2] ^= 0x40
-	f.Add(mut)
-
+	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, err := OpenArena(data)
 		if err != nil {
@@ -205,9 +207,9 @@ func FuzzOpenArena(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if sd.Graph.N() != a.N() || sd.Graph.M() != a.M() {
-			t.Fatalf("inconsistent materialisation: (%d,%d) vs (%d,%d)",
-				sd.Graph.N(), sd.Graph.M(), a.N(), a.M())
+		if sd.Graph.N() != a.n || sd.Graph.M() != a.m || (sd.Dist == nil) != (a.tier == arenaTierTables) {
+			t.Fatalf("inconsistent materialisation: (%d,%d,%v) vs (%d,%d,tier %d)",
+				sd.Graph.N(), sd.Graph.M(), sd.Dist == nil, a.n, a.m, a.tier)
 		}
 	})
 }

@@ -176,6 +176,7 @@ var (
 	ErrDiverged = errors.New("chaos: cluster members diverged at quiesce")
 	ErrFailover = errors.New("chaos: cluster did not recover from primary kill")
 	ErrRecovery = errors.New("chaos: primary crash-restart did not recover via WAL")
+	ErrLeak     = errors.New("chaos: a partitioned replica applied records published after the cut")
 )
 
 // clusterHarness is one run's mutable state.
@@ -195,6 +196,9 @@ type clusterHarness struct {
 	inj      *faultinject.Injector
 	graders  []*spotgrade.Grader // every spot grader ever bound (tables tier)
 	toggles  [][2]int            // tables-tier churn pool
+	// cutSeq is, per replica, the primary's last WAL sequence when its
+	// partition began: nothing published later may reach it before the heal.
+	cutSeq []uint64
 
 	// Member-0's durable WAL: a power-loss-modelling MemFS seen through a
 	// fault-injecting wrapper the crash phase arms to tear one append.
@@ -214,15 +218,22 @@ type clusterHarness struct {
 }
 
 // SetPeerDown implements faultinject.PeerTarget: peer i is replica i,
-// severed from both its feed and its clients.
+// severed from both its feed and its clients. A heal first checks that the
+// replica applied nothing the primary published after the cut.
 func (h *clusterHarness) SetPeerDown(peer int, isDown bool) error {
 	if peer < 0 || peer >= len(h.replicas) {
 		return fmt.Errorf("chaos: partition of unknown peer %d", peer)
 	}
-	h.members[peer+1].gate.down.Store(isDown)
 	if isDown {
+		h.members[peer+1].gate.down.Store(true)
+		h.cutSeq[peer] = h.primary.Log().LastSeq()
 		h.partitions++
+		return nil
 	}
+	if got, cut := h.replicas[peer].WalSeq(), h.cutSeq[peer]; got > cut {
+		return fmt.Errorf("%w: replica %d is at seq %d, cut off at seq %d", ErrLeak, peer, got, cut)
+	}
+	h.members[peer+1].gate.down.Store(false)
 	return nil
 }
 
@@ -260,7 +271,7 @@ func RunCluster(cfg ClusterConfig) (*ClusterReport, error) {
 		cfg.Workers = tier.workers
 	}
 
-	h := &clusterHarness{cfg: cfg, plan: tp, tier: tier,
+	h := &clusterHarness{cfg: cfg, plan: tp, tier: tier, cutSeq: make([]uint64, cfg.Replicas),
 		srvOpts: serve.ServerOptions{Shards: 2, QueueCap: cfg.Workers * 4}}
 
 	// Member-0 journals every publication to a durable WAL (fsync=always)

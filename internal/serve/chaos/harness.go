@@ -534,6 +534,10 @@ func (cs *chaosSource) FetchState() (*cluster.State, error) {
 		return nil, err
 	}
 	st, err := t.FetchState()
+	if cs.cut() {
+		// The cut came down while the state was read: drop it.
+		return nil, errUnreachable
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -74,8 +74,9 @@ const (
 	minShardAvailability = 0.99
 	// frontBatch is the keys per closed-loop request.
 	frontBatch = 8
-	// shardSyncInterval paces the replication pump.
-	shardSyncInterval = time.Millisecond
+	// partitionHold is how long a partitioned replica stays cut off after
+	// the churn published behind its back.
+	partitionHold = 4 * time.Millisecond
 	// walkSamples is how many full cross-shard route walks are graded per
 	// group at quiesce.
 	walkSamples = 8
@@ -242,8 +243,9 @@ func RunShard(cfg ShardConfig) (*ShardReport, error) {
 	}
 
 	c, err := shard.NewCluster(g, m, shard.ClusterOptions{
-		Replicas: cfg.Replicas,
-		Server:   serve.ServerOptions{Shards: 2, QueueCap: cfg.Workers * 4, StretchSampleEvery: -1},
+		Replicas:      cfg.Replicas,
+		StartReplicas: true,
+		Server:        serve.ServerOptions{Shards: 2, QueueCap: cfg.Workers * 4, StretchSampleEvery: -1},
 		GroupRouter: cluster.RouterOptions{
 			HedgeAfter: 500 * time.Microsecond,
 			ProbeAfter: 2 * time.Millisecond,
@@ -304,10 +306,13 @@ func (h *shardHarness) converged() bool {
 	return err == nil && ok
 }
 
-// settle waits (bounded) for every group to converge; convergence is verified
-// for real at quiesce.
+// settle waits (bounded) for every group to converge, sampling the replicas'
+// replay lag as it polls; convergence is verified for real at quiesce.
 func (h *shardHarness) settle() {
-	waitUntil(shardSettle, time.Millisecond, h.converged)
+	waitUntil(shardSettle, time.Millisecond, func() bool {
+		sampleLag(&h.maxLag, h.replicas())
+		return h.converged()
+	})
 }
 
 // buildPhases lays out the injection schedule: churn warmup, a partition +
@@ -346,7 +351,7 @@ func (h *shardHarness) buildPhases() []phase {
 			if err := churnN(1)(); err != nil {
 				return err
 			}
-			time.Sleep(4 * shardSyncInterval)
+			time.Sleep(partitionHold)
 			h.gateFor(name).down.Store(false)
 			h.settle()
 			return nil
@@ -468,27 +473,11 @@ func (h *shardHarness) killPromote() error {
 	return nil
 }
 
-// drive runs the closed-loop workers against the front, a replication pump,
-// and the phase controller, then quiesces and grades convergence end to end.
+// drive runs the closed-loop workers against the front and the phase
+// controller while the replicas' own sync loops keep them converged, then
+// quiesces and grades convergence end to end.
 func (h *shardHarness) drive() (*ShardReport, error) {
 	cfg := h.cfg
-	pumpStop := make(chan struct{})
-	var pumpWG sync.WaitGroup
-	pumpWG.Add(1)
-	go func() {
-		defer pumpWG.Done()
-		t := time.NewTicker(shardSyncInterval)
-		defer t.Stop()
-		for {
-			select {
-			case <-pumpStop:
-				return
-			case <-t.C:
-				_ = h.c.SyncAll()
-				sampleLag(&h.maxLag, h.replicas())
-			}
-		}
-	}()
 
 	// Requests alternate between the front's two entry points: frontBatch
 	// keys one at a time through Lookup, then frontBatch keys in one
@@ -518,8 +507,8 @@ func (h *shardHarness) drive() (*ShardReport, error) {
 		},
 	}.run(h.buildPhases())
 
-	// Quiesce: heal every gate, disarm corruption, stop the pump, then force
-	// convergence and prove it.
+	// Quiesce: heal every gate, disarm corruption, then wait for the sync
+	// loops to converge and prove it.
 	h.mu.Lock()
 	for _, g := range h.gates {
 		g.down.Store(false)
@@ -532,14 +521,10 @@ func (h *shardHarness) drive() (*ShardReport, error) {
 	for _, cs := range srcs {
 		cs.armCorruption(false)
 	}
-	close(pumpStop)
-	pumpWG.Wait()
-
 	converged := waitUntil(15*time.Second, time.Millisecond, func() bool {
-		_ = h.c.SyncAll()
+		sampleLag(&h.maxLag, h.replicas())
 		return h.converged()
 	})
-	sampleLag(&h.maxLag, h.replicas())
 
 	// Per-group table identity and cross-group topology lockstep.
 	ids := h.c.GroupIDs()

@@ -43,8 +43,9 @@ const maxSectionLen = 256 << 20
 type SnapshotData struct {
 	Seq    uint64
 	Scheme string
-	Graph  *graph.Graph
-	Ports  *graph.Ports
+	// Graph is the topology; its port assignment is implied, the sorted
+	// one (graph.SortedPorts), as on every snapshot the engine publishes.
+	Graph *graph.Graph
 	// Dist is the all-pairs matrix (TierFull). Nil on tiered snapshots, which
 	// carry Tables instead — exactly one of the two is set.
 	Dist *shortestpath.Distances
@@ -94,18 +95,11 @@ func ReadFrame(r io.Reader, tag [4]byte) ([]byte, error) {
 }
 
 // DecodeSnapshot reads one arena from r, the stream form cluster state
-// bodies carry. Every structural claim is checked (magic, lengths, CRC,
-// port-table consistency against the decoded graph), so feeding it
-// arbitrary bytes returns an error, never a corrupt serving state.
+// bodies carry. Every structural claim is checked (magic, lengths, CRC, the
+// decoded graph's structure), so feeding it arbitrary bytes returns an
+// error, never a corrupt serving state.
 func DecodeSnapshot(r io.Reader) (*SnapshotData, error) {
-	var magic [8]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, fmt.Errorf("%w: magic: %v", ErrBadSnapshotFile, err)
-	}
-	if magic != arenaMagic && magic != arena2Magic {
-		return nil, fmt.Errorf("%w: magic %q", ErrBadSnapshotFile, magic[:])
-	}
-	a, err := readArena(r, magic)
+	a, err := readArena(r)
 	if err != nil {
 		return nil, err
 	}
@@ -131,10 +125,7 @@ func SaveSnapshot(path string, s *Snapshot) error {
 			os.Remove(tmp.Name())
 		}
 	}()
-	buf := EncodeArena(&SnapshotData{
-		Seq: s.Seq, Scheme: s.Scheme, Graph: s.Graph, Ports: s.Ports, Dist: s.Dist, Tables: s.tables,
-	})
-	if _, err := tmp.Write(buf); err != nil {
+	if _, err := tmp.Write(EncodeArena(s.data())); err != nil {
 		return err
 	}
 	if err := tmp.Sync(); err != nil {
@@ -150,6 +141,11 @@ func SaveSnapshot(path string, s *Snapshot) error {
 		return err
 	}
 	return nil
+}
+
+// data returns the content of s that the arena persists.
+func (s *Snapshot) data() *SnapshotData {
+	return &SnapshotData{Seq: s.Seq, Scheme: s.Scheme, Graph: s.Graph, Dist: s.Dist, Tables: s.tables}
 }
 
 // LoadSnapshot reads and validates the snapshot file at path. The whole
@@ -212,8 +208,9 @@ func snapshotFromData(sd *SnapshotData) (*Snapshot, error) {
 		tier   = TierFull
 	)
 	var owned *keyspace.Set
+	ports := graph.SortedPorts(sd.Graph)
 	if sd.Dist == nil {
-		ts, err := DecodeTableScheme(sd.Scheme, sd.Graph, sd.Ports, sd.Tables)
+		ts, err := DecodeTableScheme(sd.Scheme, sd.Graph, ports, sd.Tables)
 		if err != nil {
 			return nil, err
 		}
@@ -225,12 +222,12 @@ func snapshotFromData(sd *SnapshotData) (*Snapshot, error) {
 		}
 	} else {
 		var err error
-		scheme, err = BuildScheme(sd.Scheme, sd.Graph, sd.Ports, sd.Dist)
+		scheme, err = BuildScheme(sd.Scheme, sd.Graph, ports, sd.Dist)
 		if err != nil {
 			return nil, err
 		}
 	}
-	sim, err := routing.NewSim(sd.Graph, sd.Ports, scheme)
+	sim, err := routing.NewSim(sd.Graph, ports, scheme)
 	if err != nil {
 		return nil, err
 	}
@@ -238,7 +235,7 @@ func snapshotFromData(sd *SnapshotData) (*Snapshot, error) {
 		Seq:      sd.Seq,
 		Scheme:   sd.Scheme,
 		Graph:    sd.Graph,
-		Ports:    sd.Ports,
+		Ports:    ports,
 		Dist:     sd.Dist,
 		Tier:     tier,
 		scheme:   scheme,
@@ -267,7 +264,7 @@ func RestoreEngine(path string) (*Engine, error) {
 // NewEngineFromSnapshot builds a serving engine directly from decoded
 // snapshot data without recomputing distances: the packed matrix is adopted
 // as ground truth, the scheme is
-// reconstructed from (graph, ports, matrix) under the determinism contract of
+// reconstructed from (graph, sorted ports, matrix) under the determinism contract of
 // DESIGN.md §8, and the snapshot publishes with its original Seq so later
 // mutations continue the sequence. Both the crash-restore path and a cluster
 // replica bootstrapping from a fetched primary state go through here.

@@ -10,7 +10,7 @@ import (
 	"routetab/internal/gengraph"
 )
 
-func buildTestEngine(t *testing.T, n int, seed int64, scheme string) *Engine {
+func buildTestEngine(t testing.TB, n int, seed int64, scheme string) *Engine {
 	t.Helper()
 	g, err := gengraph.GnHalf(n, rand.New(rand.NewSource(seed)))
 	if err != nil {
@@ -100,29 +100,23 @@ func TestRestoreEngine(t *testing.T) {
 
 // TestDecodeRejectsCorruption: every truncation and every single-bit flip of
 // a valid arena must fail the stream decoder — the path cluster state bodies
-// take through readArena — never silently yield a snapshot. Both layouts are
-// covered: a v1 full-matrix arena and a v2 tables-tier arena.
+// take through readArena — never silently yield a snapshot, on either tier.
 func TestDecodeRejectsCorruption(t *testing.T) {
-	snap := tieredEngine(t, 40, 6).Current()
-	for name, valid := range map[string][]byte{
-		"v1": EncodeArena(snapshotData(t, 16, 2, "fulltable")),
-		"v2": EncodeArena(&SnapshotData{
-			Seq: snap.Seq, Scheme: snap.Scheme, Graph: snap.Graph, Ports: snap.Ports, Tables: snap.TablesBytes(),
-		}),
-	} {
+	for _, c := range arenaCases(t) {
+		valid := EncodeArena(c.snap.data())
 		if _, err := DecodeSnapshot(bytes.NewReader(valid)); err != nil {
-			t.Fatalf("%s: valid arena: %v", name, err)
+			t.Fatalf("%s: valid arena: %v", c.name, err)
 		}
 		for cut := 0; cut < len(valid); cut++ {
 			if _, err := DecodeSnapshot(bytes.NewReader(valid[:cut])); !errors.Is(err, ErrBadSnapshotFile) {
-				t.Fatalf("%s: truncation at %d: err = %v", name, cut, err)
+				t.Fatalf("%s: truncation at %d: err = %v", c.name, cut, err)
 			}
 		}
 		for off := 0; off < len(valid); off++ {
 			mut := bytes.Clone(valid)
 			mut[off] ^= 1 << uint(off%8)
 			if sd, err := DecodeSnapshot(bytes.NewReader(mut)); !errors.Is(err, ErrBadSnapshotFile) {
-				t.Fatalf("%s: bit flip at %d decoded to %+v, err = %v", name, off, sd, err)
+				t.Fatalf("%s: bit flip at %d decoded to %+v, err = %v", c.name, off, sd, err)
 			}
 		}
 	}
@@ -131,30 +125,13 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 // FuzzDecodeSnapshot: arbitrary bytes must never panic the stream decoder,
 // and anything that decodes must be internally consistent.
 func FuzzDecodeSnapshot(f *testing.F) {
-	eng, err := func() (*Engine, error) {
-		g, err := gengraph.GnHalf(12, rand.New(rand.NewSource(1)))
-		if err != nil {
-			return nil, err
-		}
-		return NewEngine(g, "fulltable")
-	}()
-	if err != nil {
-		f.Fatal(err)
-	}
-	snap := eng.Current()
-	valid := EncodeArena(&SnapshotData{
-		Seq: snap.Seq, Scheme: snap.Scheme, Graph: snap.Graph, Ports: snap.Ports, Dist: snap.Dist,
-	})
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	f.Add([]byte("RTARENA1"))
-	f.Add([]byte{})
+	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sd, err := DecodeSnapshot(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		if sd.Graph == nil || sd.Ports == nil || (sd.Dist == nil) == (sd.Tables == nil) {
+		if sd.Graph == nil || (sd.Dist == nil) == (sd.Tables == nil) {
 			t.Fatalf("decode returned inconsistent fields without error")
 		}
 		if sd.Dist != nil && sd.Graph.N() != sd.Dist.N() {

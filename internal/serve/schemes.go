@@ -36,9 +36,6 @@ var builders = map[string]struct {
 			if !ok {
 				return nil, fmt.Errorf("serve: snapshot scheme is %T, not a fulltable scheme", prev.scheme)
 			}
-			if !prev.Ports.Sorted() {
-				return nil, fmt.Errorf("serve: fulltable update from a snapshot built on unsorted ports")
-			}
 			return fulltable.Update(ps, prev.Dist, dm, changed, g, ports, x, y)
 		},
 	},

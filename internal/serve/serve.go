@@ -112,7 +112,8 @@ type Snapshot struct {
 	Scheme string
 	// Graph is the topology this snapshot serves. Treat as read-only.
 	Graph *graph.Graph
-	// Ports is the port assignment the tables were built against.
+	// Ports is the port assignment the tables were built against: always
+	// graph.SortedPorts(Graph), so the arena does not store it.
 	Ports *graph.Ports
 	// Dist is the all-pairs ground truth for this topology. Nil on TierTables
 	// snapshots — use DistEstimate, which degrades to the scheme's own
@@ -182,11 +183,12 @@ func (s *Snapshot) TablesBytes() []byte { return s.tables }
 // encoding — the snapshot_bytes gauge, computed from the layout arithmetic
 // without encoding anything.
 func (s *Snapshot) ArenaSize() int {
-	distLen := s.Graph.N() * s.Graph.N()
+	dataLen := s.Graph.N() * s.Graph.N()
 	if s.Dist == nil {
-		distLen = len(s.tables)
+		dataLen = len(s.tables)
 	}
-	return arenaLayoutLen(s.Graph.N(), s.Graph.Words(), s.Graph.M(), distLen, len(s.Scheme))
+	_, _, total := arenaLayout(s.Graph.N(), s.Graph.Words(), dataLen, len(s.Scheme))
+	return total
 }
 
 // PublishHook observes every snapshot publication: prev is the snapshot that

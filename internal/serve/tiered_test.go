@@ -3,8 +3,6 @@ package serve
 import (
 	"bytes"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"routetab/internal/gengraph"
@@ -13,7 +11,7 @@ import (
 
 // sparseGraph builds the connected sparse family the tables tier targets —
 // G(n,1/2) at tiered sizes would be millions of edges and diameter 2.
-func sparseGraph(t *testing.T, n int, seed int64) *graph.Graph {
+func sparseGraph(t testing.TB, n int, seed int64) *graph.Graph {
 	t.Helper()
 	g, err := gengraph.SparseConnected(n, 6, rand.New(rand.NewSource(seed)))
 	if err != nil {
@@ -22,7 +20,7 @@ func sparseGraph(t *testing.T, n int, seed int64) *graph.Graph {
 	return g
 }
 
-func tieredEngine(t *testing.T, n int, seed int64) *Engine {
+func tieredEngine(t testing.TB, n int, seed int64) *Engine {
 	t.Helper()
 	eng, err := NewTieredEngine(sparseGraph(t, n, seed), "landmark")
 	if err != nil {
@@ -129,162 +127,6 @@ func TestTieredMutateRebuildsDeterministically(t *testing.T) {
 	}
 }
 
-// TestTieredArenaRoundTrip: a tables-tier snapshot persists through RTARENA2
-// and restores into an engine serving identical answers, with a byte-identical
-// re-encode and no distance matrix anywhere.
-func TestTieredArenaRoundTrip(t *testing.T) {
-	eng := tieredEngine(t, 100, 3)
-	snap := eng.Current()
-	path := filepath.Join(t.TempDir(), "tiered.rtarena")
-	if err := SaveSnapshot(path, snap); err != nil {
-		t.Fatal(err)
-	}
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := OpenArena(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Version() != 2 {
-		t.Fatalf("arena version = %d, want 2", a.Version())
-	}
-	if a.PackedDist() != nil {
-		t.Fatal("tables-tier arena reports a packed distance matrix")
-	}
-	if !bytes.Equal(a.Tables(), snap.TablesBytes()) {
-		t.Fatal("arena tables differ from the snapshot's")
-	}
-
-	restored, err := RestoreEngine(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.Tier() != TierTables {
-		t.Fatalf("restored tier = %q", restored.Tier())
-	}
-	rs := restored.Current()
-	if rs.Seq != snap.Seq || rs.Dist != nil {
-		t.Fatalf("restored seq=%d dist=%v", rs.Seq, rs.Dist)
-	}
-	for src := 1; src <= 100; src += 13 {
-		for dst := 1; dst <= 100; dst += 17 {
-			if src == dst {
-				continue
-			}
-			a, aerr := snap.NextHop(src, dst)
-			b, berr := rs.NextHop(src, dst)
-			if a != b || (aerr == nil) != (berr == nil) {
-				t.Fatalf("NextHop(%d,%d): %d/%v vs restored %d/%v", src, dst, a, aerr, b, berr)
-			}
-			if snap.DistEstimate(src, dst) != rs.DistEstimate(src, dst) {
-				t.Fatalf("DistEstimate(%d,%d) differs after restore", src, dst)
-			}
-		}
-	}
-	reenc := EncodeArena(&SnapshotData{
-		Seq: rs.Seq, Scheme: rs.Scheme, Graph: rs.Graph, Ports: rs.Ports, Tables: rs.TablesBytes(),
-	})
-	if !bytes.Equal(reenc, buf) {
-		t.Fatal("restored snapshot does not re-encode byte-identically")
-	}
-}
-
-// TestTieredArenaGoldenFile pins the RTARENA2 on-disk bytes the same way the
-// RTARENA1 golden does: any layout drift fails here, not at a restart.
-func TestTieredArenaGoldenFile(t *testing.T) {
-	const golden = "testdata/snapshot_n32_seed2_landmark.rtarena"
-	snap := tieredEngine(t, 32, 2).Current()
-	want := EncodeArena(&SnapshotData{
-		Seq: snap.Seq, Scheme: snap.Scheme, Graph: snap.Graph, Ports: snap.Ports, Tables: snap.TablesBytes(),
-	})
-	if os.Getenv("UPDATE_GOLDEN") != "" {
-		if err := os.WriteFile(golden, want, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("golden file unreadable (regenerate with UPDATE_GOLDEN=1): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("golden RTARENA2 differs from seeded rebuild (%d vs %d bytes)", len(got), len(want))
-	}
-	a, err := OpenArena(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Scheme() != "landmark" || a.N() != 32 || a.Version() != 2 {
-		t.Fatalf("golden header: scheme=%q n=%d version=%d", a.Scheme(), a.N(), a.Version())
-	}
-}
-
-// TestTieredArenaRejectsCorruption: the full truncation and bit-flip matrix
-// over an RTARENA2 buffer — the tiered layout inherits the v1 rule that
-// nothing in the arena is slack the CRC ignores.
-func TestTieredArenaRejectsCorruption(t *testing.T) {
-	snap := tieredEngine(t, 32, 2).Current()
-	buf := EncodeArena(&SnapshotData{
-		Seq: snap.Seq, Scheme: snap.Scheme, Graph: snap.Graph, Ports: snap.Ports, Tables: snap.TablesBytes(),
-	})
-	t.Run("truncation", func(t *testing.T) {
-		for l := 0; l < len(buf); l++ {
-			if _, err := OpenArena(buf[:l]); err == nil {
-				t.Fatalf("truncation to %d bytes accepted", l)
-			}
-		}
-	})
-	t.Run("bitflip", func(t *testing.T) {
-		for i := 0; i < len(buf); i++ {
-			mut := bytes.Clone(buf)
-			mut[i] ^= 1 << uint(i%8)
-			if _, err := OpenArena(mut); err == nil {
-				t.Fatalf("bit flip at byte %d accepted", i)
-			}
-		}
-	})
-	t.Run("trailing garbage", func(t *testing.T) {
-		if _, err := OpenArena(append(bytes.Clone(buf), 0xEE)); err == nil {
-			t.Fatal("trailing byte accepted")
-		}
-	})
-}
-
-// TestArenaVersionNegotiation pins cross-version behaviour: full-tier
-// snapshots still encode as RTARENA1 byte-for-byte (a pre-tiering reader
-// keeps working), and tables-tier snapshots announce RTARENA2.
-func TestArenaVersionNegotiation(t *testing.T) {
-	full := snapshotData(t, 24, 6, "fulltable")
-	fb := EncodeArena(full)
-	if string(fb[:8]) != "RTARENA1" {
-		t.Fatalf("full-tier magic %q", fb[:8])
-	}
-	a, err := OpenArena(fb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Version() != 1 || a.Tables() != nil {
-		t.Fatalf("full-tier arena: version=%d tables=%v", a.Version(), a.Tables())
-	}
-
-	snap := tieredEngine(t, 40, 6).Current()
-	tsd := &SnapshotData{
-		Seq: snap.Seq, Scheme: snap.Scheme, Graph: snap.Graph, Ports: snap.Ports, Tables: snap.TablesBytes(),
-	}
-	tb := EncodeArena(tsd)
-	if string(tb[:8]) != "RTARENA2" {
-		t.Fatalf("tables-tier magic %q", tb[:8])
-	}
-	// Magic/version cross-wiring must fail: v2 bytes claiming v1 magic and
-	// vice versa die on the version field (and then the CRC).
-	swapped := bytes.Clone(tb)
-	copy(swapped, "RTARENA1")
-	if _, err := OpenArena(swapped); err == nil {
-		t.Fatal("v2 body under v1 magic accepted")
-	}
-}
-
 // TestAdoptRejectsTierMismatch: replication adoption across tiers is refused
 // in both directions — a tables blob cannot land in a full-tier engine nor a
 // matrix in a tables-tier engine.
@@ -299,11 +141,13 @@ func TestAdoptRejectsTierMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	fullSnap, tabSnap := fullEng.Current(), tabEng.Current()
-	tabSD := &SnapshotData{Seq: 9, Scheme: "landmark", Graph: tabSnap.Graph, Ports: tabSnap.Ports, Tables: tabSnap.TablesBytes()}
+	tabSD := tabSnap.data()
+	tabSD.Seq = 9
 	if err := fullEng.Adopt(tabSD); err == nil {
 		t.Fatal("full-tier engine adopted a tables-tier snapshot")
 	}
-	fullSD := &SnapshotData{Seq: 9, Scheme: "landmark", Graph: fullSnap.Graph, Ports: fullSnap.Ports, Dist: fullSnap.Dist}
+	fullSD := fullSnap.data()
+	fullSD.Seq = 9
 	if err := tabEng.Adopt(fullSD); err == nil {
 		t.Fatal("tables-tier engine adopted a full-tier snapshot")
 	}
@@ -383,10 +227,8 @@ func TestAdoptRejectionLeavesEngineServing(t *testing.T) {
 	before := eng.Current()
 	swapsBefore := eng.Swaps()
 
-	good := &SnapshotData{
-		Seq: before.Seq + 7, Scheme: before.Scheme,
-		Graph: before.Graph, Ports: before.Ports, Tables: before.TablesBytes(),
-	}
+	good := before.data()
+	good.Seq = before.Seq + 7
 
 	// Scheme mismatch.
 	bad := *good
@@ -395,7 +237,7 @@ func TestAdoptRejectionLeavesEngineServing(t *testing.T) {
 		t.Fatal("scheme mismatch adopted")
 	}
 	// Tier mismatch: a matrix-bearing payload on a tables-tier engine.
-	full := snapshotData(t, 24, 6, "landmark")
+	full := buildTestEngine(t, 24, 6, "landmark").Current().data()
 	full.Seq = before.Seq + 7
 	if err := eng.Adopt(full); err == nil {
 		t.Fatal("full-tier snapshot adopted by tables-tier engine")
