@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"routetab/internal/gengraph"
+	"routetab/internal/schemes/landmark"
 	"routetab/internal/serve"
 )
 
@@ -229,7 +230,9 @@ func TestPersistWarmBoot(t *testing.T) {
 // RTARENA2 (tables tier) files, whose arenas still stored the port
 // assignment, each fail with ErrBadSnapshotFile on both the stream and the
 // file path — and a daemon whose -persist file holds one cold-builds and
-// overwrites it with an arena.
+// overwrites it with an arena. A current arena whose tables are LMTB version
+// 1, with ports on BFS-tree parent edges, still opens, but its tables fail
+// with ErrBadTables, and the daemon cold-builds over it the same way.
 func TestRTSNAP1FileColdBuilds(t *testing.T) {
 	g, err := gengraph.GnHalf(32, rand.New(rand.NewSource(1)))
 	if err != nil {
@@ -296,6 +299,28 @@ func TestRTSNAP1FileColdBuilds(t *testing.T) {
 		if _, err := serve.LoadSnapshot(snap); err != nil {
 			t.Fatalf("%s: persist file not rewritten as an arena: %v", name, err)
 		}
+	}
+
+	old, err := os.ReadFile("testdata/rtarena3_lmtb1_n32_seed2_landmark.rtarena")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := t.TempDir() + "/snap.rtsnap"
+	if err := os.WriteFile(snap, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := serve.RestoreEngine(snap); !errors.Is(err, landmark.ErrBadTables) {
+		t.Fatalf("LMTB1 tables: restore err = %v, want ErrBadTables", err)
+	}
+	log, err := openEngineLog(t, "-n", "32", "-seed", "1", "-scheme", "landmark", "-persist", snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(log, "cold-building") {
+		t.Fatalf("LMTB1 tables: daemon did not cold-build: %s", log)
+	}
+	if _, err := serve.RestoreEngine(snap); err != nil {
+		t.Fatalf("LMTB1 tables: persist file not rewritten with current tables: %v", err)
 	}
 }
 

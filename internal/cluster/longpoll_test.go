@@ -133,6 +133,39 @@ func TestStartedReplicaAppliesOnAppend(t *testing.T) {
 	requireConverged(t, p, r)
 }
 
+// TestReplicaLagCountsRecordsBehind: Stats' lag is records behind the
+// source, not the size of the last batch. A hand-driven Sync that fetches
+// three records and applies them all reads 0, and so does a started replica
+// after applying each record the long poll hands it one at a time.
+func TestReplicaLagCountsRecordsBehind(t *testing.T) {
+	p := testPrimary(t, 16, 5)
+	r, err := JoinReplica(p, ReplicaOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	e := absentEdge(t, p)
+	for i := 0; i < 3; i++ {
+		toggleEdge(t, p, e)
+	}
+	if err := r.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if applied, _, lag := r.Stats(); applied != 3 || lag != 0 {
+		t.Fatalf("after a 3-record Sync: applied %d, lag %d; want 3 and 0", applied, lag)
+	}
+	r.Start()
+	for i := 0; i < 3; i++ {
+		waitFor(t, "the fetch to park", func() bool { return parked(p.Log()) })
+		toggleEdge(t, p, e)
+		want := p.Log().LastSeq()
+		waitFor(t, "the replica to apply", func() bool { return r.WalSeq() == want })
+		if _, _, lag := r.Stats(); lag != 0 {
+			t.Fatalf("caught up at seq %d: lag %d, want 0", want, lag)
+		}
+	}
+}
+
 // TestReplicaCloseCancelsParkedFetch: Close returns while the sync loop's
 // fetch is parked, and the source sees the cancellation.
 func TestReplicaCloseCancelsParkedFetch(t *testing.T) {

@@ -57,7 +57,7 @@ type Replica struct {
 	walSeq  uint64
 	applied uint64 // records replayed
 	resyncs uint64 // full state fetches after bootstrap
-	lastLag uint64 // records behind the source at the start of the last Sync
+	seen    uint64 // the highest seq a fetch under this epoch returned
 	fetches uint64 // FetchWAL calls
 	empty   uint64 // FetchWAL calls that returned no records and no error
 
@@ -118,12 +118,16 @@ func (r *Replica) WalSeq() uint64 {
 }
 
 // Stats returns replay counters: records applied, full resyncs since join,
-// and the replay lag (records behind the source) observed at the start of
-// the most recent Sync.
-func (r *Replica) Stats() (applied, resyncs, lastLag uint64) {
+// and the replay lag: records behind the source, the highest seq the last
+// fetch returned minus the position applied so far. A caught-up replica
+// reads 0 once it has applied what it fetched.
+func (r *Replica) Stats() (applied, resyncs, lag uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.applied, r.resyncs, r.lastLag
+	if r.seen > r.walSeq {
+		lag = r.seen - r.walSeq
+	}
+	return r.applied, r.resyncs, lag
 }
 
 // Fetches returns how many FetchWAL calls the replica made and how many of
@@ -235,9 +239,11 @@ func (r *Replica) sync(ctx context.Context) (bool, error) {
 	if batch.Epoch != epoch {
 		return false, r.resync()
 	}
-	r.mu.Lock()
-	r.lastLag = uint64(len(batch.Records))
-	r.mu.Unlock()
+	if len(batch.Records) > 0 {
+		r.mu.Lock()
+		r.seen = max(r.seen, batch.Records[len(batch.Records)-1].Seq)
+		r.mu.Unlock()
+	}
 	for _, rec := range batch.Records {
 		if rec.Seq <= pos {
 			continue
@@ -344,7 +350,7 @@ func (r *Replica) resync() error {
 	}
 	r.mu.Lock()
 	r.epoch = st.Epoch
-	r.walSeq = st.WalSeq
+	r.walSeq, r.seen = st.WalSeq, st.WalSeq
 	r.resyncs++
 	r.mu.Unlock()
 	return nil

@@ -8,11 +8,11 @@ import (
 	"routetab/internal/keyspace"
 )
 
-// Table encoding ("LMTB", version 1), little-endian throughout. The layout is
+// Table encoding ("LMTB", version 3), little-endian throughout. The layout is
 // a pure function of the built tables — two identical builds encode
 // byte-identically — and every multi-byte field is range-checked on decode:
 //
-//	u32 magic "LMTB"   u32 version=1   u32 n   u32 k   u32 clusterTotal
+//	u32 magic "LMTB"   u32 version=3   u32 n   u32 k   u32 clusterTotal
 //	k   × u32 landmark ids (sorted ascending)
 //	n   × u16 homeIdx    (index into landmarks of ℓ(v))
 //	n   × u16 homeDist   (d(v, ℓ(v)))
@@ -24,10 +24,15 @@ import (
 //	ct  × u16 clusterPort
 //	ct  × u16 clusterDist
 //
+// Every stored port, eport included, leads to the smallest-id neighbour one
+// step closer to its target. Versions 1 and 2 had the same layout but stored
+// lmPort and clusterPort as BFS-tree parent edges; their blobs are rejected
+// with ErrBadTables, so a persisted snapshot that holds one cold-builds.
+//
 // Distances and ports fit u16 because Build rejects n > 65535; the encoder
 // re-checks anyway so a silent clamp is impossible.
 //
-// Version 2 is the keyspace-restricted flavour (restrict.go): after the
+// Version 4 is the keyspace-restricted flavour (restrict.go): after the
 // shared 20-byte header it inserts
 //
 //	u32 ownedCount
@@ -36,30 +41,31 @@ import (
 // and then ships the same sections except that lmPort rows appear only for
 // owned nodes (ascending node order) and clusterTotal counts owned rows only
 // (non-owned CSR rows must be empty). lmDist stays full — DistEstimate reads
-// both endpoints' rows. The version field is the sniff: a version-1 decoder
-// rejects restricted tables outright instead of misreading them.
+// both endpoints' rows. The version field is the sniff: a decoder that knows
+// only version 3 rejects restricted tables outright instead of misreading
+// them.
 const (
-	tablesMagic    = 0x42544d4c // "LMTB" little-endian
-	tablesVersion  = 1
-	tablesVersion2 = 2
-	tablesHdrLen   = 20
+	tablesMagic        = 0x42544d4c // "LMTB" little-endian
+	tablesVersion      = 3
+	tablesVersionOwned = 4
+	tablesHdrLen       = 20
 )
 
-// EncodedTablesLen returns the byte length of the version-1 encoding for the
+// EncodedTablesLen returns the byte length of the version-3 encoding for the
 // given shape, shared by the encoder and the serving layer's arena sizing.
 func EncodedTablesLen(n, k, clusterTotal int) int {
 	return tablesHdrLen + 4*k + 6*n + 4*n*k + 4*(n+1) + 8*clusterTotal
 }
 
-// EncodedTablesLenV2 returns the byte length of the version-2 (restricted)
+// EncodedTablesLenV2 returns the byte length of the version-4 (restricted)
 // encoding: full lmDist, lmPort rows for ownedCount nodes only.
 func EncodedTablesLenV2(n, k, clusterTotal, ownedCount int) int {
 	words := (n + 63) / 64
 	return tablesHdrLen + 4 + 8*words + 4*k + 6*n + 2*n*k + 2*ownedCount*k + 4*(n+1) + 8*clusterTotal
 }
 
-// EncodeTables serialises the scheme's tables deterministically: version 1
-// for an unrestricted scheme, version 2 (owned bitmap, owned-only lmPort rows)
+// EncodeTables serialises the scheme's tables deterministically: version 3
+// for an unrestricted scheme, version 4 (owned bitmap, owned-only lmPort rows)
 // for a restricted one.
 func (s *Scheme) EncodeTables() []byte {
 	n, k, ct := s.n, s.k, len(s.clusterDst)
@@ -68,7 +74,7 @@ func (s *Scheme) EncodeTables() []byte {
 	if s.owned != nil {
 		oc := s.owned.Count()
 		buf = make([]byte, EncodedTablesLenV2(n, k, ct, oc))
-		le.PutUint32(buf[4:], tablesVersion2)
+		le.PutUint32(buf[4:], tablesVersionOwned)
 		le.PutUint32(buf[tablesHdrLen:], uint32(oc))
 	} else {
 		buf = make([]byte, EncodedTablesLen(n, k, ct))
@@ -139,7 +145,7 @@ func DecodeTables(g *graph.Graph, ports *graph.Ports, data []byte) (*Scheme, err
 		return nil, fmt.Errorf("%w: bad magic %08x", ErrBadTables, m)
 	}
 	version := le.Uint32(data[4:])
-	if version != tablesVersion && version != tablesVersion2 {
+	if version != tablesVersion && version != tablesVersionOwned {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadTables, version)
 	}
 	n := int(le.Uint32(data[8:]))
@@ -152,7 +158,7 @@ func DecodeTables(g *graph.Graph, ports *graph.Ports, data []byte) (*Scheme, err
 		return nil, fmt.Errorf("%w: shape n=%d k=%d ct=%d", ErrBadTables, n, k, ct)
 	}
 	var owned *keyspace.Set
-	if version == tablesVersion2 {
+	if version == tablesVersionOwned {
 		// The owned section (count + bitmap) sits between the header and the
 		// landmark list; the total-length check needs the count first.
 		if len(data) < tablesHdrLen+4 {
@@ -163,7 +169,7 @@ func DecodeTables(g *graph.Graph, ports *graph.Ports, data []byte) (*Scheme, err
 			return nil, fmt.Errorf("%w: ownedCount %d out of 1..%d", ErrBadTables, oc, n)
 		}
 		if want := EncodedTablesLenV2(n, k, ct, oc); len(data) != want {
-			return nil, fmt.Errorf("%w: %d bytes, want %d (v2)", ErrBadTables, len(data), want)
+			return nil, fmt.Errorf("%w: %d bytes, want %d (restricted)", ErrBadTables, len(data), want)
 		}
 		words := make([]uint64, (n+63)/64)
 		for i := range words {

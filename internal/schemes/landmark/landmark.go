@@ -25,23 +25,31 @@
 // d(u, ℓ(v)) + d(ℓ(v), v) ≤ 3·d(u, v) when v is outside u's cluster — the
 // classic stretch-3 argument.
 //
+// First hops. Every stored port — landmark table, cluster table and eport
+// alike — is canonical: the port toward the smallest-id neighbour one step
+// closer to the target, the shortestpath.FirstHopRow rule the full tier
+// uses. Each entry is then a function of the distances at a node and its
+// neighbours, not of any BFS tree, which is what lets Update repair them
+// locally.
+//
 // Build runs each step once. One FIFO BFS over sorted neighbour lists from
-// each landmark a fills a's landmark-table column: the port stored at u is
-// the edge to u's parent in that BFS tree (not, in general, the port to u's
-// smallest-id neighbour closer to a). The same BFS carries a's first port
-// down the tree, so eport(v) follows the shortestpath.FirstHopRow rule — the
-// port toward the smallest-id neighbour of ℓ(v) on a shortest path to v —
-// and picks ℓ(v) by scanning landmarks in ascending order, keeping strict
-// improvements only. Then a BFS from every destination v, truncated at depth
-// home(v)−1, emits v's cluster entries; the port stored at w is the edge to
-// w's parent in that BFS. A per-build CSR index of the sorted adjacency,
-// holding the port at both ends of every edge, answers every port lookup,
-// and since destinations are visited in ascending order a stable counting
-// sort by holder lays the entries out as CSR rows directly.
+// each landmark a fills a's landmark-table column; the row scan that
+// dequeues u meets its closer neighbours, smallest id first, and sets u's
+// port. The same BFS carries a's first port down the tree, so eport(v) is
+// the port toward the smallest-id neighbour of ℓ(v) on a shortest path to
+// v, and ℓ(v) is picked by scanning landmarks in ascending order, keeping
+// strict improvements only. Then a BFS from every destination v, truncated
+// at depth home(v)−1, emits v's cluster entries. A per-build CSR index of
+// the sorted adjacency, holding the port at both ends of every edge,
+// answers every port lookup, and since destinations are visited in
+// ascending order a stable counting sort by holder lays the entries out as
+// CSR rows directly.
 //
 // Update (update.go) derives the scheme of a graph one edge flip away from
-// a built one, rerunning only the landmark BFS runs and cluster BFS runs
-// the flip can change, and equals Build byte for byte.
+// a built one: it repairs each landmark column on the nodes whose distance
+// changes, recomputes the ports, homes and eports those nodes can affect,
+// reruns the cluster BFS runs the flip can change, and equals Build byte
+// for byte.
 //
 // Space. E[Σ_v |C(v)|] ≈ n²/(k+1) for a random landmark sample, so total
 // space is O(n·k + n²/k) = O(n^{3/2}) at k = √n — o(n²), the whole point.
@@ -54,6 +62,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -252,8 +261,8 @@ func newPortIndex(g *graph.Graph, ports *graph.Ports) *portIndex {
 }
 
 // column is the scratch of one landmark BFS, indexed by node: the distance
-// from the landmark (−1 until discovered), the port toward the BFS parent,
-// and the port at the landmark toward the node.
+// from the landmark (−1 until discovered), the canonical port toward the
+// landmark, and the port at the landmark toward the node.
 type column struct {
 	dist, up, hop []int32
 	queue         []int32
@@ -268,13 +277,17 @@ func newColumn(n int) *column {
 	}
 }
 
-// bfs runs one FIFO BFS over sorted neighbour rows from landmark a.
-// Discovering w from u sets w's distance, as up[w] the port at w toward u
-// (w's parent in a's BFS tree), and as hop[w] the port at a toward the tree
-// path's first node, carried down the tree. It reports a node the landmark
-// cannot reach.
+// bfs runs one FIFO BFS over sorted neighbour rows from landmark a. All of a
+// level is discovered before any of it is dequeued, so the scan of u's row
+// at dequeue meets every neighbour one step closer, and the first of them,
+// the row being sorted, is the smallest-id one: up[u] is the port toward
+// it. Which neighbours are closer is unpredictable, so the scan does not
+// branch on it but sets a mask bit for each and takes the lowest; rows
+// longer than 64 entries are rescanned. Discovering w from u sets hop[w],
+// the port at a toward the first node of the path, carried down from u. It
+// reports a node the landmark cannot reach.
 func (c *column) bfs(x *portIndex, a int32) error {
-	off, adj, out, back := x.off, x.adj, x.out, x.back
+	off, adj, out := x.off, x.adj, x.out
 	dist, up, hop := c.dist, c.up, c.hop
 	for i := range dist {
 		dist[i] = -1
@@ -283,19 +296,38 @@ func (c *column) bfs(x *portIndex, a int32) error {
 	queue := append(c.queue[:0], a)
 	for qi := 0; qi < len(queue); qi++ {
 		u := queue[qi]
-		du, hu := dist[u]+1, hop[u]
-		lo := off[u]
-		for e, w := range adj[lo:off[u+1]] {
-			if dist[w] >= 0 {
+		du, hu := dist[u], hop[u]
+		lo, hi := off[u], off[u+1]
+		var closer uint64
+		for e, w := range adj[lo:hi] {
+			dw := dist[w]
+			var bit uint64
+			if dw == du-1 {
+				bit = 1 // compiled to a conditional move, not a branch
+			}
+			closer |= bit << (e & 63)
+			if dw >= 0 {
 				continue
 			}
-			dist[w], up[w] = du, back[lo+e]
+			dist[w] = du + 1
 			if u == a {
 				hop[w] = out[lo+e]
 			} else {
 				hop[w] = hu
 			}
 			queue = append(queue, w)
+		}
+		switch {
+		case u == a:
+		case hi-lo <= 64:
+			up[u] = out[lo+bits.TrailingZeros64(closer)]
+		default:
+			for e, w := range adj[lo:hi] {
+				if dist[w] == du-1 {
+					up[u] = out[lo+e]
+					break
+				}
+			}
 		}
 	}
 	c.queue = queue
@@ -310,30 +342,46 @@ func (c *column) bfs(x *portIndex, a int32) error {
 }
 
 // buildLandmarkColumns runs one column BFS from each landmark a =
-// landmarks[j] and stores, for every node, the distance and the port toward
-// its BFS parent. The same pass streams the nearest-landmark choice:
-// landmarks are scanned in ascending order and only a strictly closer one
-// replaces the home, so ties keep the smallest landmark id, and eport(v) is
-// the port at ℓ(v) toward the first hop of its BFS tree — the smallest-id
-// neighbour of ℓ(v) on a shortest path to v.
+// landmarks[j] and stores, for every node, the distance and the canonical
+// port. The same pass streams the nearest-landmark choice: landmarks are
+// scanned in ascending order and only a strictly closer one replaces the
+// home, so ties keep the smallest landmark id, and eport(v) is the port at
+// ℓ(v) toward the first hop of its BFS tree — the smallest-id neighbour of
+// ℓ(v) on a shortest path to v. FIFO order makes that so: each level is
+// queued in nondecreasing first-hop order, so a node's discoverer has the
+// smallest first hop among its closer neighbours.
+//
+// Columns run in blocks of columnBlock, and each block is written out row
+// by row, so a node's entries of one block land in one cache line.
 func (s *Scheme) buildLandmarkColumns(x *portIndex) error {
 	n, k := s.n, s.k
-	c := newColumn(n)
-	for j, a := range s.landmarks {
-		if err := c.bfs(x, a); err != nil {
-			return err
+	cols := make([]*column, min(columnBlock, k))
+	for i := range cols {
+		cols[i] = newColumn(n)
+	}
+	for j0 := 0; j0 < k; j0 += columnBlock {
+		block := cols[:min(columnBlock, k-j0)]
+		for i, c := range block {
+			if err := c.bfs(x, s.landmarks[j0+i]); err != nil {
+				return err
+			}
 		}
 		for u := 1; u <= n; u++ {
-			d := c.dist[u]
-			at := (u-1)*k + j
-			s.lmDist[at], s.lmPort[at] = d, c.up[u]
-			if j == 0 || d < s.homeDist[u] {
-				s.homeIdx[u], s.homeDist[u], s.eport[u] = int32(j), d, c.hop[u]
+			at := (u-1)*k + j0
+			for i, c := range block {
+				d := c.dist[u]
+				s.lmDist[at+i], s.lmPort[at+i] = d, c.up[u]
+				if j := j0 + i; j == 0 || d < s.homeDist[u] {
+					s.homeIdx[u], s.homeDist[u], s.eport[u] = int32(j), d, c.hop[u]
+				}
 			}
 		}
 	}
 	return nil
 }
+
+// columnBlock is how many landmark columns Build runs before writing them.
+const columnBlock = 8
 
 // entries collects cluster entries in emission order: entry i is held by
 // holder[i] for destination dst[i], with first port port[i] at distance
@@ -343,13 +391,21 @@ type entries struct {
 	holder, dst, port, dist []int32
 
 	owned *keyspace.Set
-	// depth and queue are the truncated BFS scratch; depth is −1 off-run.
-	depth []int32
-	queue []int32
+	// depth, from, slot and queue are the truncated BFS scratch: depth is −1
+	// off-run; from[w] is the smallest-id closer neighbour of w met so far
+	// and slot[w] the index of w's entry, −1 when w holds none.
+	depth, from, slot []int32
+	queue             []int32
 }
 
 func newEntries(n int, owned *keyspace.Set) *entries {
-	c := &entries{owned: owned, depth: make([]int32, n+1), queue: make([]int32, 0, n)}
+	c := &entries{
+		owned: owned,
+		depth: make([]int32, n+1),
+		from:  make([]int32, n+1),
+		slot:  make([]int32, n+1),
+		queue: make([]int32, 0, n),
+	}
 	for i := range c.depth {
 		c.depth[i] = -1
 	}
@@ -357,10 +413,14 @@ func newEntries(n int, owned *keyspace.Set) *entries {
 }
 
 // emit runs v's BFS truncated at depth limit ≥ 2: each discovered node w
-// with 2 ≤ d(v,w) ≤ limit gets an entry for v whose port is the edge to w's
-// parent in that BFS (a first hop on a shortest w→v path).
+// with 2 ≤ d(v,w) ≤ limit gets an entry for v whose port is the edge to
+// w's smallest-id neighbour one step closer to v. Every such neighbour
+// scans its row before the run ends, since only depth limit is left
+// unscanned, so the entry's port is set at discovery and lowered whenever a
+// smaller-id closer neighbour meets w.
 func (c *entries) emit(x *portIndex, v, limit int32) {
 	off, adj, back, dist := x.off, x.adj, x.back, c.depth
+	from, slot := c.from, c.slot
 	dist[v] = 0
 	queue := append(c.queue[:0], v)
 	for qi := 0; qi < len(queue); qi++ {
@@ -371,16 +431,20 @@ func (c *entries) emit(x *portIndex, v, limit int32) {
 		du := dist[u] + 1
 		lo := off[u]
 		for e, w := range adj[lo:off[u+1]] {
-			if dist[w] >= 0 {
-				continue
-			}
-			dist[w] = du
-			queue = append(queue, w)
-			if du >= 2 && (c.owned == nil || c.owned.Has(int(w))) {
-				c.holder = append(c.holder, w)
-				c.dst = append(c.dst, v)
-				c.port = append(c.port, back[lo+e])
-				c.dist = append(c.dist, du)
+			switch dw := dist[w]; {
+			case dw < 0:
+				dist[w], from[w], slot[w] = du, u, -1
+				queue = append(queue, w)
+				if du >= 2 && (c.owned == nil || c.owned.Has(int(w))) {
+					slot[w] = int32(len(c.port))
+					c.holder = append(c.holder, w)
+					c.dst = append(c.dst, v)
+					c.port = append(c.port, back[lo+e])
+					c.dist = append(c.dist, du)
+				}
+			case dw == du && u < from[w] && slot[w] >= 0:
+				from[w] = u
+				c.port[slot[w]] = back[lo+e]
 			}
 		}
 	}

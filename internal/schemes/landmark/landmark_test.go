@@ -2,11 +2,14 @@ package landmark
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"testing"
 
 	"routetab/internal/gengraph"
 	"routetab/internal/graph"
+	"routetab/internal/keyspace"
 	"routetab/internal/routing"
 	"routetab/internal/shortestpath"
 )
@@ -242,6 +245,33 @@ func TestLandmarkCodecRejectsCorruption(t *testing.T) {
 			// (e.g. flipping a padding-free field back is impossible here, so
 			// any success is a validation hole).
 			t.Fatalf("header byte %d flip decoded successfully", off)
+		}
+	}
+}
+
+// TestLandmarkCodecRejectsParentRuleVersions: blobs under versions 1 and 2,
+// whose ports were BFS-tree parent edges, are refused with ErrBadTables even
+// when the rest of the layout is well formed, so a stale persisted snapshot
+// cold-builds instead of serving another rule's ports.
+func TestLandmarkCodecRejectsParentRuleVersions(t *testing.T) {
+	g, err := gengraph.SparseConnected(48, 5, rand.New(rand.NewSource(13)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ports := buildOn(t, g)
+	owned, _ := keyspace.New(g.N())
+	owned.Add(3)
+	r, _ := buildOn(t, g)
+	if err := r.Restrict(owned); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		enc     []byte
+		version uint32
+	}{{s.EncodeTables(), 1}, {r.EncodeTables(), 2}} {
+		binary.LittleEndian.PutUint32(c.enc[4:], c.version)
+		if _, err := DecodeTables(g, ports, c.enc); !errors.Is(err, ErrBadTables) {
+			t.Fatalf("version %d: err %v, want ErrBadTables", c.version, err)
 		}
 	}
 }

@@ -1,11 +1,11 @@
 package landmark
 
-// The landmark builder as it stood before the single-pass rewrite, kept
-// verbatim as the oracle for TestBuildMatchesReference and
-// FuzzBuildMatchesReference: two BFS passes per landmark through
-// shortestpath.BFS (the second only to walk parent chains for eport),
-// map-backed Ports.PortTo lookups, and a comparison sort of cluster entries.
-// Only the names differ from the original.
+// The oracle for TestBuildMatchesReference and FuzzBuildMatchesReference:
+// every table computed from its definition on shortestpath.BFS distances,
+// with no BFS tree in sight. A stored port names the smallest-id neighbour
+// one step closer to the target (canonicalPort), for landmark-table ports,
+// cluster ports and eport alike; homes scan every landmark row; cluster
+// entries come from one full BFS per destination and a comparison sort.
 
 import (
 	"bytes"
@@ -23,7 +23,19 @@ import (
 	"routetab/internal/shortestpath"
 )
 
-// referenceBuild is the pre-rewrite Build.
+// canonicalPort returns the port at u toward u's smallest-id neighbour w
+// with dist[w] = dist[u]−1, where dist holds BFS distances from the target.
+func canonicalPort(g *graph.Graph, ports *graph.Ports, dist []int, u int) (int32, error) {
+	for _, w := range g.Neighbors(u) {
+		if dist[w] == dist[u]-1 {
+			p, err := ports.PortTo(u, w)
+			return int32(p), err
+		}
+	}
+	return 0, fmt.Errorf("landmark: node %d has no closer neighbour", u)
+}
+
+// referenceBuild builds the scheme from the definitions.
 func referenceBuild(g *graph.Graph, ports *graph.Ports, opt Options) (*Scheme, error) {
 	n := g.N()
 	if n < 1 {
@@ -60,7 +72,8 @@ func referenceBuild(g *graph.Graph, ports *graph.Ports, opt Options) (*Scheme, e
 		s.lmIdx[a] = int32(j)
 	}
 
-	// Pass 1: one BFS per landmark fills the distance/port columns.
+	// Landmark table: exact distances, and the canonical port toward each
+	// landmark.
 	for j, a := range s.landmarks {
 		res, err := shortestpath.BFS(g, int(a))
 		if err != nil {
@@ -74,12 +87,9 @@ func referenceBuild(g *graph.Graph, ports *graph.Ports, opt Options) (*Scheme, e
 			at := (u-1)*k + j
 			s.lmDist[at] = int32(d)
 			if u != int(a) {
-				// Parent[u] is u's neighbour one step closer to the landmark.
-				port, err := ports.PortTo(u, res.Parent[u])
-				if err != nil {
-					return nil, fmt.Errorf("landmark: %w", err)
+				if s.lmPort[at], err = canonicalPort(g, ports, res.Dist, u); err != nil {
+					return nil, err
 				}
-				s.lmPort[at] = int32(port)
 			}
 		}
 	}
@@ -97,33 +107,31 @@ func referenceBuild(g *graph.Graph, ports *graph.Ports, opt Options) (*Scheme, e
 		s.homeDist[v] = s.lmDist[(v-1)*k+int(best)]
 	}
 
-	// Pass 2: one more BFS per landmark recovers eport(v) — the first hop at
-	// ℓ(v) toward v — for the nodes homed there, by walking the BFS parent
-	// chain from v up to the landmark's child.
-	for j, a := range s.landmarks {
-		res, err := shortestpath.BFS(g, int(a))
+	// One BFS from every destination v gives eport(v), the canonical port
+	// at ℓ(v) toward v, and v's cluster entries.
+	var entries []refClusterEntry
+	for v := 1; v <= n; v++ {
+		res, err := shortestpath.BFS(g, v)
 		if err != nil {
 			return nil, fmt.Errorf("landmark: %w", err)
 		}
-		for v := 1; v <= n; v++ {
-			if s.homeIdx[v] != int32(j) || v == int(a) {
-				continue
+		if a := int(s.landmarks[s.homeIdx[v]]); a != v {
+			if s.eport[v], err = canonicalPort(g, ports, res.Dist, a); err != nil {
+				return nil, err
 			}
-			x := v
-			for res.Parent[x] != int(a) {
-				x = res.Parent[x]
+		}
+		limit := int(s.homeDist[v]) - 1
+		for w := 1; w <= n; w++ {
+			if d := res.Dist[w]; d >= 2 && d <= limit {
+				port, err := canonicalPort(g, ports, res.Dist, w)
+				if err != nil {
+					return nil, err
+				}
+				entries = append(entries, refClusterEntry{w: int32(w), v: int32(v), port: port, dist: int32(d)})
 			}
-			port, err := ports.PortTo(int(a), x)
-			if err != nil {
-				return nil, fmt.Errorf("landmark: %w", err)
-			}
-			s.eport[v] = int32(port)
 		}
 	}
-
-	if err := s.referenceBuildClusters(g, ports); err != nil {
-		return nil, err
-	}
+	s.referenceClusterRows(entries)
 	s.buildLabels()
 	return s, nil
 }
@@ -131,59 +139,9 @@ func referenceBuild(g *graph.Graph, ports *graph.Ports, opt Options) (*Scheme, e
 // refClusterEntry is one (holder, destination) pair during construction.
 type refClusterEntry struct{ w, v, port, dist int32 }
 
-// referenceBuildClusters runs a truncated BFS from every destination v to depth
-// home(v)−1: each discovered node w with 2 ≤ d(v,w) < home(v) stores an
-// entry for v whose port is w's BFS parent edge (a first hop on a shortest
-// w→v path). Entries are then sorted into per-node CSR rows.
-func (s *Scheme) referenceBuildClusters(g *graph.Graph, ports *graph.Ports) error {
+// referenceClusterRows sorts the entries into per-node CSR rows.
+func (s *Scheme) referenceClusterRows(entries []refClusterEntry) {
 	n := s.n
-	dist := make([]int32, n+1)
-	parent := make([]int32, n+1)
-	queue := make([]int32, 0, n)
-	touched := make([]int32, 0, n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	var entries []refClusterEntry
-	for v := 1; v <= n; v++ {
-		limit := s.homeDist[v] - 1
-		if limit < 2 {
-			continue // cluster holds only the neighbours, which store nothing
-		}
-		queue = queue[:0]
-		touched = touched[:0]
-		dist[v] = 0
-		queue = append(queue, int32(v))
-		touched = append(touched, int32(v))
-		for qi := 0; qi < len(queue); qi++ {
-			u := queue[qi]
-			du := dist[u]
-			if du == limit {
-				continue
-			}
-			for _, w := range g.Neighbors(int(u)) {
-				if dist[w] >= 0 {
-					continue
-				}
-				dist[w] = du + 1
-				parent[w] = u
-				queue = append(queue, int32(w))
-				touched = append(touched, int32(w))
-				if dist[w] >= 2 {
-					port, err := ports.PortTo(w, int(parent[w]))
-					if err != nil {
-						return fmt.Errorf("landmark: %w", err)
-					}
-					entries = append(entries, refClusterEntry{
-						w: int32(w), v: int32(v), port: int32(port), dist: dist[w],
-					})
-				}
-			}
-		}
-		for _, t := range touched {
-			dist[t] = -1
-		}
-	}
 	// Canonical order: by holder, then destination. Keys are unique, so the
 	// result is deterministic regardless of discovery order.
 	sort.Slice(entries, func(i, j int) bool {
@@ -205,7 +163,6 @@ func (s *Scheme) referenceBuildClusters(g *graph.Graph, ports *graph.Ports) erro
 	for u := 1; u <= n; u++ {
 		s.clusterStart[u] += s.clusterStart[u-1]
 	}
-	return nil
 }
 
 // portModes are the port assignments every differential case is built under:

@@ -27,7 +27,7 @@ import (
 var ErrNotOwned = errors.New("landmark: source outside owned keyspace")
 
 // Owned returns the scheme's owned-source set, or nil when the scheme holds
-// every node's tables (an unrestricted build or a version-1 decode).
+// every node's tables (an unrestricted build or a version-3 decode).
 func (s *Scheme) Owned() *keyspace.Set { return s.owned }
 
 // Restrict drops the per-source tables (landmark-port row and cluster row) of

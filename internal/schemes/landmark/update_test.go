@@ -3,6 +3,7 @@ package landmark
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -44,16 +45,7 @@ func flipUpdate(t testing.TB, prev *Scheme, g *graph.Graph, x, y int, opt Option
 		}
 		prev = dec
 	}
-	next := g.Clone()
-	var err error
-	if next.HasEdge(x, y) {
-		err = next.RemoveEdge(x, y)
-	} else {
-		err = next.AddEdge(x, y)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
+	next := flipped(t, g, x, y)
 	want, werr := buildRestricted(next, opt, owned)
 	got, gerr := Update(prev, prevPorts, next, graph.SortedPorts(next), x, y)
 	if werr != nil {
@@ -171,10 +163,8 @@ func TestUpdateMatchesBuild(t *testing.T) {
 	}
 }
 
-// TestSkipRulesExact pins both skip rules to their statements, computed
-// independently with shortestpath.BFS on the graph before the flip: a column
-// is kept iff d(a,x) = d(a,y), or the flip removes an edge that is not the
-// farther endpoint's BFS parent edge and that endpoint is owned; a
+// TestSkipRulesExact pins the cluster rule to its statement, computed
+// independently with shortestpath.BFS on the graph before the flip: a
 // destination is dirty iff home(v) changed with an old or new limit of at
 // least 2, or min(d(v,x), d(v,y)) < home(v)−1 with that limit at least 2.
 // The equality tests cannot see a rule that recomputes too much; this one
@@ -193,23 +183,6 @@ func TestSkipRulesExact(t *testing.T) {
 		}
 		for i := 0; i < 30; i++ {
 			x, y := randomFlip(g, rng)
-			added := !g.HasEdge(x, y)
-			prevPorts := graph.SortedPorts(g)
-			for j, a := range prev.landmarks {
-				res, err := shortestpath.BFS(g, int(a))
-				if err != nil {
-					t.Fatal(err)
-				}
-				near, far := x, y
-				if res.Dist[x] > res.Dist[y] {
-					near, far = y, x
-				}
-				want := res.Dist[x] == res.Dist[y] ||
-					!added && res.Parent[far] != near && (owned == nil || owned.Has(far))
-				if got := keepColumn(prev, prevPorts, x, y, j, added); got != want {
-					t.Fatalf("seed %d flip {%d,%d} landmark %d: keepColumn = %v, want %v", seed, x, y, a, got, want)
-				}
-			}
 			s, next := flipUpdate(t, prev, g, x, y, DefaultOptions(), owned, false)
 			if s == prev {
 				continue
@@ -281,6 +254,17 @@ func FuzzUpdateMatchesBuild(f *testing.F) {
 	f.Add([]byte{30, 0, 0x86, 5, 6, 6, 7, 29, 1, 14, 15, 14, 15})
 	f.Add([]byte{37, 39, 0xf3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{12, 1, 0x0c, 11, 0, 0, 11, 3, 8})
+	// A cycle 1–…–20–1, then removals: {10,11} raises the nodes past it in
+	// every column, and {5,6} disconnects, which both sides refuse.
+	f.Add([]byte{18, 2, 0x00, 0, 19, 9, 10, 4, 5})
+	f.Add([]byte{18, 0, 0x05, 0, 19, 9, 10, 4, 5, 2, 3})
+	// The path alone: every removal disconnects; additions then shortcut
+	// it, and removals of the shortcuts raise whole segments.
+	f.Add([]byte{30, 3, 0x02, 6, 7, 0, 20, 3, 25, 0, 20, 3, 25, 6, 7})
+	// One node's pairs with twelve others, its path edges among them,
+	// toggled in turn on a sparse half-owned graph replayed from decoded
+	// tables.
+	f.Add([]byte{24, 1, 0x35, 7, 0, 7, 1, 7, 2, 7, 3, 7, 4, 7, 5, 7, 6, 7, 8, 7, 9, 7, 10, 7, 11})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -317,47 +301,136 @@ func FuzzUpdateMatchesBuild(f *testing.F) {
 	})
 }
 
-// BenchmarkUpdateSparse4096 times Update across single flips of the
-// benchmark's n=4096 sparse graph, restricted to half the nodes like one of
-// two shard groups; BenchmarkBuildSparse4096 is the full build it replaces.
-func BenchmarkUpdateSparse4096(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	g, err := gengraph.SparseConnected(4096, 8, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	owned := ownedModes[1].owned(g.N(), rng)
-	prev, err := buildRestricted(g, DefaultOptions(), owned)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prevPorts := graph.SortedPorts(g)
-	type flip struct {
-		g     *graph.Graph
-		ports *graph.Ports
-		x, y  int
-	}
-	var flips []flip
-	for len(flips) < 16 {
-		x, y := randomFlip(g, rng)
+// mixedFlip draws one flip the way perfbench's schedules do: with equal
+// odds the addition of an absent pair, or the removal of an edge at a random
+// node of degree at least 2 whose other end also has degree at least 2 and
+// whose loss keeps g connected. It leaves g unchanged.
+func mixedFlip(g *graph.Graph, rng *rand.Rand) (x, y int) {
+	n := g.N()
+	for {
+		u, v := rng.Intn(n)+1, rng.Intn(n)+1
+		if u == v {
+			continue
+		}
+		if rng.Intn(2) == 0 {
+			if !g.HasEdge(u, v) {
+				return u, v
+			}
+			continue
+		}
+		nb := g.Neighbors(u)
+		if len(nb) < 2 {
+			continue
+		}
+		if v = nb[rng.Intn(len(nb))]; g.Degree(v) < 2 {
+			continue
+		}
 		next := g.Clone()
-		if next.HasEdge(x, y) {
-			_ = next.RemoveEdge(x, y)
-		} else {
-			_ = next.AddEdge(x, y)
-		}
-		if next.IsConnected() {
-			flips = append(flips, flip{next, graph.SortedPorts(next), x, y})
+		if err := next.RemoveEdge(u, v); err == nil && next.IsConnected() {
+			return u, v
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f := flips[i%len(flips)]
-		s, err := Update(prev, prevPorts, f.g, f.ports, f.x, f.y)
+}
+
+// flipped returns a clone of g with {x,y} toggled.
+func flipped(tb testing.TB, g *graph.Graph, x, y int) *graph.Graph {
+	tb.Helper()
+	next := g.Clone()
+	var err error
+	if next.HasEdge(x, y) {
+		err = next.RemoveEdge(x, y)
+	} else {
+		err = next.AddEdge(x, y)
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return next
+}
+
+// TestRepairIsLocal counts, not times, what the column repairs do on
+// seeded SparseConnected(n, 8) churn with perfbench's mixed flips and half
+// the nodes owned: no column may fall back to a full BFS, so a rule that
+// reruns whole columns fails, and the nodes touched per flip must grow less
+// than 16× from n = 1024 to n = 16384, the growth of n itself.
+func TestRepairIsLocal(t *testing.T) {
+	if testing.Short() {
+		t.Skip("n=16384 build skipped in -short")
+	}
+	const flips = 16
+	mean := map[int]float64{}
+	for _, n := range []int{1024, 16384} {
+		rng := rand.New(rand.NewSource(9))
+		g, err := gengraph.SparseConnected(n, 8, rng)
 		if err != nil {
-			b.Fatal(err)
+			t.Fatal(err)
 		}
-		benchScheme = s
+		owned := ownedModes[1].owned(n, rng)
+		prev, err := buildRestricted(g, DefaultOptions(), owned)
+		if err != nil {
+			t.Fatal(err)
+		}
+		touched := 0
+		for i := 0; i < flips; i++ {
+			x, y := mixedFlip(g, rng)
+			next := flipped(t, g, x, y)
+			s, st, err := update(prev, graph.SortedPorts(g), next, graph.SortedPorts(next), x, y)
+			if err != nil {
+				t.Fatalf("n=%d flip {%d,%d}: %v", n, x, y, err)
+			}
+			if st.fallbacks > 0 {
+				t.Fatalf("n=%d flip {%d,%d}: %d columns fell back to a full BFS", n, x, y, st.fallbacks)
+			}
+			touched += st.touched
+			prev, g = s, next
+		}
+		mean[n] = float64(touched) / flips
+		t.Logf("n=%d: %.0f nodes touched per flip", n, mean[n])
+	}
+	if r := mean[16384] / mean[1024]; r >= 16 {
+		t.Fatalf("touched per flip grew %.1f× from n=1024 to n=16384, want < 16×", r)
+	}
+}
+
+// BenchmarkUpdateSparse times Update across single mixed flips of
+// SparseConnected(n, 8), restricted to half the nodes like one of
+// churn-shard-n4096's two shard groups; n=4096 is that workload's graph.
+// BenchmarkBuildSparse4096 is the full build Update replaces.
+func BenchmarkUpdateSparse(b *testing.B) {
+	for _, n := range []int{1024, 4096, 16384} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			g, err := gengraph.SparseConnected(n, 8, rng)
+			if err != nil {
+				b.Fatal(err)
+			}
+			owned := ownedModes[1].owned(g.N(), rng)
+			prev, err := buildRestricted(g, DefaultOptions(), owned)
+			if err != nil {
+				b.Fatal(err)
+			}
+			prevPorts := graph.SortedPorts(g)
+			type flip struct {
+				g     *graph.Graph
+				ports *graph.Ports
+				x, y  int
+			}
+			var flips []flip
+			for len(flips) < 16 {
+				x, y := mixedFlip(g, rng)
+				next := flipped(b, g, x, y)
+				flips = append(flips, flip{next, graph.SortedPorts(next), x, y})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f := flips[i%len(flips)]
+				s, err := Update(prev, prevPorts, f.g, f.ports, f.x, f.y)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchScheme = s
+			}
+		})
 	}
 }
