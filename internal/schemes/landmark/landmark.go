@@ -352,7 +352,9 @@ func (c *column) bfs(x *portIndex, a int32) error {
 // smallest first hop among its closer neighbours.
 //
 // Columns run in blocks of columnBlock, and each block is written out row
-// by row, so a node's entries of one block land in one cache line.
+// by row, so a node's entries of one block share a cache line; a column
+// written alone strides k entries per node and writes a new line each time
+// (measured in EXPERIMENTS.md, "Canonical first hops and column repair").
 func (s *Scheme) buildLandmarkColumns(x *portIndex) error {
 	n, k := s.n, s.k
 	cols := make([]*column, min(columnBlock, k))

@@ -22,10 +22,13 @@
 //     distance order with the relaxations among raised nodes — a BFS with
 //     many sources at different depths. A raised node nothing settles cannot
 //     reach a, and Update reports ErrDisconnected.
-//   - Either repair that scans more than 1/repairWorkDiv of the adjacency
-//     entries stops, and the column is recomputed by the full BFS Build
-//     runs, which scans all of them: a column that falls back costs at
-//     most 1 + 1/repairWorkDiv full BFS runs.
+//
+// Neither repair falls back to the column's full BFS: the wavefront scans
+// each lowered node's row once, and a removal scans each raised node's row
+// at most three times (its verdict, its start, its settling), so a repair
+// costs at most three BFS runs restricted to the nodes it changes. Where a
+// removal raises much of a column, a budgeted repair that then reran the
+// full BFS measured slower (EXPERIMENTS.md).
 //
 // Ports. A port at u changes only when u's distance, a neighbour's distance
 // or u's own row changes, so after a repair the canonical port is recomputed
@@ -46,8 +49,7 @@
 // inside their home cell and recomputes the nodes it reaches in distance
 // order. When x or y is a landmark, its row renumbers every eport of its
 // cell; it is itself a candidate and the root of that DAG, so the walk
-// reaches the whole cell. A column recomputed in full seeds its landmark
-// the same way.
+// reaches the whole cell.
 //
 // Cluster rule. Destination v's entries come from a BFS from v truncated at
 // depth L = home(v)−1, which scans the rows of the nodes closer than L. Only
@@ -72,10 +74,6 @@ import (
 	"routetab/internal/graph"
 )
 
-// repairWorkDiv bounds a column repair at 1/repairWorkDiv of the adjacency
-// entries a full BFS scans; past it the column falls back to that BFS.
-const repairWorkDiv = 4
-
 // unsettled is a raised node's distance until a surviving path settles it.
 const unsettled = math.MaxInt32
 
@@ -89,34 +87,29 @@ func Update(prev *Scheme, prevPorts *graph.Ports, g *graph.Graph, ports *graph.P
 	return s, err
 }
 
-// updateStats is what one update did: the columns that fell back to a full
-// BFS, and the nodes its repairs visited, counted once per column, list or
-// walk they enter.
-type updateStats struct {
-	fallbacks, touched int
-}
-
-func update(prev *Scheme, prevPorts *graph.Ports, g *graph.Graph, ports *graph.Ports, x, y int) (*Scheme, updateStats, error) {
+// update is Update that also counts the nodes its repairs visited, once per
+// column, list or walk they enter.
+func update(prev *Scheme, prevPorts *graph.Ports, g *graph.Graph, ports *graph.Ports, x, y int) (s *Scheme, touched int, err error) {
 	n, k := prev.n, prev.k
 	if g.N() != n {
-		return nil, updateStats{}, fmt.Errorf("landmark: update of n=%d scheme to n=%d graph", n, g.N())
+		return nil, 0, fmt.Errorf("landmark: update of n=%d scheme to n=%d graph", n, g.N())
 	}
 	if x < 1 || x > n || y < 1 || y > n || x == y {
-		return nil, updateStats{}, fmt.Errorf("landmark: update across bad edge {%d,%d}", x, y)
+		return nil, 0, fmt.Errorf("landmark: update across bad edge {%d,%d}", x, y)
 	}
 	if !prevPorts.Sorted() || !ports.Sorted() {
-		return nil, updateStats{}, fmt.Errorf("landmark: update needs sorted ports")
+		return nil, 0, fmt.Errorf("landmark: update needs sorted ports")
 	}
 	if err := ports.Validate(g); err != nil {
-		return nil, updateStats{}, fmt.Errorf("landmark: %w", err)
+		return nil, 0, fmt.Errorf("landmark: %w", err)
 	}
 	_, had := prevPorts.PortToOK(x, y)
 	added := g.HasEdge(x, y)
 	if had == added {
-		return nil, updateStats{}, fmt.Errorf("landmark: edge {%d,%d} is not flipped", x, y)
+		return nil, 0, fmt.Errorf("landmark: edge {%d,%d} is not flipped", x, y)
 	}
 
-	s := &Scheme{
+	s = &Scheme{
 		n:         n,
 		k:         k,
 		landmarks: prev.landmarks,
@@ -128,10 +121,10 @@ func update(prev *Scheme, prevPorts *graph.Ports, g *graph.Graph, ports *graph.P
 		lmDist:    slices.Clone(prev.lmDist),
 		owned:     prev.owned,
 	}
-	r := newRepair(s, prev, g, ports, x, y, added)
+	r := newRepair(s, prev, g, x, y, added)
 	for j := range s.landmarks {
 		if err := r.column(j); err != nil {
-			return nil, r.stats, err
+			return nil, r.touched, err
 		}
 	}
 	r.homes()
@@ -153,8 +146,8 @@ func update(prev *Scheme, prevPorts *graph.Ports, g *graph.Graph, ports *graph.P
 		}
 		return p
 	}
-	xi := r.portIndex()
-	dirty := s.dirtyDestinations(prev, xi, x, y)
+	dirty := s.dirtyDestinations(prev, g, x, y)
+	xi := newPortIndex(g, ports)
 	fresh := newEntries(n, prev.owned)
 	for v := int32(1); v <= int32(n); v++ {
 		if limit := s.homeDist[v] - 1; dirty[v] && limit >= 2 {
@@ -199,18 +192,15 @@ func update(prev *Scheme, prevPorts *graph.Ports, g *graph.Graph, ports *graph.P
 		s.clusterStart[u] = int32(len(s.clusterDst))
 	}
 	s.buildLabels()
-	return s, r.stats, nil
+	return s, r.touched, nil
 }
 
 // repair is the scratch of one Update's column repairs, indexed by node.
 type repair struct {
 	s, prev *Scheme
 	g       *graph.Graph
-	ports   *graph.Ports
 	x, y    int
 	added   bool
-	budget  int // adjacency entries one column repair may scan
-	work    int // entries the current column's repair has scanned
 
 	// mark and raised are stamps: a node is marked (or raised) in the
 	// current pass when its stamp equals epoch.
@@ -228,28 +218,17 @@ type repair struct {
 	// changed: where the eport walk starts.
 	seeds [][2]int32
 
-	xi    *portIndex // built on first need
-	col   *column
-	stats updateStats
+	touched int
 }
 
-func newRepair(s, prev *Scheme, g *graph.Graph, ports *graph.Ports, x, y int, added bool) *repair {
+func newRepair(s, prev *Scheme, g *graph.Graph, x, y int, added bool) *repair {
 	n := s.n
 	return &repair{
-		s: s, prev: prev, g: g, ports: ports, x: x, y: y, added: added,
-		budget:   2 * g.M() / repairWorkDiv,
+		s: s, prev: prev, g: g, x: x, y: y, added: added,
 		mark:     make([]uint32, n+1),
 		raised:   make([]uint32, n+1),
 		rowDirty: make([]bool, n+1),
 	}
-}
-
-// portIndex returns the CSR port index of the new graph, building it once.
-func (r *repair) portIndex() *portIndex {
-	if r.xi == nil {
-		r.xi = newPortIndex(r.g, r.ports)
-	}
-	return r.xi
 }
 
 // nextEpoch starts a marking pass.
@@ -258,34 +237,15 @@ func (r *repair) nextEpoch() uint32 {
 	return r.epoch
 }
 
-// scan charges one row scan to the current column and reports whether the
-// repair is still within its budget.
-func (r *repair) scan(row []int) bool {
-	r.work += len(row)
-	return r.work <= r.budget
-}
-
 // column repairs landmark j's column: distances, then canonical ports, and
 // records the changed rows and the eport seeds.
 func (r *repair) column(j int) error {
-	r.work = 0
-	var ok bool
-	var err error
 	if r.added {
-		ok = r.lower(j)
-	} else {
-		ok, err = r.raise(j)
-	}
-	if err != nil {
+		r.lower(j)
+	} else if err := r.raise(j); err != nil {
 		return err
 	}
-	if !ok {
-		if err := r.fallback(j); err != nil {
-			return err
-		}
-	} else {
-		r.repairPorts(j)
-	}
+	r.repairPorts(j)
 	for _, u := range r.changed {
 		if !r.rowDirty[u] {
 			r.rowDirty[u] = true
@@ -296,9 +256,8 @@ func (r *repair) column(j int) error {
 }
 
 // lower repairs column j after {x,y} was added: a wavefront from the farther
-// endpoint that relaxes only strict improvements. It reports false when the
-// repair ran past its budget.
-func (r *repair) lower(j int) bool {
+// endpoint that relaxes only strict improvements.
+func (r *repair) lower(j int) {
 	k, dist := r.s.k, r.s.lmDist
 	x, y := r.x, r.y
 	if dist[(x-1)*k+j] > dist[(y-1)*k+j] {
@@ -312,12 +271,7 @@ func (r *repair) lower(j int) bool {
 	for qi := 0; qi < len(q); qi++ {
 		u := int(q[qi])
 		du := dist[(u-1)*k+j] + 1
-		row := r.g.Neighbors(u)
-		if !r.scan(row) {
-			r.changed = q
-			return false
-		}
-		for _, w := range row {
+		for _, w := range r.g.Neighbors(u) {
 			if at := (w-1)*k + j; dist[at] > du {
 				dist[at] = du
 				q = append(q, int32(w))
@@ -325,20 +279,19 @@ func (r *repair) lower(j int) bool {
 		}
 	}
 	r.changed = q
-	r.stats.touched += len(q)
-	return true
+	r.touched += len(q)
 }
 
 // raise repairs column j after {x,y} was removed: it raises the nodes left
 // without a closer neighbour that keeps its distance, then settles them
-// again from the rest. It reports false when the repair ran past its budget,
-// and ErrDisconnected when a raised node cannot be settled.
-func (r *repair) raise(j int) (bool, error) {
+// again from the rest. It reports ErrDisconnected when a raised node cannot
+// be settled.
+func (r *repair) raise(j int) error {
 	k, dist := r.s.k, r.s.lmDist
 	far, dnear := r.y, dist[(r.x-1)*k+j]
 	if dfar := dist[(r.y-1)*k+j]; dfar == dnear {
 		r.changed = r.changed[:0]
-		return true, nil
+		return nil
 	} else if dfar < dnear {
 		far = r.x
 	}
@@ -352,10 +305,6 @@ func (r *repair) raise(j int) (bool, error) {
 		w := int(cand[qi])
 		dw := dist[(w-1)*k+j]
 		row := r.g.Neighbors(w)
-		if !r.scan(row) {
-			r.queue, r.changed = cand, up
-			return false, nil
-		}
 		kept := false
 		for _, p := range row {
 			if dist[(p-1)*k+j] == dw-1 && r.raised[p] != raised {
@@ -377,9 +326,9 @@ func (r *repair) raise(j int) (bool, error) {
 	}
 	r.queue = cand
 	r.changed = up
-	r.stats.touched += len(cand)
+	r.touched += len(cand)
 	if len(up) == 0 {
-		return true, nil
+		return nil
 	}
 	// Settle: each raised node starts one past its best unraised neighbour;
 	// starts in ascending order merge with a FIFO of relaxations, so nodes
@@ -387,12 +336,7 @@ func (r *repair) raise(j int) (bool, error) {
 	starts := r.settle[:0] // (start distance, node) pairs
 	for _, w := range up {
 		best := int32(unsettled)
-		row := r.g.Neighbors(int(w))
-		if !r.scan(row) {
-			r.settle = starts
-			return false, nil
-		}
-		for _, p := range row {
+		for _, p := range r.g.Neighbors(int(w)) {
 			if r.raised[p] != raised {
 				best = min(best, dist[(p-1)*k+j]+1)
 			}
@@ -420,12 +364,7 @@ func (r *repair) raise(j int) (bool, error) {
 			}
 		}
 		du := dist[(u-1)*k+j] + 1
-		row := r.g.Neighbors(u)
-		if !r.scan(row) {
-			r.queue = fifo
-			return false, nil
-		}
-		for _, c := range row {
+		for _, c := range r.g.Neighbors(u) {
 			if at := (c-1)*k + j; r.raised[c] == raised && dist[at] > du {
 				dist[at] = du
 				fifo = append(fifo, int32(c))
@@ -435,38 +374,9 @@ func (r *repair) raise(j int) (bool, error) {
 	r.queue = fifo
 	for _, w := range up {
 		if dist[(int(w)-1)*k+j] == unsettled {
-			return false, fmt.Errorf("%w: node %d cannot reach landmark %d", ErrDisconnected, w, r.s.landmarks[j])
+			return fmt.Errorf("%w: node %d cannot reach landmark %d", ErrDisconnected, w, r.s.landmarks[j])
 		}
 	}
-	return true, nil
-}
-
-// fallback recomputes column j by a full BFS, with its ports, and seeds
-// eport at its landmark.
-func (r *repair) fallback(j int) error {
-	s, k := r.s, r.s.k
-	if r.col == nil {
-		r.col = newColumn(s.n)
-	}
-	if err := r.col.bfs(r.portIndex(), s.landmarks[j]); err != nil {
-		return err
-	}
-	changed := r.changed[:0]
-	for u := 1; u <= s.n; u++ {
-		at := (u-1)*k + j
-		if d := r.col.dist[u]; d != r.prev.lmDist[at] {
-			changed = append(changed, int32(u))
-		}
-		s.lmDist[at] = r.col.dist[u]
-		if s.owned == nil || s.owned.Has(u) {
-			s.lmPort[at] = r.col.up[u]
-		}
-	}
-	r.changed = changed
-	// The landmark roots its cell's DAG: a walk from it recomputes the cell.
-	r.seeds = append(r.seeds, [2]int32{int32(j), s.landmarks[j]})
-	r.stats.fallbacks++
-	r.stats.touched += s.n
 	return nil
 }
 
@@ -497,7 +407,7 @@ func (r *repair) repairPorts(j int) {
 		r.seeds = append(r.seeds, [2]int32{int32(j), u})
 	}
 	r.queue = list
-	r.stats.touched += len(list)
+	r.touched += len(list)
 }
 
 // canonicalPort returns the port at u toward its smallest-id neighbour one
@@ -534,7 +444,7 @@ func (r *repair) homes() {
 			r.seeds = append(r.seeds, [2]int32{int32(best), u})
 		}
 	}
-	r.stats.touched += len(r.rows)
+	r.touched += len(r.rows)
 }
 
 // eports recomputes eport on every node reached by walking down the new
@@ -587,12 +497,12 @@ func (r *repair) eports() {
 		}
 	}
 	r.queue = walk
-	r.stats.touched += len(walk)
+	r.touched += len(walk)
 }
 
 // dirtyDestinations marks the destinations whose cluster entries the flip
 // can change (the cluster rule above): s holds the new homes, prev the old.
-func (s *Scheme) dirtyDestinations(prev *Scheme, xi *portIndex, x, y int) []bool {
+func (s *Scheme) dirtyDestinations(prev *Scheme, g *graph.Graph, x, y int) []bool {
 	n := s.n
 	dirty := make([]bool, n+1)
 	// near[v] = min(d(v,x), d(v,y)) up to the deepest limit that matters,
@@ -614,10 +524,10 @@ func (s *Scheme) dirtyDestinations(prev *Scheme, xi *portIndex, x, y int) []bool
 		if near[u] == reach {
 			continue
 		}
-		for _, w := range xi.adj[xi.off[u]:xi.off[u+1]] {
+		for _, w := range g.Neighbors(int(u)) {
 			if near[w] < 0 {
 				near[w] = near[u] + 1
-				queue = append(queue, w)
+				queue = append(queue, int32(w))
 			}
 		}
 	}
