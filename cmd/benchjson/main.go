@@ -254,22 +254,26 @@ func runSuite(quick bool, artefact string, sections map[string]bool) (*Report, e
 		}
 	}
 
-	// Chaos harness: graded serving under injected faults — stalls, drops,
-	// seeded churn bursts, kill+restore cycles — one million lookups per
-	// scheme on G(256, 1/2) (quick: 20k on G(64, 1/2)). The headline figures
-	// are availability %, p99 under chaos, and recovery time after a kill.
+	// Chaos harness: the `make chaos` gate row — graded serving under
+	// injected faults: stalls, drops, seeded churn bursts, a kill+restore
+	// cycle — at one million lookups per scheme on G(256, 1/2) (quick: 20k on
+	// G(64, 1/2)). The headline figures are availability %, p99 under chaos,
+	// and recovery time after a kill.
 	if sections["chaos"] {
 		n, lookups := 256, uint64(1_000_000)
 		if quick {
 			n, lookups = 64, 20_000
 		}
+		var sc chaos.Scenario
+		for _, g := range chaos.Gates {
+			if g.Name == "chaos" {
+				sc = g.Scenario
+			}
+		}
+		sc.N, sc.Lookups = n, lookups
 		for _, scheme := range []string{"fulltable", "compact"} {
-			crep, err := chaos.Run(chaos.Config{
-				N:       n,
-				Seed:    1,
-				Scheme:  scheme,
-				Lookups: lookups,
-			})
+			sc.Scheme = scheme
+			crep, err := chaos.Run(sc)
 			if err != nil {
 				return nil, fmt.Errorf("chaos %s: %w", scheme, err)
 			}

@@ -95,14 +95,18 @@ func TestShardChaosGate(t *testing.T) {
 	}
 }
 
-// TestGateArgumentErrors: an unknown gate, a missing gate, and -csv on a gate
-// without a CSV layout are refused before anything runs.
+// TestGateArgumentErrors: an unknown gate, a missing gate, -csv on a gate
+// without a CSV layout, and a scheme whose tier the row's faults do not fit
+// (the chaos row's kill-restore compares packed matrices) or that has no
+// tier at all are refused before anything runs.
 func TestGateArgumentErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"nope"},
 		{},
 		{"wiresmoke", "crash"},
 		{"-csv", t.TempDir() + "/x.csv", "crash"},
+		{"-scheme", "landmark", "chaos"},
+		{"-scheme", "interval", "chaos"},
 	} {
 		if err := run(args, &bytes.Buffer{}); err == nil {
 			t.Errorf("chaosgate %v: accepted", args)
@@ -123,7 +127,7 @@ func TestGatesMatchMakefile(t *testing.T) {
 	}
 	var names []string
 	for _, g := range gates {
-		names = append(names, g.name)
+		names = append(names, g.Name)
 	}
 	if targets := strings.Fields(string(m[1])); !slices.Equal(targets, names) {
 		t.Fatalf("Makefile gate rule %v, gate table %v", targets, names)

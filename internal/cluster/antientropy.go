@@ -2,7 +2,7 @@
 // members. A Digest compresses a member's entire served state — epoch, WAL
 // position, snapshot sequence, tier, node count, and the CRC-32C of the
 // served tables (the packed distance matrix on the full tier, the encoded
-// LMTB1 scheme tables on the tables tier) — into a handful of integers.
+// LMTB scheme tables on the tables tier) — into a handful of integers.
 // Because rebuilds are deterministic, two members whose digests match are
 // serving byte-identical routing tables; a mismatch at equal WAL position
 // means divergence and demands a resync, not a shrug.

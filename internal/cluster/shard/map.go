@@ -3,7 +3,7 @@
 //
 // The unit of placement is the source node: a lookup (src, dst) is answered
 // by the group that owns src, using the keyspace-restricted scheme tables of
-// internal/schemes/landmark (LMTB v2) — dst never constrains placement, so
+// internal/schemes/landmark (LMTB v4) — dst never constrains placement, so
 // any split of the sources is a correct split of the work. Ownership is
 // decided by a consistent-hash shard map: each node hashes to a point on the
 // 64-bit ring and the map is a sorted tiling of [0, 2^64) into half-open

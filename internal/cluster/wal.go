@@ -50,7 +50,7 @@ func DistCRC(d *shortestpath.Distances) uint32 {
 }
 
 // TablesCRC is the tables-tier convergence fingerprint: CRC-32C over the
-// encoded scheme tables (the LMTB1 blob for the landmark scheme). The
+// encoded scheme tables (the LMTB blob for the landmark scheme). The
 // incompressibility bound is why the compact tier fingerprints the tables
 // themselves — there is no matrix to hash, by design.
 func TablesCRC(tables []byte) uint32 {

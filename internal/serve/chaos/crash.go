@@ -32,34 +32,23 @@ import (
 
 // CrashConfig parameterises one crash-recovery sweep.
 type CrashConfig struct {
-	// N is the topology size for the engine matrix (default 24).
+	// N is the topology size for the engine matrix.
 	N int
 	// Seed keys topology, schedules, and payloads.
 	Seed int64
-	// Scheme must be shortest-path (default "fulltable").
+	// Scheme must be shortest-path.
 	Scheme string
-	// Records is the engine-matrix churn schedule length (default 16; each
-	// publishes one WAL record, checked clean and torn).
-	Records int
-	// ByteRecords is the store-level byte-matrix schedule length (default
-	// 30; every byte boundary of the resulting disk image is checked).
-	ByteRecords int
 }
 
-func (c *CrashConfig) setDefaults() {
-	if c.N < 8 {
-		c.N = 24
-	}
-	if c.Scheme == "" {
-		c.Scheme = "fulltable"
-	}
-	if c.Records <= 0 {
-		c.Records = 16
-	}
-	if c.ByteRecords <= 0 {
-		c.ByteRecords = 30
-	}
-}
+// The schedule lengths of the two sweeps.
+const (
+	// crashRecords is the engine-matrix churn schedule length; each record
+	// is checked clean and torn.
+	crashRecords = 16
+	// byteRecords is the store-level byte-matrix schedule length; every byte
+	// boundary of the resulting disk image is checked.
+	byteRecords = 30
+)
 
 // CrashReport is one sweep's outcome.
 type CrashReport struct {
@@ -94,7 +83,6 @@ var ErrCrashMatrix = errors.New("chaos: crash matrix violation")
 // RunCrash executes both sweeps. The report is complete even on failure; the
 // error names the first violated boundary.
 func RunCrash(cfg CrashConfig) (*CrashReport, error) {
-	cfg.setDefaults()
 	plan, err := planFor(cfg.Scheme)
 	if err != nil {
 		return nil, err
@@ -102,7 +90,7 @@ func RunCrash(cfg CrashConfig) (*CrashReport, error) {
 	if !plan.strict {
 		return nil, fmt.Errorf("chaos: scheme %q is not shortest-path", cfg.Scheme)
 	}
-	rep := &CrashReport{Scheme: cfg.Scheme, N: cfg.N, Seed: cfg.Seed, ByteRecords: cfg.ByteRecords}
+	rep := &CrashReport{Scheme: cfg.Scheme, N: cfg.N, Seed: cfg.Seed, ByteRecords: byteRecords}
 	start := time.Now()
 	if err := byteMatrix(cfg, rep); err != nil {
 		rep.Elapsed = time.Since(start)
@@ -137,8 +125,8 @@ func byteMatrix(cfg CrashConfig, rep *CrashReport) error {
 		}
 		return b
 	}
-	endAt := make([]int64, cfg.ByteRecords)
-	for i := 0; i < cfg.ByteRecords; i++ {
+	endAt := make([]int64, byteRecords)
+	for i := 0; i < byteRecords; i++ {
 		if err := st.Append(uint64(i+1), payload(i)); err != nil {
 			return err
 		}
@@ -157,7 +145,7 @@ func byteMatrix(cfg CrashConfig, rep *CrashReport) error {
 			return fmt.Errorf("%w: byte %d: recovery failed: %v", ErrCrashMatrix, k, err)
 		}
 		want := 0
-		for want < cfg.ByteRecords && endAt[want] <= k {
+		for want < byteRecords && endAt[want] <= k {
 			want++
 		}
 		next := uint64(1)
@@ -200,13 +188,13 @@ func engineMatrix(cfg CrashConfig, plan tierPlan, rep *CrashReport) error {
 	// Record boundaries: offs[i] is the disk image after record i is durable,
 	// digests[i] the table the cluster serves at that instant. Index 0 is the
 	// fresh primary before any churn.
-	offs := make([]int64, cfg.Records+1)
-	digests := make([]cluster.Digest, cfg.Records+1)
+	offs := make([]int64, crashRecords+1)
+	digests := make([]cluster.Digest, crashRecords+1)
 	offs[0] = ref.JournalBytes()
 	if digests[0], err = p.FetchDigest(); err != nil {
 		return err
 	}
-	for i := 1; i <= cfg.Records; i++ {
+	for i := 1; i <= crashRecords; i++ {
 		if err := flipEdge(p, i); err != nil {
 			return err
 		}
@@ -237,12 +225,12 @@ func engineMatrix(cfg CrashConfig, plan tierPlan, rep *CrashReport) error {
 		rep.Replayed += rpt.Replayed
 		return nil
 	}
-	for i := 0; i <= cfg.Records; i++ {
+	for i := 0; i <= crashRecords; i++ {
 		if err := check(offs[i], digests[i], fmt.Sprintf("record %d clean", i)); err != nil {
 			return err
 		}
 		rep.RecordBoundaries++
-		if i < cfg.Records {
+		if i < crashRecords {
 			// Three bytes into the next frame (or next segment header): the
 			// torn write must vanish and recovery must land on boundary i.
 			if err := check(offs[i]+3, digests[i], fmt.Sprintf("record %d torn", i)); err != nil {

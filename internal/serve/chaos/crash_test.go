@@ -10,7 +10,7 @@ import (
 // (clean + torn) of an engine churn schedule must recover to the exact
 // durable prefix under the original epoch.
 func TestRunCrash(t *testing.T) {
-	rep, err := RunCrash(CrashConfig{N: 16, Seed: 5, Records: 8, ByteRecords: 16})
+	rep, err := RunCrash(CrashConfig{N: 16, Seed: 5, Scheme: "fulltable"})
 	if err != nil {
 		t.Fatalf("crash sweep failed: %v\nreport: %v", err, rep)
 	}
@@ -20,8 +20,9 @@ func TestRunCrash(t *testing.T) {
 	if rep.ByteBoundaries < int64(rep.ByteRecords)*13 {
 		t.Errorf("byte matrix too small: %d boundaries for %d records", rep.ByteBoundaries, rep.ByteRecords)
 	}
-	if rep.RecordBoundaries != 9 || rep.TornBoundaries != 8 {
-		t.Errorf("engine matrix boundaries = %d clean / %d torn, want 9/8", rep.RecordBoundaries, rep.TornBoundaries)
+	if rep.RecordBoundaries != crashRecords+1 || rep.TornBoundaries != crashRecords {
+		t.Errorf("engine matrix boundaries = %d clean / %d torn, want %d/%d",
+			rep.RecordBoundaries, rep.TornBoundaries, crashRecords+1, crashRecords)
 	}
 	if !rep.EpochPreserved || !rep.DigestsIdentical {
 		t.Errorf("epoch preserved=%v digests identical=%v", rep.EpochPreserved, rep.DigestsIdentical)

@@ -13,6 +13,7 @@ import (
 
 	"routetab/internal/cluster"
 	"routetab/internal/cluster/shard"
+	"routetab/internal/faultinject"
 	"routetab/internal/gengraph"
 	"routetab/internal/graph"
 	"routetab/internal/serve"
@@ -23,13 +24,22 @@ import (
 const avgDeg = 8
 
 // tierPlan is what a run's scheme decides, by the same rule as routetabd
-// -tier auto: the topology family, the engine constructor, and whether
-// answers are graded strictly or by spot sample.
+// -tier auto: the topology family, the engine constructor, whether answers
+// are graded strictly or by spot sample, and the group shapes' pacing.
 type tierPlan struct {
 	name      string // serve.TierFull or serve.TierTables
 	strict    bool
 	topology  func(n int, rng *rand.Rand) (*graph.Graph, error)
 	newEngine func(*graph.Graph, string) (*serve.Engine, error)
+	// budget bounds a group shape's tolerated unserved fraction. The tables
+	// tier's rebuilds are ~100× heavier than the full tier's at n=256, so
+	// partitions and the kill window cost proportionally more.
+	budget float64
+	// settle bounds every wait for the replicas to catch up, polled every
+	// settlePoll.
+	settle, settlePoll time.Duration
+	// churnBurst is the topology changes one Churn fault publishes.
+	churnBurst int
 }
 
 // planFor maps scheme onto its tier. A table-capable scheme (landmark) runs
@@ -42,11 +52,54 @@ func planFor(scheme string) (tierPlan, error) {
 		return tierPlan{}, fmt.Errorf("chaos: unknown scheme %q", scheme)
 	case serve.TableCapable(scheme):
 		sparse := func(n int, rng *rand.Rand) (*graph.Graph, error) { return gengraph.SparseConnected(n, avgDeg, rng) }
-		return tierPlan{name: serve.TierTables, topology: sparse, newEngine: serve.NewTieredEngine}, nil
+		return tierPlan{name: serve.TierTables, topology: sparse, newEngine: serve.NewTieredEngine,
+			budget: 0.02, settle: 10 * time.Second, settlePoll: time.Millisecond, churnBurst: 1}, nil
 	case serve.IsShortestPath(scheme):
-		return tierPlan{name: serve.TierFull, strict: true, topology: gengraph.GnHalf, newEngine: serve.NewEngine}, nil
+		return tierPlan{name: serve.TierFull, strict: true, topology: gengraph.GnHalf, newEngine: serve.NewEngine,
+			budget: 0.01, settle: 2 * time.Second, settlePoll: 300 * time.Microsecond, churnBurst: 2}, nil
 	}
 	return tierPlan{}, fmt.Errorf("chaos: scheme %q is not shortest-path; strict grading needs stretch 1", scheme)
+}
+
+// bootPrimary builds a primary's serving stack from the seeded initial
+// topology of the plan's family and recovers its durable WAL from fs
+// forward: a fresh start and a cold restart after kill -9 are the same code
+// path.
+func (p tierPlan) bootPrimary(scheme string, n int, seed int64, srvOpts serve.ServerOptions,
+	repOpts serve.RepairOptions, fs faultinject.FS) (*cluster.Primary, *cluster.RecoveryReport, error) {
+	g, err := p.topology(n, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		return nil, nil, err
+	}
+	eng, err := p.newEngine(g, scheme)
+	if err != nil {
+		return nil, nil, err
+	}
+	srv := serve.NewServer(eng, srvOpts)
+	rep := serve.NewRepairer(srv, repOpts)
+	log, rpt, err := cluster.RecoverPrimaryLog(eng, rep, cluster.RecoverConfig{Dir: "wal", FS: fs})
+	if err == nil {
+		var pri *cluster.Primary
+		if pri, err = cluster.NewPrimaryAt(eng, srv, rep, rpt.Epoch, log); err == nil {
+			return pri, rpt, nil
+		}
+	}
+	rep.Close()
+	srv.Close()
+	return nil, nil, err
+}
+
+// closePrimary tears a primary's stack down; kill abandons the WAL
+// unflushed, like kill -9.
+func closePrimary(p *cluster.Primary, kill bool) {
+	p.Close()
+	if kill {
+		p.Log().Abandon()
+	} else {
+		_ = p.Log().CloseWAL()
+	}
+	p.Repairer().Close()
+	p.Server().Close()
 }
 
 // phase is one scheduled injection, fired at a lookup-progress milestone.
@@ -55,11 +108,10 @@ type phase struct {
 	run  func() error
 }
 
-// loop is the closed-loop load the Run, RunCluster, RunShard and RunNode
-// harnesses drive: workers seeded clients draw uniform (src, dst)
-// pairs over 1..n, batch pairs per request, until lookups pairs are issued,
-// while a controller fires the phase schedule at progress milestones of
-// answered.
+// loop is the closed-loop load every shape drives: workers seeded clients
+// draw uniform (src, dst) pairs over 1..n, batch pairs per request, until
+// lookups pairs are issued, while a controller fires the phase schedule at
+// progress milestones of answered.
 type loop struct {
 	n, workers, batch int
 	seed              int64
@@ -178,7 +230,7 @@ func (l loop) run(phases []phase) (time.Duration, error) {
 	return time.Since(start), runErr
 }
 
-// tally is the availability ledger every harness keeps: each answer counts
+// tally is the availability ledger every shape keeps: each answer counts
 // once as served, rejected, unavailable, or errored.
 type tally struct {
 	answered    atomic.Uint64
@@ -195,7 +247,8 @@ func (t *tally) count(r *serve.Result, err error) (time.Duration, bool) {
 	t.answered.Add(1)
 	var oe *serve.OverloadedError
 	switch {
-	case err != nil, errors.Is(r.Err, serve.ErrUnavailable), errors.Is(r.Err, shard.ErrShardUnavailable):
+	case err != nil, errors.Is(r.Err, serve.ErrUnavailable), errors.Is(r.Err, shard.ErrShardUnavailable),
+		errors.Is(r.Err, cluster.ErrNoBackends):
 		t.unavailable.Add(1)
 	case errors.As(r.Err, &oe):
 		t.rejected.Add(1)
@@ -212,9 +265,9 @@ func (t *tally) count(r *serve.Result, err error) (time.Duration, bool) {
 	return 0, false
 }
 
-// Ledger is the availability ledger every load-driving report embeds: the
-// lookups answered, each counted once as served, rejected, unavailable or
-// errored, over the load's wall time.
+// Ledger is the availability ledger every report embeds: the lookups
+// answered, each counted once as served, rejected, unavailable or errored,
+// over the load's wall time.
 type Ledger struct {
 	Lookups         uint64        `json:"lookups"`
 	Served          uint64        `json:"served"`
@@ -226,51 +279,39 @@ type Ledger struct {
 	QPS             float64       `json:"qps"`
 }
 
-// ledger fills a Ledger from the tally of a load that ran for elapsed.
-func (t *tally) ledger(elapsed time.Duration) Ledger {
-	l := Ledger{
-		Lookups:     t.answered.Load(),
-		Served:      t.served.Load(),
-		Rejected:    t.rejected.Load(),
-		Unavailable: t.unavailable.Load(),
-		Errored:     t.errored.Load(),
-		Elapsed:     elapsed,
-	}
-	if elapsed > 0 {
-		l.QPS = float64(l.Lookups) / elapsed.Seconds()
-	}
-	if l.Lookups > 0 {
-		l.AvailabilityPct = 100 * float64(l.Served) / float64(l.Lookups)
-	}
-	return l
-}
-
-// grader is the strict judge of full-tier answers, built on the tally. The
-// soundness argument is the same everywhere — Dist/NextDist come from the
-// same snapshot that produced Next, so hot swaps, rebuilds, and replica
-// staleness cannot produce false verdicts.
+// grader judges every answer a run's clients receive, on top of the tally.
+// Strictly on the full tier: the soundness argument is the same everywhere —
+// Dist/NextDist come from the same snapshot that produced Next, so hot swaps,
+// rebuilds, and replica staleness cannot produce false verdicts. On the
+// tables tier it only counts: spot graders over the serving engines judge,
+// the members' own in the group shapes and spot in the single-node shape.
 type grader struct {
 	tally
+	strict    bool
+	spot      *spotgrade.Grader
 	correct   atomic.Uint64
 	degraded  atomic.Uint64
 	incorrect atomic.Uint64
 	maxExtra  atomic.Int64
 }
 
-// grade counts one answer and judges a served one, returning a suggested
-// backoff when the server asked for one. Strict branch: NextDist == Dist−1 in
-// the serving snapshot. Degraded branch: the detour's first hop plus
-// remaining snapshot distance must be within +2 hops of the snapshot's
+// judge counts one answer to pair p and grades a served one, returning a
+// suggested backoff when the server asked for one. Strict branch: NextDist ==
+// Dist−1 in the serving snapshot. Degraded branch: the detour's first hop
+// plus remaining snapshot distance must be within +2 hops of the snapshot's
 // shortest path.
-func (h *grader) grade(r *serve.Result, err error) time.Duration {
+func (h *grader) judge(p [2]int, r *serve.Result, err error) time.Duration {
 	backoff, served := h.count(r, err)
 	switch {
+	case !h.strict:
+		if h.spot != nil {
+			h.spot.Observe(p[0], p[1], r)
+		}
 	case !served:
-		return backoff
 	case r.Degraded:
 		if r.NextDist < 0 || (r.Dist >= 0 && 1+r.NextDist > r.Dist+2) {
 			h.incorrect.Add(1)
-			return 0
+			break
 		}
 		extra := int64(1 + r.NextDist - r.Dist)
 		for {
@@ -285,7 +326,36 @@ func (h *grader) grade(r *serve.Result, err error) time.Duration {
 	default:
 		h.incorrect.Add(1)
 	}
-	return 0
+	return backoff
+}
+
+// fill writes the ledger of a load that ran for elapsed, the strict counts,
+// and the totals of the spot graders into r.
+func (h *grader) fill(r *Report, elapsed time.Duration, spots []*spotgrade.Grader) {
+	r.Ledger = Ledger{
+		Lookups:     h.answered.Load(),
+		Served:      h.served.Load(),
+		Rejected:    h.rejected.Load(),
+		Unavailable: h.unavailable.Load(),
+		Errored:     h.errored.Load(),
+		Elapsed:     elapsed,
+	}
+	if elapsed > 0 {
+		r.QPS = float64(r.Lookups) / elapsed.Seconds()
+	}
+	if r.Lookups > 0 {
+		r.AvailabilityPct = 100 * float64(r.Served) / float64(r.Lookups)
+	}
+	r.Correct, r.Degraded, r.Incorrect = h.correct.Load(), h.degraded.Load(), h.incorrect.Load()
+	r.MaxDetourExtraHops = h.maxExtra.Load()
+	for _, g := range spots {
+		r.SpotGraded += g.Graded()
+		r.SpotViolations += g.Violations()
+		r.SpotMaxStretchMilli = max(r.SpotMaxStretchMilli, g.MaxStretchMilli())
+		if err := g.Err(); err != nil && r.Violation == "" {
+			r.Violation = err.Error()
+		}
+	}
 }
 
 // SpotTotals sums a run's spot graders: answers graded against on-demand BFS
@@ -294,21 +364,6 @@ type SpotTotals struct {
 	SpotGraded          uint64 `json:"spot_graded"`
 	SpotViolations      uint64 `json:"spot_violations"`
 	SpotMaxStretchMilli int64  `json:"spot_max_stretch_milli"`
-}
-
-// spotTotals sums graders and returns the first violation they recorded.
-func spotTotals(graders []*spotgrade.Grader) (SpotTotals, error) {
-	var t SpotTotals
-	var first error
-	for _, g := range graders {
-		t.SpotGraded += g.Graded()
-		t.SpotViolations += g.Violations()
-		t.SpotMaxStretchMilli = max(t.SpotMaxStretchMilli, g.MaxStretchMilli())
-		if first == nil {
-			first = g.Err()
-		}
-	}
-	return t, first
 }
 
 // checkSubQuadratic is the tables tier's asymptotic space gate. Below ~1024
@@ -323,9 +378,9 @@ func checkSubQuadratic(snap *serve.Snapshot) error {
 }
 
 // absentEdges returns up to k edges missing from g, each incident to a
-// distinct low-numbered node — the tables tier's churn toggle pool. Toggling
-// only these keeps the topology connected (removing an edge the harness
-// itself added cannot disconnect it), which landmark builds require.
+// distinct low-numbered node — the swap and tables-tier churn toggle pool.
+// Toggling only these keeps the topology connected (removing an edge the
+// harness itself added cannot disconnect it), which landmark builds require.
 func absentEdges(g *graph.Graph, k int) [][2]int {
 	var out [][2]int
 	n := g.N()
@@ -350,58 +405,22 @@ func toggle(e [2]int) func(*graph.Graph) error {
 	}
 }
 
-// MemberStats is one member's share of the run.
-type MemberStats struct {
-	Name   string  `json:"name"`
-	Served uint64  `json:"served"`
-	QPS    float64 `json:"qps"`
+// tableBytes is what two snapshots must agree on byte for byte to serve the
+// same tables: the packed distance matrix on the full tier, the encoded
+// scheme tables on the tables tier.
+func tableBytes(s *serve.Snapshot) []byte {
+	if s.Dist != nil {
+		return s.Dist.Packed()
+	}
+	return s.TablesBytes()
 }
 
-// waitUntil polls done every poll until it holds or deadline has passed, and
-// reports whether it held.
-func waitUntil(deadline, poll time.Duration, done func() bool) bool {
-	until := time.Now().Add(deadline)
-	for !done() {
-		if time.Now().After(until) {
-			return false
-		}
-		time.Sleep(poll)
+// landmarks is the landmark count of snap's scheme (0 for other schemes).
+func landmarks(snap *serve.Snapshot) int {
+	if lm, ok := snap.SchemeImpl().(interface{ K() int }); ok {
+		return lm.K()
 	}
-	return true
-}
-
-// probeFailover polls answered from a kill at start until a lookup is
-// answered cleanly and returns the failover latency, or fails after deadline.
-func probeFailover(start time.Time, deadline time.Duration, answered func() bool) (int64, error) {
-	for !answered() {
-		if time.Since(start) > deadline {
-			return 0, fmt.Errorf("%w: no routed answer %v after kill", ErrFailover, time.Since(start))
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	return time.Since(start).Nanoseconds(), nil
-}
-
-// sampleLag folds the replicas' current replay lag into the running max.
-func sampleLag(maxLag *atomic.Uint64, replicas []*cluster.Replica) {
-	for _, r := range replicas {
-		_, _, lag := r.Stats()
-		for cur := maxLag.Load(); lag > cur && !maxLag.CompareAndSwap(cur, lag); cur = maxLag.Load() {
-		}
-	}
-}
-
-// replicationTotals sums the replicas' full resyncs and the wire corruptions
-// the sources injected.
-func replicationTotals(replicas []*cluster.Replica, sources []*chaosSource) (resyncs uint64, corruptions int) {
-	for _, r := range replicas {
-		_, rs, _ := r.Stats()
-		resyncs += rs
-	}
-	for _, cs := range sources {
-		corruptions += cs.corruptions()
-	}
-	return resyncs, corruptions
+	return 0
 }
 
 // gate is one member's reachability: both its replication feed and its
@@ -490,7 +509,7 @@ type chaosSource struct {
 	feedDown    atomic.Bool // severs replication only, not client traffic
 	fresh       bool        // target has not been fetched from since setTarget
 	corruptNext bool
-	corrupted   int
+	corrupted   atomic.Int64
 	rng         *rand.Rand
 }
 
@@ -508,12 +527,6 @@ func (cs *chaosSource) armCorruption(on bool) {
 	cs.mu.Lock()
 	cs.corruptNext = on
 	cs.mu.Unlock()
-}
-
-func (cs *chaosSource) corruptions() int {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	return cs.corrupted
 }
 
 // cut reports whether the replica is partitioned from its feed.
@@ -577,7 +590,7 @@ func (cs *chaosSource) FetchWAL(ctx context.Context, after uint64) (*cluster.WAL
 	doCorrupt := cs.corruptNext && len(b.Records) > 0 && len(raw) > 0
 	if doCorrupt {
 		cs.corruptNext = false
-		cs.corrupted++
+		cs.corrupted.Add(1)
 		raw[cs.rng.Intn(len(raw))] ^= 1 << uint(cs.rng.Intn(8))
 	}
 	cs.mu.Unlock()

@@ -10,17 +10,81 @@ import (
 	"routetab/internal/serve"
 )
 
+// TestRunSmallSweep is the deterministic tier-1 chaos gate: a small
+// G(32, 1/2) run with every single-node fault kind armed must grade clean.
+func TestRunSmallSweep(t *testing.T) {
+	sc := Scenario{Scheme: "fulltable", N: 32, Seed: 7, Lookups: 40_000, Workers: 6,
+		Faults: []Fault{Stall, Stall, Drop, Drop, Burst, Burst, Burst, Burst, Burst, KillRestore, KillRestore}}
+	rep, err := Run(sc)
+	if err != nil {
+		t.Fatalf("chaos run failed: %v\nreport: %v", err, rep)
+	}
+	if rep.Incorrect != 0 {
+		t.Fatalf("incorrect answers: %d", rep.Incorrect)
+	}
+	if rep.Correct == 0 {
+		t.Fatalf("no correct answers graded (lookups=%d)", rep.Lookups)
+	}
+	if rep.Bursts != 5 {
+		t.Errorf("bursts executed = %d, want 5", rep.Bursts)
+	}
+	if rep.BurstEvents == 0 {
+		t.Errorf("fault plan scheduled no events")
+	}
+	if rep.Kills != 2 {
+		t.Errorf("kills executed = %d, want 2", rep.Kills)
+	}
+	if !rep.RestoredIdentical {
+		t.Errorf("kill restore was not byte-identical")
+	}
+	if rep.RecoveryNs <= 0 {
+		t.Errorf("recovery time not measured")
+	}
+	if !rep.SelfHealed {
+		t.Errorf("topology did not self-heal")
+	}
+	if rep.MaxDetourExtraHops > 2 {
+		t.Errorf("max detour extra = %d, want ≤ 2", rep.MaxDetourExtraHops)
+	}
+	if rep.AvailabilityPct < 90 {
+		t.Errorf("availability %.2f%% below 90%%", rep.AvailabilityPct)
+	}
+	if rep.Trips == 0 || rep.Shunts == 0 {
+		t.Errorf("stall surge exercised no breaker path (trips=%d shunts=%d)", rep.Trips, rep.Shunts)
+	}
+}
+
+// TestRunDegradedDuringChurn runs bursts only (no kills/stalls/drops) and
+// expects the overlay to actually produce graded degraded detours: the run
+// must see churn, not just a healthy steady state.
+func TestRunDegradedDuringChurn(t *testing.T) {
+	rep, err := Run(Scenario{Scheme: "fulltable", N: 32, Seed: 3, Lookups: 60_000, Workers: 6,
+		Faults: []Fault{Burst, Burst, Burst, Burst, Burst, Burst}})
+	if err != nil {
+		t.Fatalf("chaos run failed: %v\nreport: %v", err, rep)
+	}
+	if rep.Degraded+rep.Unavailable == 0 {
+		t.Errorf("churn bursts produced no degraded or unavailable answers (events=%d); injection not reaching the serve path", rep.BurstEvents)
+	}
+	if rep.Incorrect != 0 {
+		t.Fatalf("incorrect answers: %d", rep.Incorrect)
+	}
+	if !rep.SelfHealed {
+		t.Errorf("topology did not self-heal after bursts")
+	}
+}
+
 // TestRunWire: the single-node run on the full tier must hold its
 // invariants on a small deterministic run — both protocols served, swaps
 // observed by clients, and not one incorrect or errored answer over either
 // transport.
 func TestRunWire(t *testing.T) {
-	rep, err := RunNode(NodeConfig{N: 24, Seed: 7, Workers: 4, Lookups: 8000, Swaps: 2})
+	rep, err := Run(Scenario{Scheme: "fulltable", N: 24, Seed: 7, Workers: 4, Lookups: 8000, Faults: []Fault{Swap, Swap}})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%v\nreport: %v", err, rep)
 	}
-	if !rep.Passed() || rep.Tier != serve.TierFull {
-		t.Fatalf("invariants not held: %s", rep)
+	if rep.Tier != serve.TierFull {
+		t.Fatalf("tier %q: %s", rep.Tier, rep)
 	}
 	if rep.JSONLookups != 4000 || rep.BinLookups != 4000 {
 		t.Fatalf("lookup targets missed: %s", rep)
@@ -34,9 +98,9 @@ func TestRunWire(t *testing.T) {
 // topology, landmark build, spot-graded closed loop over both transports with
 // hot swaps — at a size small enough for the race detector.
 func TestRunBigSmallScale(t *testing.T) {
-	rep, err := RunNode(NodeConfig{N: 256, Seed: 17, Scheme: "landmark", Workers: 2, Lookups: 3_000, Swaps: 2})
+	rep, err := Run(Scenario{Scheme: "landmark", N: 256, Seed: 17, Workers: 2, Lookups: 3_000, Faults: []Fault{Swap, Swap}})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%v\nreport: %v", err, rep)
 	}
 	if rep.Tier != serve.TierTables || rep.Landmarks < 2 {
 		t.Fatalf("tier = %q, landmarks = %d", rep.Tier, rep.Landmarks)
@@ -83,7 +147,7 @@ func TestBinaryDoublesJSONThroughput(t *testing.T) {
 	defer closeAll()
 
 	qps := func(name string, lookupBatch func([][2]int, []serve.Result) error) float64 {
-		gr := &grader{}
+		gr := &grader{strict: true}
 		elapsed, err := loop{
 			n: n, workers: 4, batch: 16, seed: 1, lookups: lookups,
 			answered: &gr.answered, maxBackoff: 2 * time.Millisecond,
@@ -93,7 +157,7 @@ func TestBinaryDoublesJSONThroughput(t *testing.T) {
 				}
 				var backoff time.Duration
 				for i := range out {
-					backoff = max(backoff, gr.grade(&out[i], nil))
+					backoff = max(backoff, gr.judge(pairs[i], &out[i], nil))
 				}
 				return backoff, nil
 			},
