@@ -37,14 +37,35 @@ var (
 // Graph is a simple undirected graph on nodes {1,…,n}. The zero value is the
 // empty graph on zero nodes; use New for anything useful.
 //
+// The adjacency bitset is stored as pages of whole rows that clones share
+// and mutations copy on write (DESIGN.md, "Adjacency storage"): Clone copies
+// page pointers, not rows, and a mutation copies the pages it writes.
+//
 // Concurrency: any number of goroutines may read a Graph (Neighbors, AdjRow,
-// HasEdge, …) concurrently — the lazy neighbour-list cache is published
-// atomically. Mutations (AddEdge, RemoveEdge) require external
-// synchronisation with respect to all other access.
+// HasEdge, Clone, …) concurrently — the lazy neighbour-list cache is
+// published atomically, and Clone marks the pages it shares atomically.
+// Mutations (AddEdge, RemoveEdge) require external synchronisation with
+// respect to all other access to the same Graph; they never write a page
+// another graph holds, so a clone may be mutated while its source is read.
 type Graph struct {
 	n     int
-	words int // bitset words per adjacency row
-	adj   []uint64
+	words int  // bitset words per adjacency row
+	shift uint // log2 of the rows per page
+
+	// pages holds the adjacency rows, 1<<shift rows of words each per page
+	// (the last page holds what is left). A page reachable from two graphs
+	// is never written.
+	pages [][]uint64
+	// flat, while every page is still the slice of one backing array that
+	// New cut it from, is that array, so rows are read without the page
+	// indirection; the first page copy clears it.
+	flat []uint64
+	// own marks, bit p for pages[p], the pages g holds alone and may write
+	// in place; nil means g holds every page alone.
+	own []uint64
+	// cloned is set by Clone on both graphs, which then share every page:
+	// a graph's next write treats all its pages as shared.
+	cloned atomic.Bool
 
 	// lists is the lazily built neighbour-list cache, published atomically
 	// so concurrent readers never observe a partial rebuild. nil means
@@ -67,17 +88,30 @@ type listBase struct {
 	dirty []int
 }
 
-// New returns an edgeless graph on n ≥ 0 nodes labelled 1…n.
+// pageWords is the page size in words: 4 KiB, or one row where a row is
+// longer.
+const pageWords = 512
+
+// New returns an edgeless graph on n ≥ 0 nodes labelled 1…n. Its pages are
+// cut from one backing array.
 func New(n int) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("%w: n = %d", ErrNodeRange, n)
 	}
 	words := (n + 63) / 64
-	return &Graph{
-		n:     n,
-		words: words,
-		adj:   make([]uint64, n*words),
-	}, nil
+	var shift uint
+	for words > 0 && words<<(shift+1) <= pageWords {
+		shift++
+	}
+	size := words << shift // words per page
+	adj := make([]uint64, n*words)
+	pages := make([][]uint64, (n+1<<shift-1)>>shift)
+	for p := range pages {
+		lo := p * size
+		hi := min(lo+size, len(adj))
+		pages[p] = adj[lo:hi:hi]
+	}
+	return &Graph{n: n, words: words, shift: shift, pages: pages, flat: adj}, nil
 }
 
 // MustNew is New for statically valid sizes; it panics on error and exists
@@ -106,10 +140,11 @@ func (g *Graph) Words() int { return g.words }
 
 // AdjRow exposes node u's adjacency bitset row (Words() words; bit (v−1) set
 // iff uv ∈ E, laid out little-endian within each word). The returned slice
-// aliases the graph's storage — callers must treat it as read-only. This is
+// aliases the graph's storage — callers must treat it as read-only, and it
+// need not see a later mutation of g, which may copy the row's page. This is
 // the word-parallel substrate of the bitset BFS in internal/shortestpath.
 func (g *Graph) AdjRow(u int) []uint64 {
-	if g.check(u) != nil {
+	if u < 1 || u > g.n {
 		return nil
 	}
 	return g.row(u)
@@ -123,8 +158,37 @@ func (g *Graph) check(u int) error {
 }
 
 func (g *Graph) row(u int) []uint64 {
-	off := (u - 1) * g.words
-	return g.adj[off : off+g.words]
+	i := u - 1
+	if g.flat != nil {
+		return g.flat[i*g.words : (i+1)*g.words]
+	}
+	// shift < 64; masking it spares the compiler's oversized-shift check.
+	off := (i & (1<<(g.shift&63) - 1)) * g.words
+	return g.pages[i>>(g.shift&63)][off : off+g.words]
+}
+
+// writableRow is row for a write: it first copies u's page unless g holds
+// it alone. The first write after a Clone finds every page shared.
+func (g *Graph) writableRow(u int) []uint64 {
+	if g.cloned.Swap(false) {
+		if g.own == nil {
+			g.own = make([]uint64, (len(g.pages)+63)/64)
+		} else {
+			clear(g.own)
+		}
+	}
+	if p := (u - 1) >> g.shift; g.own != nil && g.own[p/64]&(1<<uint(p%64)) == 0 {
+		g.pages[p] = slices.Clone(g.pages[p])
+		g.own[p/64] |= 1 << uint(p%64)
+		g.flat = nil
+	}
+	return g.row(u)
+}
+
+// samePage reports whether page p of g and of h is one backing array, which
+// copy on write makes equal in content.
+func samePage(g, h *Graph, p int) bool {
+	return &g.pages[p][0] == &h.pages[p][0]
 }
 
 // AddEdge inserts the undirected edge uv. Adding an existing edge is a no-op.
@@ -141,8 +205,8 @@ func (g *Graph) AddEdge(u, v int) error {
 	if g.HasEdge(u, v) {
 		return nil
 	}
-	g.row(u)[(v-1)/64] |= 1 << uint((v-1)%64)
-	g.row(v)[(u-1)/64] |= 1 << uint((u-1)%64)
+	g.writableRow(u)[(v-1)/64] |= 1 << uint((v-1)%64)
+	g.writableRow(v)[(u-1)/64] |= 1 << uint((u-1)%64)
 	g.edges++
 	g.invalidate(u, v)
 	return nil
@@ -160,8 +224,8 @@ func (g *Graph) RemoveEdge(u, v int) error {
 	if u == v || !g.HasEdge(u, v) {
 		return nil
 	}
-	g.row(u)[(v-1)/64] &^= 1 << uint((v-1)%64)
-	g.row(v)[(u-1)/64] &^= 1 << uint((u-1)%64)
+	g.writableRow(u)[(v-1)/64] &^= 1 << uint((v-1)%64)
+	g.writableRow(v)[(u-1)/64] &^= 1 << uint((u-1)%64)
 	g.edges--
 	g.invalidate(u, v)
 	return nil
@@ -181,7 +245,9 @@ func FromAdjWords(n int, rows []uint64) (*Graph, error) {
 	if len(rows) != n*g.words {
 		return nil, fmt.Errorf("%w: %d adjacency words, want %d", ErrBadEncoding, len(rows), n*g.words)
 	}
-	copy(g.adj, rows)
+	for p, page := range g.pages {
+		copy(page, rows[p*g.words<<g.shift:])
+	}
 	ones := 0
 	var tailMask uint64
 	if r := uint(n % 64); r != 0 {
@@ -336,18 +402,23 @@ func (g *Graph) Nodes() []int {
 	return out
 }
 
-// Clone returns a deep copy. The copy starts from g's published neighbour
-// rows, or from g's own base, so after a few mutations its first rebuild
-// re-derives only the rows those mutations touched. The rows are shared,
-// never written.
+// Clone returns a copy of g that shares g's pages: it copies the page
+// pointers, O(n/page), and whichever graph writes a shared page first
+// copies it. Clone is a read of g. The copy starts from g's published
+// neighbour rows, or from g's own base, so after a few mutations its first
+// rebuild re-derives only the rows those mutations touched. The rows are
+// shared, never written.
 func (g *Graph) Clone() *Graph {
+	g.cloned.Store(true)
 	cp := &Graph{
 		n:     g.n,
 		words: g.words,
-		adj:   make([]uint64, len(g.adj)),
+		shift: g.shift,
+		pages: slices.Clone(g.pages),
+		flat:  g.flat,
 		edges: g.edges,
 	}
-	copy(cp.adj, g.adj)
+	cp.cloned.Store(true)
 	if l := g.lists.Load(); l != nil {
 		cp.base.Store(&listBase{rows: *l})
 	} else if b := g.base.Load(); b != nil {
@@ -357,12 +428,13 @@ func (g *Graph) Clone() *Graph {
 }
 
 // Equal reports whether g and h have identical node sets and edge sets.
+// Pages the two share are equal without being read.
 func (g *Graph) Equal(h *Graph) bool {
 	if g.n != h.n {
 		return false
 	}
-	for i := range g.adj {
-		if g.adj[i] != h.adj[i] {
+	for p := range g.pages {
+		if !samePage(g, h, p) && !slices.Equal(g.pages[p], h.pages[p]) {
 			return false
 		}
 	}
@@ -371,27 +443,35 @@ func (g *Graph) Equal(h *Graph) bool {
 
 // Diff returns the edges of cur missing from prev (adds) and the edges of
 // prev missing from cur (removes), each in Edges() order. It XORs the two
-// adjacency rows of every node word by word, so it costs O(n²/64) whatever
-// the edge count. prev and cur must have the same node count.
+// adjacency rows of every node word by word, except on the pages the graphs
+// share, which copy on write keeps equal: between a graph and a clone a few
+// mutations apart it reads O(n/page) page pointers and the pages those
+// mutations copied. prev and cur must have the same node count.
 func Diff(prev, cur *Graph) (adds, removes [][2]int) {
 	if prev.n != cur.n {
 		panic(fmt.Sprintf("graph: diff of n=%d and n=%d graphs", prev.n, cur.n))
 	}
-	for u := 1; u <= cur.n; u++ {
-		pr, cr := prev.row(u), cur.row(u)
-		// Bit u−1 of a row is node u; only partners v > u are reported, from
-		// bit u on.
-		for wi := u / 64; wi < cur.words; wi++ {
-			mask := ^uint64(0)
-			if wi == u/64 {
-				mask <<= uint(u % 64)
-			}
-			for w := (pr[wi] ^ cr[wi]) & mask; w != 0; w &= w - 1 {
-				v := wi*64 + bits.TrailingZeros64(w) + 1
-				if cr[wi]&(w&-w) != 0 {
-					adds = append(adds, [2]int{u, v})
-				} else {
-					removes = append(removes, [2]int{u, v})
+	for p := range cur.pages {
+		if samePage(prev, cur, p) {
+			continue
+		}
+		lo := p<<cur.shift + 1
+		for u := lo; u < lo+1<<cur.shift && u <= cur.n; u++ {
+			pr, cr := prev.row(u), cur.row(u)
+			// Bit u−1 of a row is node u; only partners v > u are reported,
+			// from bit u on.
+			for wi := u / 64; wi < cur.words; wi++ {
+				mask := ^uint64(0)
+				if wi == u/64 {
+					mask <<= uint(u % 64)
+				}
+				for w := (pr[wi] ^ cr[wi]) & mask; w != 0; w &= w - 1 {
+					v := wi*64 + bits.TrailingZeros64(w) + 1
+					if cr[wi]&(w&-w) != 0 {
+						adds = append(adds, [2]int{u, v})
+					} else {
+						removes = append(removes, [2]int{u, v})
+					}
 				}
 			}
 		}

@@ -183,7 +183,7 @@ func Build(g *graph.Graph, ports *graph.Ports, opt Options) (*Scheme, error) {
 	if err := s.buildLandmarkColumns(x); err != nil {
 		return nil, err
 	}
-	s.buildClusters(x)
+	s.buildClusters(g, x)
 	s.buildLabels()
 	return s, nil
 }
@@ -414,15 +414,23 @@ func newEntries(n int, owned *keyspace.Set) *entries {
 	return c
 }
 
-// emit runs v's BFS truncated at depth limit ≥ 2: each discovered node w
-// with 2 ≤ d(v,w) ≤ limit gets an entry for v whose port is the edge to
-// w's smallest-id neighbour one step closer to v. Every such neighbour
-// scans its row before the run ends, since only depth limit is left
-// unscanned, so the entry's port is set at discovery and lowered whenever a
-// smaller-id closer neighbour meets w.
-func (c *entries) emit(x *portIndex, v, limit int32) {
-	off, adj, back, dist := x.off, x.adj, x.back, c.depth
-	from, slot := c.from, c.slot
+// emit runs v's BFS truncated at depth limit ≥ 2 over g's neighbour rows:
+// each discovered node w with 2 ≤ d(v,w) ≤ limit gets an entry for v whose
+// port is the edge to w's smallest-id neighbour one step closer to v. Every
+// such neighbour scans its row before the run ends, since only depth limit
+// is left unscanned, so the entry's port is set at discovery and lowered
+// whenever a smaller-id closer neighbour meets w. The port at w toward u,
+// met at entry i of u's row, is back[off[u]+i] of Build's index x; Update
+// passes no index and, on its sorted ports, finds u's row index in w's row.
+func (c *entries) emit(g *graph.Graph, x *portIndex, v, limit int32) {
+	dist, from, slot := c.depth, c.from, c.slot
+	backPort := func(u int32, i, w int) int32 {
+		if x != nil {
+			return x.back[x.off[u]+i]
+		}
+		j, _ := slices.BinarySearch(g.Neighbors(w), int(u))
+		return int32(j + 1)
+	}
 	dist[v] = 0
 	queue := append(c.queue[:0], v)
 	for qi := 0; qi < len(queue); qi++ {
@@ -431,22 +439,21 @@ func (c *entries) emit(x *portIndex, v, limit int32) {
 			continue
 		}
 		du := dist[u] + 1
-		lo := off[u]
-		for e, w := range adj[lo:off[u+1]] {
+		for i, w := range g.Neighbors(int(u)) {
 			switch dw := dist[w]; {
 			case dw < 0:
 				dist[w], from[w], slot[w] = du, u, -1
-				queue = append(queue, w)
-				if du >= 2 && (c.owned == nil || c.owned.Has(int(w))) {
+				queue = append(queue, int32(w))
+				if du >= 2 && (c.owned == nil || c.owned.Has(w)) {
 					slot[w] = int32(len(c.port))
-					c.holder = append(c.holder, w)
+					c.holder = append(c.holder, int32(w))
 					c.dst = append(c.dst, v)
-					c.port = append(c.port, back[lo+e])
+					c.port = append(c.port, backPort(u, i, w))
 					c.dist = append(c.dist, du)
 				}
 			case dw == du && u < from[w] && slot[w] >= 0:
 				from[w] = u
-				c.port[slot[w]] = back[lo+e]
+				c.port[slot[w]] = backPort(u, i, w)
 			}
 		}
 	}
@@ -484,11 +491,11 @@ func (c *entries) rows(n int) (start, dst, port, dist []int32) {
 // buildClusters runs a truncated BFS from every destination v to depth
 // home(v)−1 and lays the entries out as per-node CSR rows sorted by
 // destination.
-func (s *Scheme) buildClusters(x *portIndex) {
+func (s *Scheme) buildClusters(g *graph.Graph, x *portIndex) {
 	c := newEntries(s.n, nil)
 	for v := int32(1); v <= int32(s.n); v++ {
 		if limit := s.homeDist[v] - 1; limit >= 2 {
-			c.emit(x, v, limit) // below 2 the cluster holds only neighbours, which store nothing
+			c.emit(g, x, v, limit) // below 2 the cluster holds only neighbours, which store nothing
 		}
 	}
 	s.clusterStart, s.clusterDst, s.clusterPort, s.clusterDist = c.rows(s.n)

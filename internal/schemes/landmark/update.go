@@ -147,11 +147,10 @@ func update(prev *Scheme, prevPorts *graph.Ports, g *graph.Graph, ports *graph.P
 		return p
 	}
 	dirty := s.dirtyDestinations(prev, g, x, y)
-	xi := newPortIndex(g, ports)
 	fresh := newEntries(n, prev.owned)
 	for v := int32(1); v <= int32(n); v++ {
 		if limit := s.homeDist[v] - 1; dirty[v] && limit >= 2 {
-			fresh.emit(xi, v, limit)
+			fresh.emit(g, nil, v, limit)
 		}
 	}
 	fStart, fDst, fPort, fDist := fresh.rows(n)

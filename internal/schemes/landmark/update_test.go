@@ -435,3 +435,33 @@ func BenchmarkUpdateSparse(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCloneFlipDiff times what an engine flip does to the adjacency
+// around Update: clone the published graph, flip one mixed pair on the
+// clone, and find the flip with graph.Diff. With copy-on-write row pages
+// that reads page pointers and the two copied pages, not the n² bitset.
+func BenchmarkCloneFlipDiff(b *testing.B) {
+	for _, n := range []int{4096, 16384} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			g, err := gengraph.SparseConnected(n, 8, rng)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var pairs [][2]int
+			for len(pairs) < 16 {
+				x, y := mixedFlip(g, rng)
+				pairs = append(pairs, [2]int{x, y})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p := pairs[i%len(pairs)]
+				next := flipped(b, g, p[0], p[1])
+				if adds, removes := graph.Diff(g, next); len(adds)+len(removes) != 1 {
+					b.Fatalf("flip of %v diffs as %v, %v", p, adds, removes)
+				}
+			}
+		})
+	}
+}
