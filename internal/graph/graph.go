@@ -308,10 +308,14 @@ func (g *Graph) invalidate(u, v int) {
 
 // HasEdge reports whether uv ∈ E. Out-of-range labels report false.
 func (g *Graph) HasEdge(u, v int) bool {
-	if u < 1 || u > g.n || v < 1 || v > g.n || u == v {
+	if uint(u-1) >= uint(g.n) || uint(v-1) >= uint(g.n) || u == v {
 		return false
 	}
-	return g.row(u)[(v-1)/64]&(1<<uint((v-1)%64)) != 0
+	// One word through the page table, not row: small enough to inline
+	// into the lookup path (serve's DistEstimate).
+	i := u - 1
+	w := g.pages[i>>(g.shift&63)][(i&(1<<(g.shift&63)-1))*g.words+(v-1)>>6]
+	return w&(1<<(uint(v-1)&63)) != 0
 }
 
 // Degree returns d(u), the number of neighbours of u.
