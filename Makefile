@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: verify lint vet build test perfbenchtest race smoke benchsmoke wiresmoke chaos cluster crash bigsmoke bigcluster shardchaos bench chaosbench crashbench clean
+.PHONY: verify lint vet build test perfbenchtest race smoke benchsmoke wiresmoke chaos cluster crash bigsmoke bigcluster shardchaos bench chaosbench crashbench flipbench clean
 
 verify: lint vet build test perfbenchtest race smoke benchsmoke wiresmoke chaos cluster crash bigsmoke bigcluster shardchaos
 
@@ -85,6 +85,12 @@ chaosbench:
 crashbench:
 	$(GO) run ./cmd/benchjson -sections wal \
 		-artefact BENCH_pr6 -out BENCH_pr6.json
+
+# The tables-tier flip cost (ROADMAP items 4 and 6): one Primary.Mutate on a
+# half-owned landmark engine over SparseConnected(n, 8), n = 4096 and 16384,
+# at GOMAXPROCS 1, six runs each with ms/op and B/op. Not part of verify.
+flipbench:
+	$(GO) test -run '^$$' -bench '^BenchmarkTablesFlip$$' -benchmem -cpu 1 -count 6 ./internal/cluster
 
 clean:
 	$(GO) clean ./...

@@ -25,7 +25,8 @@ type Sim struct {
 	// envs pre-boxes one Env per node at construction: the serving hot path
 	// (FirstHop) would otherwise box a fresh env value into the interface on
 	// every lookup — the single heap allocation on an otherwise
-	// allocation-free next-hop answer.
+	// allocation-free next-hop answer. Each holds a pointer into one backing
+	// array, so construction allocates once, not once per node.
 	envs []Env
 }
 
@@ -59,8 +60,10 @@ func NewSim(g *graph.Graph, ports *graph.Ports, scheme Scheme) (*Sim, error) {
 		nodeOf:  nodeOf,
 	}
 	s.envs = make([]Env, g.N()+1)
+	backing := make([]env, g.N()+1)
 	for u := 1; u <= g.N(); u++ {
-		s.envs[u] = env{sim: s, node: u}
+		backing[u] = env{sim: s, node: u}
+		s.envs[u] = &backing[u]
 	}
 	return s, nil
 }
@@ -82,12 +85,12 @@ type env struct {
 	node int
 }
 
-var _ Env = env{}
+var _ Env = (*env)(nil)
 
-func (e env) Node() int   { return e.node }
-func (e env) Degree() int { return e.sim.ports.Degree(e.node) }
+func (e *env) Node() int   { return e.node }
+func (e *env) Degree() int { return e.sim.ports.Degree(e.node) }
 
-func (e env) NeighborLabelByPort(port int) (Label, bool) {
+func (e *env) NeighborLabelByPort(port int) (Label, bool) {
 	if !e.sim.grantII {
 		return Label{}, false
 	}
@@ -98,7 +101,7 @@ func (e env) NeighborLabelByPort(port int) (Label, bool) {
 	return e.sim.scheme.Label(v), true
 }
 
-func (e env) PortOfNeighbor(id int) (int, bool) {
+func (e *env) PortOfNeighbor(id int) (int, bool) {
 	if !e.sim.grantII {
 		return 0, false
 	}
@@ -112,7 +115,7 @@ func (e env) PortOfNeighbor(id int) (int, bool) {
 	return e.sim.ports.PortToOK(e.node, node)
 }
 
-func (e env) KnownNeighborIDs() ([]int, bool) {
+func (e *env) KnownNeighborIDs() ([]int, bool) {
 	if !e.sim.grantII {
 		return nil, false
 	}

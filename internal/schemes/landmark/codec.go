@@ -1,6 +1,7 @@
 package landmark
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -29,8 +30,17 @@ import (
 // lmPort and clusterPort as BFS-tree parent edges; their blobs are rejected
 // with ErrBadTables, so a persisted snapshot that holds one cold-builds.
 //
-// Distances and ports fit u16 because Build rejects n > 65535; the encoder
-// re-checks anyway so a silent clamp is impossible.
+// The layout is the memory: a Scheme keeps no other copy of these tables
+// but the cluster CSR, which it also holds as int32 arrays for the lookup
+// path's binary search (landmark.go). Its other section fields are views of
+// its blob, read and written through the u16/u32 accessors below, and
+// EncodeTables returns the blob itself. Build writes the sections directly,
+// Update repairs a copy of its predecessor's blob, and DecodeTables
+// validates and keeps a copy of its input; a blob is never written after
+// its scheme is returned. Every value a u16 field receives is a distance,
+// port or index below n, or the repair's 0xFFFF sentinel, and fits because
+// Build and DecodeTables reject n > 65535; setU16 re-checks anyway so a
+// silent clamp is impossible.
 //
 // Version 4 is the keyspace-restricted flavour (restrict.go): after the
 // shared 20-byte header it inserts
@@ -52,7 +62,7 @@ const (
 )
 
 // EncodedTablesLen returns the byte length of the version-3 encoding for the
-// given shape, shared by the encoder and the serving layer's arena sizing.
+// given shape.
 func EncodedTablesLen(n, k, clusterTotal int) int {
 	return tablesHdrLen + 4*k + 6*n + 4*n*k + 4*(n+1) + 8*clusterTotal
 }
@@ -64,78 +74,157 @@ func EncodedTablesLenV2(n, k, clusterTotal, ownedCount int) int {
 	return tablesHdrLen + 4 + 8*words + 4*k + 6*n + 2*n*k + 2*ownedCount*k + 4*(n+1) + 8*clusterTotal
 }
 
-// EncodeTables serialises the scheme's tables deterministically: version 3
-// for an unrestricted scheme, version 4 (owned bitmap, owned-only lmPort rows)
-// for a restricted one.
-func (s *Scheme) EncodeTables() []byte {
-	n, k, ct := s.n, s.k, len(s.clusterDst)
-	var buf []byte
-	le := binary.LittleEndian
-	if s.owned != nil {
-		oc := s.owned.Count()
-		buf = make([]byte, EncodedTablesLenV2(n, k, ct, oc))
-		le.PutUint32(buf[4:], tablesVersionOwned)
-		le.PutUint32(buf[tablesHdrLen:], uint32(oc))
-	} else {
-		buf = make([]byte, EncodedTablesLen(n, k, ct))
-		le.PutUint32(buf[4:], tablesVersion)
+// The accessors index with uint and load or store bytes one by one behind a
+// single bounds check: the compiler merges them into one 16- or 32-bit
+// access, where binary.LittleEndian on a subslice adds a slice bound and a
+// length check per access, which measured about 15 % slower in a binary
+// search over a u32 section.
+
+// u16 reads entry i of a u16 section.
+func u16(b []byte, i int) int32 {
+	j := 2 * uint(i)
+	_ = b[j+1]
+	return int32(uint16(b[j]) | uint16(b[j+1])<<8)
+}
+
+// setU16 writes entry i of a u16 section.
+func setU16(b []byte, i int, v int32) {
+	if uint32(v) > 0xFFFF {
+		panic("landmark: value overflows u16 field")
 	}
-	le.PutUint32(buf[0:], tablesMagic)
-	le.PutUint32(buf[8:], uint32(n))
-	le.PutUint32(buf[12:], uint32(k))
-	le.PutUint32(buf[16:], uint32(ct))
+	j := 2 * uint(i)
+	_ = b[j+1]
+	b[j], b[j+1] = byte(v), byte(v>>8)
+}
+
+// u32 reads entry i of a u32 section.
+func u32(b []byte, i int) int32 {
+	j := 4 * uint(i)
+	_ = b[j+3]
+	return int32(uint32(b[j]) | uint32(b[j+1])<<8 | uint32(b[j+2])<<16 | uint32(b[j+3])<<24)
+}
+
+// setU32 writes entry i of a u32 section.
+func setU32(b []byte, i int, v int32) {
+	j := 4 * uint(i)
+	_ = b[j+3]
+	b[j], b[j+1], b[j+2], b[j+3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
+}
+
+// newTables allocates a zeroed blob for n nodes, the given landmarks and ct
+// cluster entries, restricted to owned when it is non-nil, and writes its
+// header, owned section and landmark list.
+func newTables(n int, landmarks []int32, ct int, owned *keyspace.Set) []byte {
+	le := binary.LittleEndian
+	k := len(landmarks)
+	var b []byte
 	off := tablesHdrLen
-	if s.owned != nil {
+	if owned != nil {
+		b = make([]byte, EncodedTablesLenV2(n, k, ct, owned.Count()))
+		le.PutUint32(b[4:], tablesVersionOwned)
+		le.PutUint32(b[off:], uint32(owned.Count()))
 		off += 4
-		for _, w := range s.owned.Words() {
-			le.PutUint64(buf[off:], w)
+		for _, w := range owned.Words() {
+			le.PutUint64(b[off:], w)
 			off += 8
 		}
-	}
-	putU32 := func(vals []int32) {
-		for _, v := range vals {
-			le.PutUint32(buf[off:], uint32(v))
-			off += 4
-		}
-	}
-	putU16 := func(vals []int32) {
-		for _, v := range vals {
-			if v < 0 || v > 0xFFFF {
-				panic(fmt.Sprintf("landmark: value %d overflows u16 field", v))
-			}
-			le.PutUint16(buf[off:], uint16(v))
-			off += 2
-		}
-	}
-	putU32(s.landmarks)
-	putU16(s.homeIdx[1:])
-	putU16(s.homeDist[1:])
-	putU16(s.eport[1:])
-	putU16(s.lmDist)
-	if s.owned != nil {
-		for u := 1; u <= n; u++ {
-			if s.owned.Has(u) {
-				putU16(s.lmPort[(u-1)*k : u*k])
-			}
-		}
 	} else {
-		putU16(s.lmPort)
+		b = make([]byte, EncodedTablesLen(n, k, ct))
+		le.PutUint32(b[4:], tablesVersion)
 	}
-	putU32(s.clusterStart)
-	putU32(s.clusterDst)
-	putU16(s.clusterPort)
-	putU16(s.clusterDist)
-	if off != len(buf) {
-		panic("landmark: encode length mismatch")
+	le.PutUint32(b[0:], tablesMagic)
+	le.PutUint32(b[8:], uint32(n))
+	le.PutUint32(b[12:], uint32(k))
+	le.PutUint32(b[16:], uint32(ct))
+	for _, a := range landmarks {
+		le.PutUint32(b[off:], uint32(a))
+		off += 4
 	}
-	return buf
+	return b
 }
+
+// setTables makes b the scheme's blob and points the section views at it.
+// b's header must match s.n, s.k and s.owned; its clusterTotal field sizes
+// the cluster sections.
+func (s *Scheme) setTables(b []byte) {
+	n, k := s.n, s.k
+	off, rows := tablesHdrLen, n
+	if s.owned != nil {
+		off += 4 + 8*len(s.owned.Words())
+		rows = s.owned.Count()
+	}
+	section := func(size int) []byte {
+		v := b[off : off+size : off+size]
+		off += size
+		return v
+	}
+	section(4 * k) // the landmark list, held decoded in s.landmarks
+	s.homeIdx = section(2 * n)
+	s.homeDist = section(2 * n)
+	s.eport = section(2 * n)
+	s.lmDist = section(2 * n * k)
+	s.lmPort = section(2 * rows * k)
+	ct := int(binary.LittleEndian.Uint32(b[16:]))
+	if off+4*(n+1)+8*ct != len(b) {
+		panic("landmark: table blob length does not match its header")
+	}
+	s.tables = b
+}
+
+// clustersAt returns the offset in the blob of its cluster CSR sections.
+func (s *Scheme) clustersAt() int {
+	ct := int(binary.LittleEndian.Uint32(s.tables[16:]))
+	return len(s.tables) - 4*(s.n+1) - 8*ct
+}
+
+// clusterSections returns the blob's cluster CSR sections: n+1 u32 row
+// starts, then ct u32 destinations, u16 ports and u16 distances.
+func (s *Scheme) clusterSections() (start, dst, port, dist []byte) {
+	b := s.tables[s.clustersAt():]
+	start, b = b[:4*(s.n+1)], b[4*(s.n+1):]
+	ct := len(b) / 8
+	dst, b = b[:4*ct], b[4*ct:]
+	return start, dst, b[:2*ct], b[2*ct:]
+}
+
+// encodeClusters writes the cluster CSR arrays into the blob's sections.
+func (s *Scheme) encodeClusters() {
+	start, dst, port, dist := s.clusterSections()
+	for u, at := range s.clusterStart {
+		setU32(start, u, at)
+	}
+	for i, v := range s.clusterDst {
+		setU32(dst, i, v)
+		setU16(port, i, s.clusterPort[i])
+		setU16(dist, i, s.clusterDist[i])
+	}
+}
+
+// copyTables returns a copy of every section of s's blob before the cluster
+// CSR, sized for ct cluster entries (those sections zero) with room for spare
+// more entries; the clusterTotal field says ct.
+func (s *Scheme) copyTables(ct, spare int) []byte {
+	pre := s.clustersAt()
+	size := pre + 4*(s.n+1) + 8*ct
+	b := make([]byte, size, size+8*spare)
+	copy(b, s.tables[:pre])
+	binary.LittleEndian.PutUint32(b[16:], uint32(ct))
+	return b
+}
+
+// EncodeTables returns the scheme's table blob: version 3 for an unrestricted
+// scheme, version 4 (owned bitmap, owned-only lmPort rows) for a restricted
+// one. The blob is the scheme's own storage, never written once the scheme is
+// returned; callers must not modify it. Its capacity is its length, so an
+// append copies.
+func (s *Scheme) EncodeTables() []byte { return s.tables[:len(s.tables):len(s.tables)] }
 
 // DecodeTables reconstructs a scheme from an encoding produced by
 // EncodeTables against the same topology. Every field is validated: shapes,
 // landmark ordering, index/distance ranges, port numbers against the actual
 // degrees, CSR monotonicity, and per-row destination ordering — corrupt or
 // foreign input yields ErrBadTables, never a scheme with out-of-range tables.
+// The scheme keeps a copy of data, never data itself.
 func DecodeTables(g *graph.Graph, ports *graph.Ports, data []byte) (*Scheme, error) {
 	le := binary.LittleEndian
 	if len(data) < tablesHdrLen {
@@ -190,57 +279,21 @@ func DecodeTables(g *graph.Graph, ports *graph.Ports, data []byte) (*Scheme, err
 		return nil, fmt.Errorf("landmark: %w", err)
 	}
 	s := &Scheme{
-		n:            n,
-		k:            k,
-		landmarks:    make([]int32, k),
-		homeIdx:      make([]int32, n+1),
-		homeDist:     make([]int32, n+1),
-		eport:        make([]int32, n+1),
-		lmIdx:        make([]int32, n+1),
-		lmPort:       make([]int32, n*k),
-		lmDist:       make([]int32, n*k),
-		clusterStart: make([]int32, n+1),
-		clusterDst:   make([]int32, ct),
-		clusterPort:  make([]int32, ct),
-		clusterDist:  make([]int32, ct),
-		owned:        owned,
+		n:         n,
+		k:         k,
+		landmarks: make([]int32, k),
+		lmIdx:     make([]int32, n+1),
+		owned:     owned,
 	}
+	s.setTables(bytes.Clone(data))
 	off := tablesHdrLen
 	if owned != nil {
 		off += 4 + 8*len(owned.Words())
 	}
-	getU32 := func(dst []int32) {
-		for i := range dst {
-			dst[i] = int32(le.Uint32(data[off:]))
-			off += 4
-		}
+	for j := range s.landmarks {
+		s.landmarks[j] = int32(le.Uint32(s.tables[off+4*j:]))
 	}
-	getU16 := func(dst []int32) {
-		for i := range dst {
-			dst[i] = int32(le.Uint16(data[off:]))
-			off += 2
-		}
-	}
-	getU32(s.landmarks)
-	getU16(s.homeIdx[1:])
-	getU16(s.homeDist[1:])
-	getU16(s.eport[1:])
-	getU16(s.lmDist)
-	if owned != nil {
-		// lmPort rows are shipped for owned nodes only; non-owned rows stay
-		// zero, matching what Restrict produced on the encoder side.
-		for u := 1; u <= n; u++ {
-			if owned.Has(u) {
-				getU16(s.lmPort[(u-1)*k : u*k])
-			}
-		}
-	} else {
-		getU16(s.lmPort)
-	}
-	getU32(s.clusterStart)
-	getU32(s.clusterDst)
-	getU16(s.clusterPort)
-	getU16(s.clusterDist)
+	s.portRow = ownedRows(owned)
 
 	for v := range s.lmIdx {
 		s.lmIdx[v] = -1
@@ -252,44 +305,59 @@ func DecodeTables(g *graph.Graph, ports *graph.Ports, data []byte) (*Scheme, err
 		s.lmIdx[a] = int32(j)
 	}
 	for v := 1; v <= n; v++ {
-		if s.homeIdx[v] >= int32(k) {
-			return nil, fmt.Errorf("%w: homeIdx[%d] = %d ≥ k", ErrBadTables, v, s.homeIdx[v])
+		hi, hd, ep := u16(s.homeIdx, v-1), u16(s.homeDist, v-1), u16(s.eport, v-1)
+		if hi >= int32(k) {
+			return nil, fmt.Errorf("%w: homeIdx[%d] = %d ≥ k", ErrBadTables, v, hi)
 		}
-		if s.homeDist[v] != s.lmDist[(v-1)*k+int(s.homeIdx[v])] {
+		if hd != u16(s.lmDist, (v-1)*k+int(hi)) {
 			return nil, fmt.Errorf("%w: homeDist[%d] inconsistent with landmark row", ErrBadTables, v)
 		}
-		home := s.landmarks[s.homeIdx[v]]
+		home := s.landmarks[hi]
 		deg := int32(ports.Degree(int(home)))
 		if int32(v) == home {
-			if s.eport[v] != 0 || s.homeDist[v] != 0 {
+			if ep != 0 || hd != 0 {
 				return nil, fmt.Errorf("%w: landmark %d has nonzero home fields", ErrBadTables, v)
 			}
-		} else if s.eport[v] < 1 || s.eport[v] > deg {
-			return nil, fmt.Errorf("%w: eport[%d] = %d out of degree %d", ErrBadTables, v, s.eport[v], deg)
+		} else if ep < 1 || ep > deg {
+			return nil, fmt.Errorf("%w: eport[%d] = %d out of degree %d", ErrBadTables, v, ep, deg)
 		}
 	}
 	for u := 1; u <= n; u++ {
 		deg := int32(ports.Degree(u))
-		hasPorts := owned == nil || owned.Has(u)
+		row := s.portRowOf(u)
 		for j := 0; j < k; j++ {
-			at := (u-1)*k + j
+			d, port := u16(s.lmDist, (u-1)*k+j), int32(0)
+			if row >= 0 {
+				port = u16(s.lmPort, row*k+j)
+			}
 			if int32(u) == s.landmarks[j] {
-				if s.lmPort[at] != 0 || s.lmDist[at] != 0 {
+				if port != 0 || d != 0 {
 					return nil, fmt.Errorf("%w: node %d self-landmark row nonzero", ErrBadTables, u)
 				}
-			} else if s.lmDist[at] < 1 || int(s.lmDist[at]) >= n {
-				return nil, fmt.Errorf("%w: landmark row (%d,%d) dist=%d", ErrBadTables, u, j, s.lmDist[at])
-			} else if hasPorts && (s.lmPort[at] < 1 || s.lmPort[at] > deg) {
-				return nil, fmt.Errorf("%w: landmark row (%d,%d) port=%d out of degree %d", ErrBadTables, u, j, s.lmPort[at], deg)
+			} else if d < 1 || int(d) >= n {
+				return nil, fmt.Errorf("%w: landmark row (%d,%d) dist=%d", ErrBadTables, u, j, d)
+			} else if row >= 0 && (port < 1 || port > deg) {
+				return nil, fmt.Errorf("%w: landmark row (%d,%d) port=%d out of degree %d", ErrBadTables, u, j, port, deg)
 			}
 		}
+	}
+	start, dst, port, dist := s.clusterSections()
+	s.clusterStart = make([]int32, n+1)
+	s.clusterDst = make([]int32, ct)
+	s.clusterPort = make([]int32, ct)
+	s.clusterDist = make([]int32, ct)
+	for u := range s.clusterStart {
+		s.clusterStart[u] = u32(start, u)
+	}
+	for i := range s.clusterDst {
+		s.clusterDst[i], s.clusterPort[i], s.clusterDist[i] = u32(dst, i), u16(port, i), u16(dist, i)
 	}
 	if s.clusterStart[0] != 0 || s.clusterStart[n] != int32(ct) {
 		return nil, fmt.Errorf("%w: cluster CSR endpoints", ErrBadTables)
 	}
 	for u := 1; u <= n; u++ {
 		lo, hi := s.clusterStart[u-1], s.clusterStart[u]
-		if lo > hi {
+		if lo > hi || hi > int32(ct) {
 			return nil, fmt.Errorf("%w: cluster CSR not monotone at %d", ErrBadTables, u)
 		}
 		if owned != nil && !owned.Has(u) && lo != hi {

@@ -53,7 +53,8 @@
 //
 // Space. E[Σ_v |C(v)|] ≈ n²/(k+1) for a random landmark sample, so total
 // space is O(n·k + n²/k) = O(n^{3/2}) at k = √n — o(n²), the whole point.
-// All stored distances are exact int32 BFS distances: the packed uint8
+// The tables are stored once, as their encoding (codec.go), in u16 and u32
+// fields. All stored distances are exact BFS distances: the packed uint8
 // saturation sentinel of shortestpath.Distances never enters these tables
 // (landmark_test.go audits this on diameter ≫ 254 topologies).
 package landmark
@@ -97,45 +98,56 @@ type Options struct {
 // DefaultOptions is what the serve registry builds with.
 func DefaultOptions() Options { return Options{Seed: 0x52544c4d} } // "RTLM"
 
-// Scheme is a built landmark scheme. All tables are flat int32 arrays so the
-// lookup path (route.go) runs allocation-free.
+// Scheme is a built landmark scheme. Its tables live in one LMTB blob
+// (codec.go): the section fields are views of it, read and written through
+// the u16/u32 accessors, so EncodeTables has nothing to encode. The cluster
+// CSR alone is also held as int32 arrays, which the lookup path (route.go)
+// binary-searches: over the blob's u32 section the search measured slower
+// (EXPERIMENTS.md, "Landmark tables in their LMTB bytes"). A scheme's blob
+// and arrays are never written once Build, Restrict, Update or DecodeTables
+// has returned it.
 type Scheme struct {
 	n int
 	k int
 
 	// landmarks holds the k landmark node ids, sorted ascending.
 	landmarks []int32
-	// homeIdx[v] is the index in landmarks of ℓ(v); homeDist[v] = d(v, ℓ(v)).
-	homeIdx  []int32
-	homeDist []int32
-	// eport[v] is the port at ℓ(v) on a shortest path toward v (0 when v is
-	// its own landmark).
-	eport []int32
 	// lmIdx[u] is u's index in landmarks, or −1 for non-landmarks.
 	lmIdx []int32
 
-	// Landmark table, row-major (u−1)*k + j: first port at u toward
-	// landmarks[j] (0 when u is that landmark) and the exact distance.
-	lmPort []int32
-	lmDist []int32
+	// tables is the encoding; the views below are its sections.
+	tables []byte
+	// homeIdx, homeDist and eport hold node v at entry v−1, u16: the index
+	// in landmarks of ℓ(v), d(v, ℓ(v)), and the port at ℓ(v) on a shortest
+	// path toward v (0 when v is its own landmark).
+	homeIdx, homeDist, eport []byte
+	// Landmark table, u16, row-major: lmDist entry (u−1)*k + j is the exact
+	// distance from u to landmarks[j]; lmPort entry r*k + j, with r =
+	// portRowOf(u), is the first port at u toward it (0 when u is that
+	// landmark).
+	lmDist, lmPort []byte
 
 	// Cluster tables in CSR form: node u's entries are
 	// clusterDst/Port/Dist[clusterStart[u-1]:clusterStart[u]], sorted by
 	// destination id. An entry (u, v) exists iff 2 ≤ d(u,v) < homeDist[v].
+	// The blob's cluster sections hold the same values.
 	clusterStart []int32
 	clusterDst   []int32
 	clusterPort  []int32
 	clusterDist  []int32
 
-	// labels pre-builds every node's routing.Label (Aux backed by labelAux)
-	// so Label(u) is a plain struct copy on the zero-alloc hot path.
-	labels   []routing.Label
-	labelAux []int
+	// labels pre-builds every node's routing.Label so Label(u) is a plain
+	// struct copy on the zero-alloc hot path.
+	labels []routing.Label
 
 	// owned restricts the per-source tables to a keyspace shard (restrict.go);
-	// nil means every node's tables are present. Non-owned nodes have zeroed
-	// lmPort rows and empty cluster rows, and Route refuses them as sources.
+	// nil means every node's tables are present. Non-owned nodes have no
+	// lmPort row and empty cluster rows, and Route refuses them as sources.
 	owned *keyspace.Set
+	// portRow[u] is the index of u's lmPort row, −1 for a non-owned node;
+	// nil when unrestricted, where u's row is u−1. Restrict builds it once
+	// and every Update of the owned set shares it.
+	portRow []int32
 }
 
 var _ routing.Scheme = (*Scheme)(nil)
@@ -165,12 +177,7 @@ func Build(g *graph.Graph, ports *graph.Ports, opt Options) (*Scheme, error) {
 		n:         n,
 		k:         k,
 		landmarks: sampleLandmarks(n, k, opt.Seed),
-		homeIdx:   make([]int32, n+1),
-		homeDist:  make([]int32, n+1),
-		eport:     make([]int32, n+1),
 		lmIdx:     make([]int32, n+1),
-		lmPort:    make([]int32, n*k),
-		lmDist:    make([]int32, n*k),
 	}
 	for v := range s.lmIdx {
 		s.lmIdx[v] = -1
@@ -178,6 +185,7 @@ func Build(g *graph.Graph, ports *graph.Ports, opt Options) (*Scheme, error) {
 	for j, a := range s.landmarks {
 		s.lmIdx[a] = int32(j)
 	}
+	s.setTables(newTables(n, s.landmarks, 0, nil))
 
 	x := newPortIndex(g, ports)
 	if err := s.buildLandmarkColumns(x); err != nil {
@@ -372,9 +380,12 @@ func (s *Scheme) buildLandmarkColumns(x *portIndex) error {
 			at := (u-1)*k + j0
 			for i, c := range block {
 				d := c.dist[u]
-				s.lmDist[at+i], s.lmPort[at+i] = d, c.up[u]
-				if j := j0 + i; j == 0 || d < s.homeDist[u] {
-					s.homeIdx[u], s.homeDist[u], s.eport[u] = int32(j), d, c.hop[u]
+				setU16(s.lmDist, at+i, d)
+				setU16(s.lmPort, at+i, c.up[u])
+				if j := j0 + i; j == 0 || d < u16(s.homeDist, u-1) {
+					setU16(s.homeIdx, u-1, int32(j))
+					setU16(s.homeDist, u-1, d)
+					setU16(s.eport, u-1, c.hop[u])
 				}
 			}
 		}
@@ -489,27 +500,29 @@ func (c *entries) rows(n int) (start, dst, port, dist []int32) {
 }
 
 // buildClusters runs a truncated BFS from every destination v to depth
-// home(v)−1 and lays the entries out as per-node CSR rows sorted by
-// destination.
+// home(v)−1, lays the entries out as per-node CSR rows sorted by
+// destination, and moves the tables to a blob sized for them.
 func (s *Scheme) buildClusters(g *graph.Graph, x *portIndex) {
 	c := newEntries(s.n, nil)
 	for v := int32(1); v <= int32(s.n); v++ {
-		if limit := s.homeDist[v] - 1; limit >= 2 {
+		if limit := u16(s.homeDist, int(v)-1) - 1; limit >= 2 {
 			c.emit(g, x, v, limit) // below 2 the cluster holds only neighbours, which store nothing
 		}
 	}
 	s.clusterStart, s.clusterDst, s.clusterPort, s.clusterDist = c.rows(s.n)
+	s.setTables(s.copyTables(len(s.clusterDst), 0))
+	s.encodeClusters()
 }
 
 // buildLabels pre-builds every node's label: ID v with Aux [ℓ(v), eport(v)].
 func (s *Scheme) buildLabels() {
-	s.labelAux = make([]int, 2*(s.n+1))
+	aux := make([]int, 2*(s.n+1))
 	s.labels = make([]routing.Label, s.n+1)
 	for v := 1; v <= s.n; v++ {
-		aux := s.labelAux[2*v : 2*v+2 : 2*v+2]
-		aux[0] = int(s.landmarks[s.homeIdx[v]])
-		aux[1] = int(s.eport[v])
-		s.labels[v] = routing.Label{ID: v, Aux: aux}
+		a := aux[2*v : 2*v+2 : 2*v+2]
+		a[0] = int(s.landmarks[u16(s.homeIdx, v-1)])
+		a[1] = int(u16(s.eport, v-1))
+		s.labels[v] = routing.Label{ID: v, Aux: a}
 	}
 }
 
@@ -533,7 +546,7 @@ func (s *Scheme) Landmarks() []int {
 
 // Home returns v's landmark and exact distance to it.
 func (s *Scheme) Home(v int) (landmark, dist int) {
-	return int(s.landmarks[s.homeIdx[v]]), int(s.homeDist[v])
+	return int(s.landmarks[u16(s.homeIdx, v-1)]), int(u16(s.homeDist, v-1))
 }
 
 // ClusterSize returns the number of cluster entries node u stores.
@@ -543,6 +556,15 @@ func (s *Scheme) ClusterSize(u int) int {
 
 // TotalClusterEntries returns Σ_u ClusterSize(u) — the o(n²) quantity.
 func (s *Scheme) TotalClusterEntries() int { return len(s.clusterDst) }
+
+// portRowOf returns the index of u's lmPort row, or −1 when u's row was
+// dropped by Restrict.
+func (s *Scheme) portRowOf(u int) int {
+	if s.portRow == nil {
+		return u - 1
+	}
+	return int(s.portRow[u])
+}
 
 // Requirements implements routing.Scheme: model II (the neighbour check).
 func (s *Scheme) Requirements() models.Requirements {

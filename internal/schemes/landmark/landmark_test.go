@@ -112,7 +112,7 @@ func TestLandmarkSaturationAudit(t *testing.T) {
 			t.Fatal(err)
 		}
 		for u := 1; u <= n; u++ {
-			got := s.lmDist[(u-1)*s.k+j]
+			got := u16(s.lmDist, (u-1)*s.k+j)
 			if int(got) != res.Dist[u] {
 				t.Fatalf("lmDist[%d][landmark %d] = %d, BFS says %d", u, a, got, res.Dist[u])
 			}
@@ -249,6 +249,26 @@ func TestLandmarkCodecRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestLandmarkCodecRejectsRowPastEntries: a cluster CSR whose endpoints
+// check out but whose first row ends past the last entry is refused with
+// ErrBadTables instead of reading entries that do not exist. A star's
+// tables hold no cluster entries, so any nonzero row end is past them.
+func TestLandmarkCodecRejectsRowPastEntries(t *testing.T) {
+	g, err := gengraph.Star(30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ports := buildOn(t, g)
+	if s.TotalClusterEntries() != 0 {
+		t.Fatalf("star tables hold %d cluster entries, want 0", s.TotalClusterEntries())
+	}
+	bad := bytes.Clone(s.EncodeTables())
+	binary.LittleEndian.PutUint32(bad[len(bad)-4*g.N():], 5) // clusterStart[1]
+	if _, err := DecodeTables(g, ports, bad); !errors.Is(err, ErrBadTables) {
+		t.Fatalf("row ending past the entries: err %v, want ErrBadTables", err)
+	}
+}
+
 // TestLandmarkCodecRejectsParentRuleVersions: blobs under versions 1 and 2,
 // whose ports were BFS-tree parent edges, are refused with ErrBadTables even
 // when the rest of the layout is well formed, so a stale persisted snapshot
@@ -268,7 +288,7 @@ func TestLandmarkCodecRejectsParentRuleVersions(t *testing.T) {
 	for _, c := range []struct {
 		enc     []byte
 		version uint32
-	}{{s.EncodeTables(), 1}, {r.EncodeTables(), 2}} {
+	}{{bytes.Clone(s.EncodeTables()), 1}, {bytes.Clone(r.EncodeTables()), 2}} {
 		binary.LittleEndian.PutUint32(c.enc[4:], c.version)
 		if _, err := DecodeTables(g, ports, c.enc); !errors.Is(err, ErrBadTables) {
 			t.Fatalf("version %d: err %v, want ErrBadTables", c.version, err)

@@ -5,10 +5,13 @@ package landmark
 // with no BFS tree in sight. A stored port names the smallest-id neighbour
 // one step closer to the target (canonicalPort), for landmark-table ports,
 // cluster ports and eport alike; homes scan every landmark row; cluster
-// entries come from one full BFS per destination and a comparison sort.
+// entries come from one full BFS per destination and a comparison sort. The
+// tables are then written field by field in the documented LMTB layout and
+// decoded, so the oracle shares no code with Build's storage.
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -54,27 +57,16 @@ func referenceBuild(g *graph.Graph, ports *graph.Ports, opt Options) (*Scheme, e
 	if k > n {
 		k = n
 	}
-	s := &Scheme{
-		n:         n,
-		k:         k,
-		landmarks: sampleLandmarks(n, k, opt.Seed),
-		homeIdx:   make([]int32, n+1),
-		homeDist:  make([]int32, n+1),
-		eport:     make([]int32, n+1),
-		lmIdx:     make([]int32, n+1),
-		lmPort:    make([]int32, n*k),
-		lmDist:    make([]int32, n*k),
-	}
-	for v := range s.lmIdx {
-		s.lmIdx[v] = -1
-	}
-	for j, a := range s.landmarks {
-		s.lmIdx[a] = int32(j)
-	}
+	landmarks := sampleLandmarks(n, k, opt.Seed)
+	homeIdx := make([]int32, n+1)
+	homeDist := make([]int32, n+1)
+	eport := make([]int32, n+1)
+	lmPort := make([]int32, n*k)
+	lmDist := make([]int32, n*k)
 
 	// Landmark table: exact distances, and the canonical port toward each
 	// landmark.
-	for j, a := range s.landmarks {
+	for j, a := range landmarks {
 		res, err := shortestpath.BFS(g, int(a))
 		if err != nil {
 			return nil, fmt.Errorf("landmark: %w", err)
@@ -85,9 +77,9 @@ func referenceBuild(g *graph.Graph, ports *graph.Ports, opt Options) (*Scheme, e
 				return nil, fmt.Errorf("%w: node %d cannot reach landmark %d", ErrDisconnected, u, a)
 			}
 			at := (u-1)*k + j
-			s.lmDist[at] = int32(d)
+			lmDist[at] = int32(d)
 			if u != int(a) {
-				if s.lmPort[at], err = canonicalPort(g, ports, res.Dist, u); err != nil {
+				if lmPort[at], err = canonicalPort(g, ports, res.Dist, u); err != nil {
 					return nil, err
 				}
 			}
@@ -99,12 +91,12 @@ func referenceBuild(g *graph.Graph, ports *graph.Ports, opt Options) (*Scheme, e
 	for v := 1; v <= n; v++ {
 		best := int32(0)
 		for j := 1; j < k; j++ {
-			if s.lmDist[(v-1)*k+j] < s.lmDist[(v-1)*k+int(best)] {
+			if lmDist[(v-1)*k+j] < lmDist[(v-1)*k+int(best)] {
 				best = int32(j)
 			}
 		}
-		s.homeIdx[v] = best
-		s.homeDist[v] = s.lmDist[(v-1)*k+int(best)]
+		homeIdx[v] = best
+		homeDist[v] = lmDist[(v-1)*k+int(best)]
 	}
 
 	// One BFS from every destination v gives eport(v), the canonical port
@@ -115,12 +107,12 @@ func referenceBuild(g *graph.Graph, ports *graph.Ports, opt Options) (*Scheme, e
 		if err != nil {
 			return nil, fmt.Errorf("landmark: %w", err)
 		}
-		if a := int(s.landmarks[s.homeIdx[v]]); a != v {
-			if s.eport[v], err = canonicalPort(g, ports, res.Dist, a); err != nil {
+		if a := int(landmarks[homeIdx[v]]); a != v {
+			if eport[v], err = canonicalPort(g, ports, res.Dist, a); err != nil {
 				return nil, err
 			}
 		}
-		limit := int(s.homeDist[v]) - 1
+		limit := int(homeDist[v]) - 1
 		for w := 1; w <= n; w++ {
 			if d := res.Dist[w]; d >= 2 && d <= limit {
 				port, err := canonicalPort(g, ports, res.Dist, w)
@@ -131,17 +123,6 @@ func referenceBuild(g *graph.Graph, ports *graph.Ports, opt Options) (*Scheme, e
 			}
 		}
 	}
-	s.referenceClusterRows(entries)
-	s.buildLabels()
-	return s, nil
-}
-
-// refClusterEntry is one (holder, destination) pair during construction.
-type refClusterEntry struct{ w, v, port, dist int32 }
-
-// referenceClusterRows sorts the entries into per-node CSR rows.
-func (s *Scheme) referenceClusterRows(entries []refClusterEntry) {
-	n := s.n
 	// Canonical order: by holder, then destination. Keys are unique, so the
 	// result is deterministic regardless of discovery order.
 	sort.Slice(entries, func(i, j int) bool {
@@ -150,20 +131,50 @@ func (s *Scheme) referenceClusterRows(entries []refClusterEntry) {
 		}
 		return entries[i].v < entries[j].v
 	})
-	s.clusterStart = make([]int32, n+1)
-	s.clusterDst = make([]int32, len(entries))
-	s.clusterPort = make([]int32, len(entries))
-	s.clusterDist = make([]int32, len(entries))
-	for i, e := range entries {
-		s.clusterStart[e.w]++
-		s.clusterDst[i] = e.v
-		s.clusterPort[i] = e.port
-		s.clusterDist[i] = e.dist
+
+	// The version-3 layout of codec.go, field by field; DecodeTables turns
+	// it into the scheme.
+	le := binary.LittleEndian
+	var b []byte
+	put32 := func(vals ...int32) {
+		for _, v := range vals {
+			b = le.AppendUint32(b, uint32(v))
+		}
+	}
+	put16 := func(vals ...int32) {
+		for _, v := range vals {
+			b = le.AppendUint16(b, uint16(v))
+		}
+	}
+	put32(tablesMagic, tablesVersion, int32(n), int32(k), int32(len(entries)))
+	put32(landmarks...)
+	put16(homeIdx[1:]...)
+	put16(homeDist[1:]...)
+	put16(eport[1:]...)
+	put16(lmDist...)
+	put16(lmPort...)
+	start := make([]int32, n+1)
+	for _, e := range entries {
+		start[e.w]++
 	}
 	for u := 1; u <= n; u++ {
-		s.clusterStart[u] += s.clusterStart[u-1]
+		start[u] += start[u-1]
 	}
+	put32(start...)
+	for _, e := range entries {
+		put32(e.v)
+	}
+	for _, e := range entries {
+		put16(e.port)
+	}
+	for _, e := range entries {
+		put16(e.dist)
+	}
+	return DecodeTables(g, ports, b)
 }
+
+// refClusterEntry is one (holder, destination) pair during construction.
+type refClusterEntry struct{ w, v, port, dist int32 }
 
 // portModes are the port assignments every differential case is built under:
 // the canonical sorted assignment, a seeded adversarial shuffle, and explicit

@@ -31,11 +31,12 @@ var ErrNotOwned = errors.New("landmark: source outside owned keyspace")
 func (s *Scheme) Owned() *keyspace.Set { return s.owned }
 
 // Restrict drops the per-source tables (landmark-port row and cluster row) of
-// every node outside owned, in place. It applies to a freshly built,
-// unrestricted scheme exactly once — re-restricting a restricted scheme would
-// silently compound ownership, so it errors instead. The result is a pure
-// function of (built scheme, owned): two members of the same group restrict
-// identical builds to byte-identical encodings.
+// every node outside owned, moving the scheme to a version-4 blob. It
+// applies to a freshly built, unrestricted scheme exactly once —
+// re-restricting a restricted scheme would silently compound ownership, so it
+// errors instead. The result is a pure function of (built scheme, owned): two
+// members of the same group restrict identical builds to byte-identical
+// encodings.
 func (s *Scheme) Restrict(owned *keyspace.Set) error {
 	if s.owned != nil {
 		return fmt.Errorf("landmark: scheme already restricted to %v", s.owned)
@@ -49,37 +50,59 @@ func (s *Scheme) Restrict(owned *keyspace.Set) error {
 	if owned.Count() == 0 {
 		return fmt.Errorf("landmark: owned set is empty")
 	}
-	for u := 1; u <= s.n; u++ {
-		if owned.Has(u) {
-			continue
-		}
-		row := s.lmPort[(u-1)*s.k : u*s.k]
-		for i := range row {
-			row[i] = 0
-		}
-	}
-	// Rebuild the cluster CSR keeping only owned rows; entry order within a
-	// row is unchanged, so the result is deterministic.
+	full := *s
+	s.owned = owned.Clone()
+	s.portRow = ownedRows(s.owned)
+	// Owned rows keep their order and their entries, so the result is
+	// deterministic.
 	ct := 0
 	for u := 1; u <= s.n; u++ {
 		if owned.Has(u) {
-			ct += int(s.clusterStart[u] - s.clusterStart[u-1])
+			ct += full.ClusterSize(u)
 		}
 	}
-	dst := make([]int32, 0, ct)
-	port := make([]int32, 0, ct)
-	dist := make([]int32, 0, ct)
-	start := make([]int32, s.n+1)
+	s.clusterStart = make([]int32, s.n+1)
+	s.clusterDst = make([]int32, 0, ct)
+	s.clusterPort = make([]int32, 0, ct)
+	s.clusterDist = make([]int32, 0, ct)
 	for u := 1; u <= s.n; u++ {
 		if owned.Has(u) {
-			lo, hi := s.clusterStart[u-1], s.clusterStart[u]
-			dst = append(dst, s.clusterDst[lo:hi]...)
-			port = append(port, s.clusterPort[lo:hi]...)
-			dist = append(dist, s.clusterDist[lo:hi]...)
+			lo, hi := full.clusterStart[u-1], full.clusterStart[u]
+			s.clusterDst = append(s.clusterDst, full.clusterDst[lo:hi]...)
+			s.clusterPort = append(s.clusterPort, full.clusterPort[lo:hi]...)
+			s.clusterDist = append(s.clusterDist, full.clusterDist[lo:hi]...)
 		}
-		start[u] = int32(len(dst))
+		s.clusterStart[u] = int32(len(s.clusterDst))
 	}
-	s.clusterStart, s.clusterDst, s.clusterPort, s.clusterDist = start, dst, port, dist
-	s.owned = owned.Clone()
+	s.setTables(newTables(s.n, s.landmarks, ct, s.owned))
+	copy(s.homeIdx, full.homeIdx)
+	copy(s.homeDist, full.homeDist)
+	copy(s.eport, full.eport)
+	copy(s.lmDist, full.lmDist)
+	rowLen := 2 * s.k
+	for u := 1; u <= s.n; u++ {
+		if r := s.portRow[u]; r >= 0 {
+			copy(s.lmPort[int(r)*rowLen:], full.lmPort[(u-1)*rowLen:u*rowLen])
+		}
+	}
+	s.encodeClusters()
 	return nil
+}
+
+// ownedRows returns the lmPort row index of a restriction to owned: owned
+// nodes take rows in ascending order, the others −1. It is nil for nil.
+func ownedRows(owned *keyspace.Set) []int32 {
+	if owned == nil {
+		return nil
+	}
+	rows := make([]int32, owned.N()+1)
+	r := int32(0)
+	for u := 1; u <= owned.N(); u++ {
+		rows[u] = -1
+		if owned.Has(u) {
+			rows[u] = r
+			r++
+		}
+	}
+	return rows
 }

@@ -46,7 +46,7 @@ func (s *Scheme) Route(u int, env routing.Env, dest routing.Label, hdr uint64, _
 	if lm < 1 || lm > s.n || s.lmIdx[lm] < 0 {
 		return 0, 0, fmt.Errorf("%w: label names non-landmark %d", routing.ErrBadDestination, lm)
 	}
-	port := s.lmPort[(u-1)*s.k+int(s.lmIdx[lm])]
+	port := u16(s.lmPort, s.portRowOf(u)*s.k+int(s.lmIdx[lm]))
 	if port <= 0 {
 		return 0, 0, fmt.Errorf("%w: %d -> %d via landmark %d", routing.ErrNoRoute, u, v, lm)
 	}
@@ -107,8 +107,8 @@ func (s *Scheme) EstimateDist(u, v int) int {
 	if d := s.clusterDistTo(v, u); d > 0 {
 		return int(d)
 	}
-	est := s.lmDist[(u-1)*s.k+int(s.homeIdx[v])] + s.homeDist[v]
-	if alt := s.lmDist[(v-1)*s.k+int(s.homeIdx[u])] + s.homeDist[u]; alt < est {
+	est := u16(s.lmDist, (u-1)*s.k+int(u16(s.homeIdx, v-1))) + u16(s.homeDist, v-1)
+	if alt := u16(s.lmDist, (v-1)*s.k+int(u16(s.homeIdx, u-1))) + u16(s.homeDist, u-1); alt < est {
 		est = alt
 	}
 	return int(est)

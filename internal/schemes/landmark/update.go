@@ -33,7 +33,7 @@
 // Ports. A port at u changes only when u's distance, a neighbour's distance
 // or u's own row changes, so after a repair the canonical port is recomputed
 // for the changed nodes, their neighbours, and x and y (whose rows renumber).
-// Restricted schemes keep non-owned rows zero.
+// Restricted schemes have no rows for non-owned nodes.
 //
 // Homes. ℓ(v) and home(v) change only on rows with a changed distance; only
 // those rows are rescanned.
@@ -63,10 +63,22 @@
 // step closer to v, but its port renumbers: ports past the flipped
 // neighbour's slot move up by one on an addition and down by one on a
 // removal.
+//
+// Storage. Update copies prev's blob once, every section before the cluster
+// CSR in one memmove, and repairs columns, homes and eports in that copy;
+// prev is only read, so a published scheme never changes under its
+// readers, and a refused flip leaves nothing behind. The cluster CSR, in
+// its int32 arrays and its blob sections alike, is rewritten from prev's:
+// the entries of dirty destinations are dropped, the fresh ones inserted,
+// and everything between two such edits is copied as one range; only the
+// kept entries held at x and y, whose ports renumber, are rewritten one by
+// one.
 package landmark
 
 import (
+	"bytes"
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -74,14 +86,16 @@ import (
 	"routetab/internal/graph"
 )
 
-// unsettled is a raised node's distance until a surviving path settles it.
-const unsettled = math.MaxInt32
+// unsettled is a raised node's distance until a surviving path settles it:
+// the largest u16, above every distance of a graph with n ≤ 65535 nodes.
+const unsettled = 0xFFFF
 
 // Update returns the scheme for g derived from prev, where prevPorts is the
 // sorted port view of prev's graph and g differs from that graph by exactly
 // the edge {x,y}. The result equals Build(g, ports, opt) restricted to
 // prev.Owned() byte for byte, for the opt prev was built with. Both port
-// views must be sorted (model IB). Callers fall back to Build on an error.
+// views must be sorted (model IB). prev is not modified. Callers fall back to
+// Build on an error.
 func Update(prev *Scheme, prevPorts *graph.Ports, g *graph.Graph, ports *graph.Ports, x, y int) (*Scheme, error) {
 	s, _, err := update(prev, prevPorts, g, ports, x, y)
 	return s, err
@@ -90,7 +104,7 @@ func Update(prev *Scheme, prevPorts *graph.Ports, g *graph.Graph, ports *graph.P
 // update is Update that also counts the nodes its repairs visited, once per
 // column, list or walk they enter.
 func update(prev *Scheme, prevPorts *graph.Ports, g *graph.Graph, ports *graph.Ports, x, y int) (s *Scheme, touched int, err error) {
-	n, k := prev.n, prev.k
+	n := prev.n
 	if g.N() != n {
 		return nil, 0, fmt.Errorf("landmark: update of n=%d scheme to n=%d graph", n, g.N())
 	}
@@ -111,16 +125,16 @@ func update(prev *Scheme, prevPorts *graph.Ports, g *graph.Graph, ports *graph.P
 
 	s = &Scheme{
 		n:         n,
-		k:         k,
+		k:         prev.k,
 		landmarks: prev.landmarks,
-		homeIdx:   slices.Clone(prev.homeIdx),
-		homeDist:  slices.Clone(prev.homeDist),
-		eport:     slices.Clone(prev.eport),
 		lmIdx:     prev.lmIdx,
-		lmPort:    slices.Clone(prev.lmPort),
-		lmDist:    slices.Clone(prev.lmDist),
 		owned:     prev.owned,
+		portRow:   prev.portRow,
 	}
+	// A flip moves few cluster entries; the spare room lets the CSR grow in
+	// place instead of copying the blob a second time.
+	ct := prev.TotalClusterEntries()
+	s.setTables(prev.copyTables(ct, ct/32+64))
 	r := newRepair(s, prev, g, x, y, added)
 	for j := range s.landmarks {
 		if err := r.column(j); err != nil {
@@ -130,6 +144,13 @@ func update(prev *Scheme, prevPorts *graph.Ports, g *graph.Graph, ports *graph.P
 	r.homes()
 	r.eports()
 
+	dirty := s.dirtyDestinations(prev, g, x, y)
+	fresh := newEntries(n, prev.owned)
+	for v := int32(1); v <= int32(n); v++ {
+		if limit := u16(s.homeDist, int(v)-1) - 1; dirty[v] && limit >= 2 {
+			fresh.emit(g, nil, v, limit)
+		}
+	}
 	// The ports of the flipped edge, in the graph that has it.
 	withEdge := prevPorts
 	if added {
@@ -137,61 +158,160 @@ func update(prev *Scheme, prevPorts *graph.Ports, g *graph.Graph, ports *graph.P
 	}
 	px, _ := withEdge.PortToOK(x, y)
 	py, _ := withEdge.PortToOK(y, x)
-	renumber := func(p int32, slot int) int32 {
-		if added && p >= int32(slot) {
-			return p + 1
-		}
-		if !added && p > int32(slot) {
-			return p - 1
-		}
-		return p
+	s.mergeClusters(prev, fresh, fresh.held(prev, g, prevPorts, dirty, x, y))
+	s.renumberRow(x, int32(px), added, dirty)
+	s.renumberRow(y, int32(py), added, dirty)
+	if bytes.Equal(s.homeIdx, prev.homeIdx) && bytes.Equal(s.eport, prev.eport) {
+		s.labels = prev.labels // a label is its node's home landmark and eport
+	} else {
+		s.buildLabels()
 	}
-	dirty := s.dirtyDestinations(prev, g, x, y)
-	fresh := newEntries(n, prev.owned)
-	for v := int32(1); v <= int32(n); v++ {
-		if limit := s.homeDist[v] - 1; dirty[v] && limit >= 2 {
-			fresh.emit(g, nil, v, limit)
-		}
-	}
-	fStart, fDst, fPort, fDist := fresh.rows(n)
-	// Merge each holder's kept old entries with its fresh ones by
-	// destination; both runs are sorted and their destinations disjoint.
-	ct := len(prev.clusterDst) + len(fDst)
-	s.clusterStart = make([]int32, n+1)
-	s.clusterDst = make([]int32, 0, ct)
-	s.clusterPort = make([]int32, 0, ct)
-	s.clusterDist = make([]int32, 0, ct)
-	for u := 1; u <= n; u++ {
-		i, hi := prev.clusterStart[u-1], prev.clusterStart[u]
-		f, fhi := fStart[u-1], fStart[u]
-		for i < hi || f < fhi {
-			if i < hi && dirty[prev.clusterDst[i]] {
-				i++
-				continue
-			}
-			if f < fhi && (i == hi || fDst[f] < prev.clusterDst[i]) {
-				s.clusterDst = append(s.clusterDst, fDst[f])
-				s.clusterPort = append(s.clusterPort, fPort[f])
-				s.clusterDist = append(s.clusterDist, fDist[f])
-				f++
-				continue
-			}
-			p := prev.clusterPort[i]
-			switch u {
-			case x:
-				p = renumber(p, px)
-			case y:
-				p = renumber(p, py)
-			}
-			s.clusterDst = append(s.clusterDst, prev.clusterDst[i])
-			s.clusterPort = append(s.clusterPort, p)
-			s.clusterDist = append(s.clusterDist, prev.clusterDist[i])
-			i++
-		}
-		s.clusterStart[u] = int32(len(s.clusterDst))
-	}
-	s.buildLabels()
 	return s, r.touched, nil
+}
+
+// held returns, in ascending order, the index in prev's cluster CSR of
+// every entry whose destination is dirty, using c's BFS scratch.
+// Destination v's entries are held by the owned nodes w with
+// 2 ≤ d(v,w) < home(v) in prev's graph — g with the flip of {x,y} undone,
+// whose sorted rows prevPorts holds — so a BFS from v truncated at depth
+// home(v)−1 finds each holder, and a binary search of the holder's row its
+// entry.
+func (c *entries) held(prev *Scheme, g *graph.Graph, prevPorts *graph.Ports, dirty []bool, x, y int) []int32 {
+	rowX, rowY := prevPorts.NeighborsByPort(x), prevPorts.NeighborsByPort(y)
+	rows := func(u int) []int {
+		switch u {
+		case x:
+			return rowX
+		case y:
+			return rowY
+		}
+		return g.Neighbors(u)
+	}
+	depth, queue := c.depth, c.queue
+	var held []int32
+	for v := 1; v <= prev.n; v++ {
+		limit := u16(prev.homeDist, v-1) - 1
+		if !dirty[v] || limit < 2 {
+			continue
+		}
+		depth[v] = 0
+		queue = append(queue[:0], int32(v))
+		for qi := 0; qi < len(queue); qi++ {
+			u := int(queue[qi])
+			du := depth[u] + 1
+			if du > limit {
+				continue
+			}
+			for _, w := range rows(u) {
+				if depth[w] >= 0 {
+					continue
+				}
+				depth[w] = du
+				queue = append(queue, int32(w))
+				if du >= 2 && prev.portRowOf(w) >= 0 {
+					i, ok := prev.clusterIndex(w, v)
+					if !ok {
+						panic("landmark: cluster entry missing from its holder's row")
+					}
+					held = append(held, int32(i))
+				}
+			}
+		}
+		for _, u := range queue {
+			depth[u] = -1
+		}
+	}
+	c.queue = queue
+	slices.Sort(held)
+	return held
+}
+
+// clusterIndex returns the index of the first entry of u's cluster row whose
+// destination is at least v, and whether that destination is v.
+func (s *Scheme) clusterIndex(u, v int) (int, bool) {
+	row := s.clusterDst[s.clusterStart[u-1]:s.clusterStart[u]]
+	i, ok := slices.BinarySearch(row, int32(v))
+	return int(s.clusterStart[u-1]) + i, ok
+}
+
+// mergeClusters writes s's cluster CSR, arrays and blob sections alike:
+// prev's, less the entries at the sorted indices held, plus the fresh
+// entries, each placed before the first entry of its holder's row with a
+// larger destination. Everything between two such edits is copied as one
+// range, across holders.
+func (s *Scheme) mergeClusters(prev *Scheme, fresh *entries, held []int32) {
+	fStart, fDst, fPort, fDist := fresh.rows(s.n)
+	prevCt := prev.TotalClusterEntries()
+	ct := prevCt - len(held) + len(fDst)
+	if size := len(s.tables) + 8*(ct-prevCt); size <= cap(s.tables) {
+		b := s.tables[:size]
+		binary.LittleEndian.PutUint32(b[16:], uint32(ct))
+		s.setTables(b)
+	} else {
+		s.setTables(s.copyTables(ct, 0))
+	}
+	s.clusterStart = make([]int32, s.n+1)
+	s.clusterDst = make([]int32, ct)
+	s.clusterPort = make([]int32, ct)
+	s.clusterDist = make([]int32, ct)
+	_, pdB, ppB, pdistB := prev.clusterSections()
+	startB, dB, pB, distB := s.clusterSections()
+	// The pending run: prev's entries from..i−1 land at to onward.
+	from, to := 0, 0
+	flush := func(i int) int {
+		copy(s.clusterDst[to:], prev.clusterDst[from:i])
+		copy(s.clusterPort[to:], prev.clusterPort[from:i])
+		copy(s.clusterDist[to:], prev.clusterDist[from:i])
+		copy(dB[4*to:], pdB[4*from:4*i])
+		copy(pB[2*to:], ppB[2*from:2*i])
+		copy(distB[2*to:], pdistB[2*from:2*i])
+		return to + i - from
+	}
+	h, dropped := 0, 0
+	for u := 1; u <= s.n; u++ {
+		for f := fStart[u-1]; f < fStart[u]; f++ {
+			at, _ := prev.clusterIndex(u, int(fDst[f]))
+			for ; h < len(held) && int(held[h]) < at; h++ {
+				from, to = int(held[h])+1, flush(int(held[h]))
+			}
+			o := flush(at)
+			s.clusterDst[o], s.clusterPort[o], s.clusterDist[o] = fDst[f], fPort[f], fDist[f]
+			setU32(dB, o, fDst[f])
+			setU16(pB, o, fPort[f])
+			setU16(distB, o, fDist[f])
+			from, to = at, o+1
+		}
+		end := prev.clusterStart[u]
+		for dropped < len(held) && held[dropped] < end {
+			dropped++
+		}
+		s.clusterStart[u] = end + fStart[u] - int32(dropped)
+		setU32(startB, u, s.clusterStart[u])
+	}
+	for ; h < len(held); h++ {
+		from, to = int(held[h])+1, flush(int(held[h]))
+	}
+	flush(prevCt)
+}
+
+// renumberRow shifts the ports of u's kept cluster entries across the
+// flipped edge's slot at u: ports from slot on move up by one when the edge
+// was added, ports past it down by one when it was removed. Fresh entries,
+// those with dirty destinations, already hold the new graph's ports.
+func (s *Scheme) renumberRow(u int, slot int32, added bool, dirty []bool) {
+	_, _, pB, _ := s.clusterSections()
+	for i := s.clusterStart[u-1]; i < s.clusterStart[u]; i++ {
+		if dirty[s.clusterDst[i]] {
+			continue
+		}
+		switch p := s.clusterPort[i]; {
+		case added && p >= slot:
+			s.clusterPort[i] = p + 1
+		case !added && p > slot:
+			s.clusterPort[i] = p - 1
+		}
+		setU16(pB, int(i), s.clusterPort[i])
+	}
 }
 
 // repair is the scratch of one Update's column repairs, indexed by node.
@@ -259,20 +379,20 @@ func (r *repair) column(j int) error {
 func (r *repair) lower(j int) {
 	k, dist := r.s.k, r.s.lmDist
 	x, y := r.x, r.y
-	if dist[(x-1)*k+j] > dist[(y-1)*k+j] {
+	if u16(dist, (x-1)*k+j) > u16(dist, (y-1)*k+j) {
 		x, y = y, x
 	}
 	q := r.changed[:0]
-	if d := dist[(x-1)*k+j] + 1; dist[(y-1)*k+j] > d {
-		dist[(y-1)*k+j] = d
+	if d := u16(dist, (x-1)*k+j) + 1; u16(dist, (y-1)*k+j) > d {
+		setU16(dist, (y-1)*k+j, d)
 		q = append(q, int32(y))
 	}
 	for qi := 0; qi < len(q); qi++ {
 		u := int(q[qi])
-		du := dist[(u-1)*k+j] + 1
+		du := u16(dist, (u-1)*k+j) + 1
 		for _, w := range r.g.Neighbors(u) {
-			if at := (w-1)*k + j; dist[at] > du {
-				dist[at] = du
+			if at := (w-1)*k + j; u16(dist, at) > du {
+				setU16(dist, at, du)
 				q = append(q, int32(w))
 			}
 		}
@@ -287,8 +407,8 @@ func (r *repair) lower(j int) {
 // be settled.
 func (r *repair) raise(j int) error {
 	k, dist := r.s.k, r.s.lmDist
-	far, dnear := r.y, dist[(r.x-1)*k+j]
-	if dfar := dist[(r.y-1)*k+j]; dfar == dnear {
+	far, dnear := r.y, u16(dist, (r.x-1)*k+j)
+	if dfar := u16(dist, (r.y-1)*k+j); dfar == dnear {
 		r.changed = r.changed[:0]
 		return nil
 	} else if dfar < dnear {
@@ -302,11 +422,11 @@ func (r *repair) raise(j int) error {
 	up := r.changed[:0]
 	for qi := 0; qi < len(cand); qi++ {
 		w := int(cand[qi])
-		dw := dist[(w-1)*k+j]
+		dw := u16(dist, (w-1)*k+j)
 		row := r.g.Neighbors(w)
 		kept := false
 		for _, p := range row {
-			if dist[(p-1)*k+j] == dw-1 && r.raised[p] != raised {
+			if u16(dist, (p-1)*k+j) == dw-1 && r.raised[p] != raised {
 				kept = true
 				break
 			}
@@ -317,7 +437,7 @@ func (r *repair) raise(j int) error {
 		r.raised[w] = raised
 		up = append(up, int32(w))
 		for _, c := range row {
-			if dist[(c-1)*k+j] == dw+1 && r.mark[c] != marked {
+			if u16(dist, (c-1)*k+j) == dw+1 && r.mark[c] != marked {
 				r.mark[c] = marked
 				cand = append(cand, int32(c))
 			}
@@ -337,10 +457,10 @@ func (r *repair) raise(j int) error {
 		best := int32(unsettled)
 		for _, p := range r.g.Neighbors(int(w)) {
 			if r.raised[p] != raised {
-				best = min(best, dist[(p-1)*k+j]+1)
+				best = min(best, u16(dist, (p-1)*k+j)+1)
 			}
 		}
-		dist[(int(w)-1)*k+j] = best
+		setU16(dist, (int(w)-1)*k+j, best)
 		if best != unsettled {
 			starts = append(starts, [2]int32{best, w})
 		}
@@ -352,27 +472,27 @@ func (r *repair) raise(j int) error {
 	fifo := cand[:0]
 	for si, fi := 0, 0; si < len(starts) || fi < len(fifo); {
 		var u int
-		if fi < len(fifo) && (si == len(starts) || dist[(int(fifo[fi])-1)*k+j] <= starts[si][0]) {
+		if fi < len(fifo) && (si == len(starts) || u16(dist, (int(fifo[fi])-1)*k+j) <= starts[si][0]) {
 			u = int(fifo[fi])
 			fi++
 		} else {
 			u = int(starts[si][1])
 			si++
-			if dist[(u-1)*k+j] != starts[si-1][0] {
+			if u16(dist, (u-1)*k+j) != starts[si-1][0] {
 				continue // lowered since, and settled from the FIFO
 			}
 		}
-		du := dist[(u-1)*k+j] + 1
+		du := u16(dist, (u-1)*k+j) + 1
 		for _, c := range r.g.Neighbors(u) {
-			if at := (c-1)*k + j; r.raised[c] == raised && dist[at] > du {
-				dist[at] = du
+			if at := (c-1)*k + j; r.raised[c] == raised && u16(dist, at) > du {
+				setU16(dist, at, du)
 				fifo = append(fifo, int32(c))
 			}
 		}
 	}
 	r.queue = fifo
 	for _, w := range up {
-		if dist[(int(w)-1)*k+j] == unsettled {
+		if u16(dist, (int(w)-1)*k+j) == unsettled {
 			return fmt.Errorf("%w: node %d cannot reach landmark %d", ErrDisconnected, w, r.s.landmarks[j])
 		}
 	}
@@ -400,8 +520,8 @@ func (r *repair) repairPorts(j int) {
 	visit(r.x)
 	visit(r.y)
 	for _, u := range list {
-		if s.owned == nil || s.owned.Has(int(u)) {
-			s.lmPort[(int(u)-1)*s.k+j] = r.canonicalPort(int(u), j)
+		if row := s.portRowOf(int(u)); row >= 0 {
+			setU16(s.lmPort, row*s.k+j, r.canonicalPort(int(u), j))
 		}
 		r.seeds = append(r.seeds, [2]int32{int32(j), u})
 	}
@@ -414,12 +534,12 @@ func (r *repair) repairPorts(j int) {
 // port of row entry i is i+1.
 func (r *repair) canonicalPort(u, j int) int32 {
 	k, dist := r.s.k, r.s.lmDist
-	d := dist[(u-1)*k+j] - 1
+	d := u16(dist, (u-1)*k+j) - 1
 	if d < 0 {
 		return 0
 	}
 	for i, w := range r.g.Neighbors(u) {
-		if dist[(w-1)*k+j] == d {
+		if u16(dist, (w-1)*k+j) == d {
 			return int32(i + 1)
 		}
 	}
@@ -431,15 +551,16 @@ func (r *repair) canonicalPort(u, j int) int32 {
 func (r *repair) homes() {
 	s, k := r.s, r.s.k
 	for _, u := range r.rows {
-		row := s.lmDist[(int(u)-1)*k : int(u)*k]
-		best := 0
-		for j, d := range row {
-			if d < row[best] {
-				best = j
+		row := s.lmDist[2*(int(u)-1)*k : 2*int(u)*k]
+		best, bestDist := 0, u16(row, 0)
+		for j := 1; j < k; j++ {
+			if d := u16(row, j); d < bestDist {
+				best, bestDist = j, d
 			}
 		}
-		s.homeIdx[u], s.homeDist[u] = int32(best), row[best]
-		if int32(best) != r.prev.homeIdx[u] {
+		setU16(s.homeIdx, int(u)-1, int32(best))
+		setU16(s.homeDist, int(u)-1, bestDist)
+		if int32(best) != u16(r.prev.homeIdx, int(u)-1) {
 			r.seeds = append(r.seeds, [2]int32{int32(best), u})
 		}
 	}
@@ -456,7 +577,7 @@ func (r *repair) eports() {
 	walk := r.queue[:0]
 	for _, sd := range r.seeds {
 		j, u := sd[0], int(sd[1])
-		if s.homeIdx[u] != j || r.mark[u] == marked {
+		if u16(s.homeIdx, u-1) != j || r.mark[u] == marked {
 			continue
 		}
 		r.mark[u] = marked
@@ -464,9 +585,9 @@ func (r *repair) eports() {
 		walk = append(walk, int32(u))
 		for qi := from; qi < len(walk); qi++ {
 			w := int(walk[qi])
-			dw := s.lmDist[(w-1)*k+int(j)] + 1
+			dw := u16(s.lmDist, (w-1)*k+int(j)) + 1
 			for _, c := range g.Neighbors(w) {
-				if r.mark[c] != marked && s.homeIdx[c] == j && s.lmDist[(c-1)*k+int(j)] == dw {
+				if r.mark[c] != marked && u16(s.homeIdx, c-1) == j && u16(s.lmDist, (c-1)*k+int(j)) == dw {
 					r.mark[c] = marked
 					walk = append(walk, int32(c))
 				}
@@ -474,25 +595,25 @@ func (r *repair) eports() {
 		}
 	}
 	slices.SortFunc(walk, func(a, b int32) int {
-		return cmp.Or(cmp.Compare(s.homeDist[a], s.homeDist[b]), cmp.Compare(a, b))
+		return cmp.Or(cmp.Compare(u16(s.homeDist, int(a)-1), u16(s.homeDist, int(b)-1)), cmp.Compare(a, b))
 	})
 	for _, v := range walk {
-		j := int(s.homeIdx[v])
+		j := int(u16(s.homeIdx, int(v)-1))
 		a := int(s.landmarks[j])
-		switch dv := s.homeDist[v]; dv {
+		switch dv := u16(s.homeDist, int(v)-1); dv {
 		case 0:
-			s.eport[v] = 0
+			setU16(s.eport, int(v)-1, 0)
 		case 1:
 			i, _ := slices.BinarySearch(g.Neighbors(a), int(v))
-			s.eport[v] = int32(i + 1)
+			setU16(s.eport, int(v)-1, int32(i+1))
 		default:
 			best := int32(math.MaxInt32)
 			for _, p := range g.Neighbors(int(v)) {
-				if s.lmDist[(p-1)*k+j] == dv-1 && s.eport[p] < best {
-					best = s.eport[p]
+				if ep := u16(s.eport, p-1); u16(s.lmDist, (p-1)*k+j) == dv-1 && ep < best {
+					best = ep
 				}
 			}
-			s.eport[v] = best
+			setU16(s.eport, int(v)-1, best)
 		}
 	}
 	r.queue = walk
@@ -508,8 +629,8 @@ func (s *Scheme) dirtyDestinations(prev *Scheme, g *graph.Graph, x, y int) []boo
 	// −1 beyond it.
 	var reach int32
 	for v := 1; v <= n; v++ {
-		if s.homeDist[v] == prev.homeDist[v] {
-			reach = max(reach, s.homeDist[v]-2)
+		if d := u16(s.homeDist, v-1); d == u16(prev.homeDist, v-1) {
+			reach = max(reach, d-2)
 		}
 	}
 	near := make([]int32, n+1)
@@ -531,7 +652,7 @@ func (s *Scheme) dirtyDestinations(prev *Scheme, g *graph.Graph, x, y int) []boo
 		}
 	}
 	for v := 1; v <= n; v++ {
-		oldLimit, limit := prev.homeDist[v]-1, s.homeDist[v]-1
+		oldLimit, limit := u16(prev.homeDist, v-1)-1, u16(s.homeDist, v-1)-1
 		if oldLimit != limit {
 			dirty[v] = oldLimit >= 2 || limit >= 2
 		} else {

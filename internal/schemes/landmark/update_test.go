@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"routetab/internal/gengraph"
@@ -31,10 +32,12 @@ func buildRestricted(g *graph.Graph, opt Options, owned *keyspace.Set) (*Scheme,
 
 // flipUpdate flips {x,y} on a clone of g and requires Update from prev to
 // equal a fresh Build+Restrict of the clone: byte-identical tables and
-// identical scheme state, or both refusing a disconnecting flip. With decode
-// set, Update starts from prev decoded from its own tables, as a replica
-// that bootstrapped from shipped state does. It returns the new scheme and
-// graph, or prev and g when the flip was refused.
+// identical scheme state, or both refusing a disconnecting flip. Either way
+// Update must leave prev's tables and labels as they were: a published
+// scheme is never written. With decode set, Update starts from prev decoded
+// from its own tables, as a replica that bootstrapped from shipped state
+// does. It returns the new scheme and graph, or prev and g when the flip was
+// refused.
 func flipUpdate(t testing.TB, prev *Scheme, g *graph.Graph, x, y int, opt Options, owned *keyspace.Set, decode bool) (*Scheme, *graph.Graph) {
 	t.Helper()
 	prevPorts := graph.SortedPorts(g)
@@ -47,7 +50,11 @@ func flipUpdate(t testing.TB, prev *Scheme, g *graph.Graph, x, y int, opt Option
 	}
 	next := flipped(t, g, x, y)
 	want, werr := buildRestricted(next, opt, owned)
+	tables, labels := bytes.Clone(prev.EncodeTables()), labelFields(prev)
 	got, gerr := Update(prev, prevPorts, next, graph.SortedPorts(next), x, y)
+	if !bytes.Equal(prev.EncodeTables(), tables) || !slices.Equal(labelFields(prev), labels) {
+		t.Fatalf("flip {%d,%d}: update (err %v) wrote the previous scheme", x, y, gerr)
+	}
 	if werr != nil {
 		if !errors.Is(werr, ErrDisconnected) {
 			t.Fatalf("flip {%d,%d}: build: %v", x, y, werr)
@@ -67,6 +74,16 @@ func flipUpdate(t testing.TB, prev *Scheme, g *graph.Graph, x, y int, opt Option
 		t.Fatalf("flip {%d,%d}: updated scheme state differs from a full build", x, y)
 	}
 	return got, next
+}
+
+// labelFields copies every label's ID and Aux fields out of s.
+func labelFields(s *Scheme) [][3]int {
+	out := make([][3]int, s.n+1)
+	for u := 1; u <= s.n; u++ {
+		l := s.Label(u)
+		out[u] = [3]int{l.ID, l.Aux[0], l.Aux[1]}
+	}
+	return out
 }
 
 // randomFlip picks, with equal odds, a present edge to remove or an absent
@@ -112,8 +129,9 @@ var ownedModes = []struct {
 }
 
 // TestUpdateMatchesBuild chains Update over seeded churn on every graph
-// family, owned set and starting point, and compares each step with a fresh
-// Build+Restrict.
+// family, owned set and starting point, compares each step with a fresh
+// Build+Restrict, and checks that no step, refused or not, wrote the scheme
+// it started from.
 func TestUpdateMatchesBuild(t *testing.T) {
 	families := []struct {
 		name  string
@@ -197,7 +215,9 @@ func TestSkipRulesExact(t *testing.T) {
 			}
 			dirty := s.dirtyDestinations(prev, next, x, y)
 			for v := 1; v <= g.N(); v++ {
-				oldLimit, limit := int(prev.homeDist[v])-1, int(s.homeDist[v])-1
+				_, oldHome := prev.Home(v)
+				_, home := s.Home(v)
+				oldLimit, limit := oldHome-1, home-1
 				want := limit >= 2 && min(dx.Dist[v], dy.Dist[v]) < limit
 				if oldLimit != limit {
 					want = oldLimit >= 2 || limit >= 2
@@ -241,7 +261,8 @@ func TestUpdateRejectsForeignFlip(t *testing.T) {
 }
 
 // FuzzUpdateMatchesBuild chains Update over fuzzed flips of a small graph
-// and requires every step to match a fresh Build+Restrict.
+// and requires every step to match a fresh Build+Restrict and to leave the
+// previous scheme's tables and labels untouched, refused flips included.
 //
 // Layout: data[0] picks n = 2 + data[0]%38; data[1] picks K = data[1]%(n+3);
 // data[2] picks the owned set (low two bits: all, lower half, or seeded
