@@ -88,9 +88,12 @@ crashbench:
 
 # The tables-tier flip cost (ROADMAP items 4 and 6): one Primary.Mutate on a
 # half-owned landmark engine over SparseConnected(n, 8), n = 4096 and 16384,
-# at GOMAXPROCS 1, six runs each with ms/op and B/op. Not part of verify.
+# alone and followed by a replica's replay of its record, and landmark.Update
+# alone at n = 1024, 4096 and 16384; at GOMAXPROCS 1, six runs each with
+# ms/op and B/op. Not part of verify.
 flipbench:
 	$(GO) test -run '^$$' -bench '^BenchmarkTablesFlip$$' -benchmem -cpu 1 -count 6 ./internal/cluster
+	$(GO) test -run '^$$' -bench '^BenchmarkUpdateSparse$$' -benchmem -cpu 1 -count 6 ./internal/schemes/landmark
 
 clean:
 	$(GO) clean ./...

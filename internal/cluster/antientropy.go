@@ -1,8 +1,9 @@
 // Anti-entropy: cheap convergence fingerprints exchanged between cluster
 // members. A Digest compresses a member's entire served state — epoch, WAL
-// position, snapshot sequence, tier, node count, and the CRC-32C of the
-// served tables (the packed distance matrix on the full tier, the encoded
-// LMTB scheme tables on the tables tier) — into a handful of integers.
+// position, snapshot sequence, tier, node count, and a CRC-32C of the
+// served tables (of the packed distance matrix on the full tier, of the
+// landmark scheme's page CRCs, each recomputed from its page, on the tables
+// tier) — into a handful of integers.
 // Because rebuilds are deterministic, two members whose digests match are
 // serving byte-identical routing tables; a mismatch at equal WAL position
 // means divergence and demands a resync, not a shrug.
@@ -15,11 +16,11 @@ import (
 )
 
 // Digest fingerprints one member's served state. StateCRC is tier-dependent:
-// DistCRC of the packed matrix on the full tier, TablesCRC of the encoded
-// scheme tables on the tables tier — so Converged asserts byte-identical
-// scheme state, never merely "same sequence number". Tier is part of the
-// fingerprint: a full-tier member never converges with a tables-tier one,
-// even if both CRCs collide.
+// DistCRC of the packed matrix on the full tier, the tables fingerprint
+// rehashed from every page on the tables tier — so Converged asserts
+// byte-identical scheme state, never merely "same sequence number". Tier is
+// part of the fingerprint: a full-tier member never converges with a
+// tables-tier one, even if both CRCs collide.
 type Digest struct {
 	Epoch    uint64
 	WalSeq   uint64
@@ -43,7 +44,7 @@ func digestOf(eng *serve.Engine, epoch, walSeq uint64) Digest {
 		SnapSeq:  cur.Seq,
 		Tier:     cur.Tier,
 		N:        cur.N(),
-		StateCRC: SnapshotCRC(cur),
+		StateCRC: stateCRC(cur),
 	}
 }
 

@@ -27,6 +27,7 @@ import (
 
 	"routetab/internal/cluster/walstore"
 	"routetab/internal/keyspace"
+	"routetab/internal/schemes/landmark"
 	"routetab/internal/serve"
 	"routetab/internal/shortestpath"
 )
@@ -49,21 +50,39 @@ func DistCRC(d *shortestpath.Distances) uint32 {
 	return crc32.Checksum(d.Packed(), crcTable)
 }
 
-// TablesCRC is the tables-tier convergence fingerprint: CRC-32C over the
-// encoded scheme tables (the LMTB blob for the landmark scheme). The
+// TablesCRC is the tables-tier convergence fingerprint of an encoded table
+// blob (the LMTB blob of the landmark scheme): the value the scheme holding
+// those tables stores, the CRC-32C of its page CRCs (landmark.BlobCRC). The
 // incompressibility bound is why the compact tier fingerprints the tables
-// themselves — there is no matrix to hash, by design.
+// themselves — there is no matrix to hash, by design. Bytes that are no
+// table encoding fingerprint as 0.
 func TablesCRC(tables []byte) uint32 {
-	return crc32.Checksum(tables, crcTable)
+	crc, err := landmark.BlobCRC(tables)
+	if err != nil {
+		return 0
+	}
+	return crc
 }
 
 // SnapshotCRC returns the convergence fingerprint appropriate to snap's tier:
-// DistCRC of the packed matrix on the full tier, TablesCRC of the encoded
-// scheme tables on the tables tier. Per-record verification, anti-entropy
-// digests, and recovery replay all use this single definition.
+// DistCRC of the packed matrix on the full tier, the tables fingerprint its
+// scheme stored when it was made on the tables tier (equal to TablesCRC of
+// its encoding, and O(1) to read). Per-record verification and recovery
+// replay use this definition; anti-entropy digests use stateCRC, which
+// rehashes the tables.
 func SnapshotCRC(snap *serve.Snapshot) uint32 {
 	if snap.Dist == nil {
-		return TablesCRC(snap.TablesBytes())
+		return snap.TablesCRC()
+	}
+	return DistCRC(snap.Dist)
+}
+
+// stateCRC is SnapshotCRC recomputed from the served bytes: the tables
+// fingerprint is rehashed from every page instead of read from its scheme,
+// so a digest never vouches for a stored CRC its page no longer matches.
+func stateCRC(snap *serve.Snapshot) uint32 {
+	if snap.Dist == nil {
+		return snap.RehashTables()
 	}
 	return DistCRC(snap.Dist)
 }

@@ -22,12 +22,12 @@ type Sim struct {
 	grantII bool
 	nodeOf  []int32 // nodeOf[id] = the node labelled id, for every id in 1…n
 
-	// envs pre-boxes one Env per node at construction: the serving hot path
-	// (FirstHop) would otherwise box a fresh env value into the interface on
-	// every lookup — the single heap allocation on an otherwise
-	// allocation-free next-hop answer. Each holds a pointer into one backing
-	// array, so construction allocates once, not once per node.
-	envs []Env
+	// envs holds one env per node, built at construction: the serving hot
+	// path (FirstHop) passes &envs[u], a pointer, which boxes into the Env
+	// interface without allocating, where an env value would be copied to
+	// the heap on every lookup — the single allocation on an otherwise
+	// allocation-free next-hop answer. Construction allocates the array once.
+	envs []env
 }
 
 // NewSim validates the pieces against each other and builds a simulator. The
@@ -59,11 +59,9 @@ func NewSim(g *graph.Graph, ports *graph.Ports, scheme Scheme) (*Sim, error) {
 		grantII: req.NeighborsKnown || req.NeighborsOrFreePorts,
 		nodeOf:  nodeOf,
 	}
-	s.envs = make([]Env, g.N()+1)
-	backing := make([]env, g.N()+1)
+	s.envs = make([]env, g.N()+1)
 	for u := 1; u <= g.N(); u++ {
-		backing[u] = env{sim: s, node: u}
-		s.envs[u] = &backing[u]
+		s.envs[u] = env{sim: s, node: u}
 	}
 	return s, nil
 }
@@ -158,7 +156,7 @@ func (s *Sim) Route(src, dst int, maxHops int) (*Trace, error) {
 		if tr.Hops >= maxHops {
 			return tr, fmt.Errorf("%w: %d hops from %d to %d", ErrHopLimit, tr.Hops, src, destNode)
 		}
-		port, newHdr, err := s.scheme.Route(cur, s.envs[cur], destLabel, hdr, arrival)
+		port, newHdr, err := s.scheme.Route(cur, &s.envs[cur], destLabel, hdr, arrival)
 		if err != nil {
 			return tr, fmt.Errorf("routing: at node %d: %w", cur, err)
 		}
@@ -192,7 +190,7 @@ func (s *Sim) FirstHop(src, destNode int) (int, error) {
 		return 0, fmt.Errorf("%w: destination %d", graph.ErrNodeRange, destNode)
 	}
 	destLabel := s.scheme.Label(destNode)
-	port, _, err := s.scheme.Route(src, s.envs[src], destLabel, 0, 0)
+	port, _, err := s.scheme.Route(src, &s.envs[src], destLabel, 0, 0)
 	if err != nil {
 		return 0, err
 	}

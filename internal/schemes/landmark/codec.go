@@ -30,15 +30,17 @@ import (
 // lmPort and clusterPort as BFS-tree parent edges; their blobs are rejected
 // with ErrBadTables, so a persisted snapshot that holds one cold-builds.
 //
-// The layout is the memory: a Scheme keeps no other copy of these tables
-// but the cluster CSR, which it also holds as int32 arrays for the lookup
-// path's binary search (landmark.go). Its other section fields are views of
-// its blob, read and written through the u16/u32 accessors below, and
-// EncodeTables returns the blob itself. Build writes the sections directly,
-// Update repairs a copy of its predecessor's blob, and DecodeTables
-// validates and keeps a copy of its input; a blob is never written after
-// its scheme is returned. Every value a u16 field receives is a distance,
-// port or index below n, or the repair's 0xFFFF sentinel, and fits because
+// The encoding is assembled, not stored: a Scheme keeps its tables in
+// copy-on-write pages (pages.go) that the schemes Update derives share,
+// and EncodeTables assembles this encoding from them only when a reader
+// asks for it — persistence, a state fetch, TablesBytes. The per-node
+// sections are paged as whole rows of these very bytes; the cluster CSR is
+// held in blocks of consecutive holders with int32 fields and block-local
+// row starts, and assembly writes the global offsets. DecodeTables
+// validates its input and cuts a copy of it into pages. The tables
+// fingerprint (TablesCRC, BlobCRC) is defined over the pages, not over
+// this byte string. Every value a u16 field receives is a distance, port
+// or index below n, or the repair's 0xFFFF sentinel, and fits because
 // Build and DecodeTables reject n > 65535; setU16 re-checks anyway so a
 // silent clamp is impossible.
 //
@@ -111,121 +113,91 @@ func setU32(b []byte, i int, v int32) {
 	b[j], b[j+1], b[j+2], b[j+3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
 }
 
-// newTables allocates a zeroed blob for n nodes, the given landmarks and ct
-// cluster entries, restricted to owned when it is non-nil, and writes its
-// header, owned section and landmark list.
-func newTables(n int, landmarks []int32, ct int, owned *keyspace.Set) []byte {
+// newHead returns the blob's bytes before homeIdx for n nodes, the given
+// landmarks and ct cluster entries, restricted to owned when it is non-nil:
+// the header, the owned section and the landmark list.
+func newHead(n int, landmarks []int32, ct int, owned *keyspace.Set) []byte {
 	le := binary.LittleEndian
-	k := len(landmarks)
-	var b []byte
-	off := tablesHdrLen
-	if owned != nil {
-		b = make([]byte, EncodedTablesLenV2(n, k, ct, owned.Count()))
-		le.PutUint32(b[4:], tablesVersionOwned)
-		le.PutUint32(b[off:], uint32(owned.Count()))
-		off += 4
-		for _, w := range owned.Words() {
-			le.PutUint64(b[off:], w)
-			off += 8
-		}
-	} else {
-		b = make([]byte, EncodedTablesLen(n, k, ct))
-		le.PutUint32(b[4:], tablesVersion)
-	}
+	b := make([]byte, tablesHdrLen, tablesHdrLen+4+8*((n+63)/64)+4*len(landmarks))
 	le.PutUint32(b[0:], tablesMagic)
+	le.PutUint32(b[4:], tablesVersion)
 	le.PutUint32(b[8:], uint32(n))
-	le.PutUint32(b[12:], uint32(k))
+	le.PutUint32(b[12:], uint32(len(landmarks)))
 	le.PutUint32(b[16:], uint32(ct))
+	if owned != nil {
+		le.PutUint32(b[4:], tablesVersionOwned)
+		b = le.AppendUint32(b, uint32(owned.Count()))
+		for _, w := range owned.Words() {
+			b = le.AppendUint64(b, w)
+		}
+	}
 	for _, a := range landmarks {
-		le.PutUint32(b[off:], uint32(a))
-		off += 4
+		b = le.AppendUint32(b, uint32(a))
 	}
 	return b
 }
 
-// setTables makes b the scheme's blob and points the section views at it.
-// b's header must match s.n, s.k and s.owned; its clusterTotal field sizes
-// the cluster sections.
-func (s *Scheme) setTables(b []byte) {
-	n, k := s.n, s.k
-	off, rows := tablesHdrLen, n
+// TablesLen returns the byte length of the scheme's encoding, by the layout
+// arithmetic: nothing is assembled.
+func (s *Scheme) TablesLen() int {
 	if s.owned != nil {
-		off += 4 + 8*len(s.owned.Words())
-		rows = s.owned.Count()
+		return EncodedTablesLenV2(s.n, s.k, s.ct, s.owned.Count())
 	}
-	section := func(size int) []byte {
-		v := b[off : off+size : off+size]
-		off += size
-		return v
-	}
-	section(4 * k) // the landmark list, held decoded in s.landmarks
-	s.homeIdx = section(2 * n)
-	s.homeDist = section(2 * n)
-	s.eport = section(2 * n)
-	s.lmDist = section(2 * n * k)
-	s.lmPort = section(2 * rows * k)
-	ct := int(binary.LittleEndian.Uint32(b[16:]))
-	if off+4*(n+1)+8*ct != len(b) {
-		panic("landmark: table blob length does not match its header")
-	}
-	s.tables = b
+	return EncodedTablesLen(s.n, s.k, s.ct)
 }
 
-// clustersAt returns the offset in the blob of its cluster CSR sections.
-func (s *Scheme) clustersAt() int {
-	ct := int(binary.LittleEndian.Uint32(s.tables[16:]))
-	return len(s.tables) - 4*(s.n+1) - 8*ct
-}
-
-// clusterSections returns the blob's cluster CSR sections: n+1 u32 row
-// starts, then ct u32 destinations, u16 ports and u16 distances.
-func (s *Scheme) clusterSections() (start, dst, port, dist []byte) {
-	b := s.tables[s.clustersAt():]
-	start, b = b[:4*(s.n+1)], b[4*(s.n+1):]
-	ct := len(b) / 8
-	dst, b = b[:4*ct], b[4*ct:]
-	return start, dst, b[:2*ct], b[2*ct:]
-}
-
-// encodeClusters writes the cluster CSR arrays into the blob's sections.
-func (s *Scheme) encodeClusters() {
-	start, dst, port, dist := s.clusterSections()
-	for u, at := range s.clusterStart {
-		setU32(start, u, at)
+// EncodeTables assembles the scheme's table blob: version 3 for an
+// unrestricted scheme, version 4 (owned bitmap, owned-only lmPort rows) for
+// a restricted one. Every call assembles a fresh slice from the pages, which
+// the caller owns.
+func (s *Scheme) EncodeTables() []byte {
+	b := make([]byte, 0, s.TablesLen())
+	b = append(b, s.head...)
+	for _, t := range s.sections() {
+		for p := range t.pages {
+			b = append(b, t.bytes(p)...)
+		}
 	}
-	for i, v := range s.clusterDst {
-		setU32(dst, i, v)
-		setU16(port, i, s.clusterPort[i])
-		setU16(dist, i, s.clusterDist[i])
+	off, ct := len(b), s.ct
+	b = b[:off+4*(s.n+1)+8*ct]
+	start := b[off : off+4*(s.n+1)]
+	dst := b[off+4*(s.n+1):][:4*ct]
+	port := b[off+4*(s.n+1)+4*ct:][:2*ct]
+	dist := b[off+4*(s.n+1)+6*ct:][:2*ct]
+	base := 0
+	for bi, blk := range s.cluster.blocks {
+		c := int(blk[blockHolders])
+		for i := 1; i <= blockHolders && bi*blockHolders+i <= s.n; i++ {
+			setU32(start, bi*blockHolders+i, int32(base)+blk[i])
+		}
+		e := blk[blockHolders+1:]
+		for i := 0; i < c; i++ {
+			setU32(dst, base+i, e[i])
+			setU16(port, base+i, e[c+i])
+			setU16(dist, base+i, e[2*c+i])
+		}
+		base += c
 	}
-}
-
-// copyTables returns a copy of every section of s's blob before the cluster
-// CSR, sized for ct cluster entries (those sections zero) with room for spare
-// more entries; the clusterTotal field says ct.
-func (s *Scheme) copyTables(ct, spare int) []byte {
-	pre := s.clustersAt()
-	size := pre + 4*(s.n+1) + 8*ct
-	b := make([]byte, size, size+8*spare)
-	copy(b, s.tables[:pre])
-	binary.LittleEndian.PutUint32(b[16:], uint32(ct))
 	return b
 }
 
-// EncodeTables returns the scheme's table blob: version 3 for an unrestricted
-// scheme, version 4 (owned bitmap, owned-only lmPort rows) for a restricted
-// one. The blob is the scheme's own storage, never written once the scheme is
-// returned; callers must not modify it. Its capacity is its length, so an
-// append copies.
-func (s *Scheme) EncodeTables() []byte { return s.tables[:len(s.tables):len(s.tables)] }
+// layout is a blob parsed into its sections, views of the input, with the
+// shape checked: every section has its length, and the cluster CSR starts
+// at 0, ends at clusterTotal and never decreases, so cutting the blob into
+// pages reads nothing out of range.
+type layout struct {
+	n, k, ct int
+	owned    *keyspace.Set
+	head     []byte
+	sections [5][]byte // homeIdx, homeDist, eport, lmDist, lmPort
+	start    []byte
+	dst      []byte
+	port     []byte
+	dist     []byte
+}
 
-// DecodeTables reconstructs a scheme from an encoding produced by
-// EncodeTables against the same topology. Every field is validated: shapes,
-// landmark ordering, index/distance ranges, port numbers against the actual
-// degrees, CSR monotonicity, and per-row destination ordering — corrupt or
-// foreign input yields ErrBadTables, never a scheme with out-of-range tables.
-// The scheme keeps a copy of data, never data itself.
-func DecodeTables(g *graph.Graph, ports *graph.Ports, data []byte) (*Scheme, error) {
+// parseTables parses and shape-checks an encoding.
+func parseTables(data []byte) (*layout, error) {
 	le := binary.LittleEndian
 	if len(data) < tablesHdrLen {
 		return nil, fmt.Errorf("%w: %d bytes < header", ErrBadTables, len(data))
@@ -240,13 +212,11 @@ func DecodeTables(g *graph.Graph, ports *graph.Ports, data []byte) (*Scheme, err
 	n := int(le.Uint32(data[8:]))
 	k := int(le.Uint32(data[12:]))
 	ct := int(le.Uint32(data[16:]))
-	if n != g.N() {
-		return nil, fmt.Errorf("%w: tables for n=%d, graph has n=%d", ErrBadTables, n, g.N())
-	}
 	if n < 1 || n > 65535 || k < 1 || k > n || ct < 0 {
 		return nil, fmt.Errorf("%w: shape n=%d k=%d ct=%d", ErrBadTables, n, k, ct)
 	}
-	var owned *keyspace.Set
+	l := &layout{n: n, k: k, ct: ct}
+	off, rows := tablesHdrLen, n
 	if version == tablesVersionOwned {
 		// The owned section (count + bitmap) sits between the header and the
 		// landmark list; the total-length check needs the count first.
@@ -271,48 +241,125 @@ func DecodeTables(g *graph.Graph, ports *graph.Ports, data []byte) (*Scheme, err
 		if set.Count() != oc {
 			return nil, fmt.Errorf("%w: owned bitmap popcount %d != ownedCount %d", ErrBadTables, set.Count(), oc)
 		}
-		owned = set
+		l.owned, rows = set, oc
+		off += 4 + 8*len(words)
 	} else if want := EncodedTablesLen(n, k, ct); len(data) != want {
 		return nil, fmt.Errorf("%w: %d bytes, want %d", ErrBadTables, len(data), want)
+	}
+	section := func(size int) []byte {
+		v := data[off : off+size : off+size]
+		off += size
+		return v
+	}
+	l.head = data[:off+4*k]
+	section(4 * k)
+	for i, size := range []int{2 * n, 2 * n, 2 * n, 2 * n * k, 2 * rows * k} {
+		l.sections[i] = section(size)
+	}
+	l.start, l.dst, l.port, l.dist = section(4*(n+1)), section(4*ct), section(2*ct), section(2*ct)
+	if u32(l.start, 0) != 0 || u32(l.start, n) != int32(ct) {
+		return nil, fmt.Errorf("%w: cluster CSR endpoints", ErrBadTables)
+	}
+	for u := 1; u <= n; u++ {
+		if lo, hi := u32(l.start, u-1), u32(l.start, u); lo > hi || hi > int32(ct) {
+			return nil, fmt.Errorf("%w: cluster CSR not monotone at %d", ErrBadTables, u)
+		}
+	}
+	return l, nil
+}
+
+// scheme cuts a copy of the parsed blob into a sealed scheme's pages; the
+// decoded landmarks, lmIdx, portRow, homeCount and labels are left for the
+// caller.
+func (l *layout) scheme() *Scheme {
+	n, k := l.n, l.k
+	rows := n
+	if l.owned != nil {
+		rows = l.owned.Count()
+	}
+	s := &Scheme{n: n, k: k, ct: l.ct, owned: l.owned, head: bytes.Clone(l.head)}
+	s.homeIdx, s.homeDist, s.eport = newTable(n, 1), newTable(n, 1), newTable(n, 1)
+	s.lmDist, s.lmPort = newTable(n, k), newTable(rows, k)
+	for i, t := range s.sections() {
+		src := l.sections[i]
+		for p := range t.pages {
+			src = src[copy(t.bytes(p), src):]
+		}
+	}
+	start := make([]int32, n+1)
+	for u := range start {
+		start[u] = u32(l.start, u)
+	}
+	dst, port, dist := make([]int32, l.ct), make([]int32, l.ct), make([]int32, l.ct)
+	for i := range dst {
+		dst[i], port[i], dist[i] = u32(l.dst, i), u16(l.port, i), u16(l.dist, i)
+	}
+	s.cluster = makeClusters(n, start, dst, port, dist)
+	s.seal(true)
+	return s
+}
+
+// BlobCRC returns the tables fingerprint (Scheme.TablesCRC) of an encoding
+// without decoding its contents: the blob is cut into the pages a scheme
+// holding it would have, and their CRCs are combined. It fails only on a
+// blob whose shape does not parse.
+func BlobCRC(blob []byte) (uint32, error) {
+	l, err := parseTables(blob)
+	if err != nil {
+		return 0, err
+	}
+	return l.scheme().crc, nil
+}
+
+// DecodeTables reconstructs a scheme from an encoding produced by
+// EncodeTables against the same topology. Every field is validated: shapes,
+// landmark ordering, index/distance ranges, port numbers against the actual
+// degrees, CSR monotonicity, and per-row destination ordering — corrupt or
+// foreign input yields ErrBadTables, never a scheme with out-of-range tables.
+// The scheme's pages are copies of data, never data itself.
+func DecodeTables(g *graph.Graph, ports *graph.Ports, data []byte) (*Scheme, error) {
+	l, err := parseTables(data)
+	if err != nil {
+		return nil, err
+	}
+	n, k := l.n, l.k
+	if n != g.N() {
+		return nil, fmt.Errorf("%w: tables for n=%d, graph has n=%d", ErrBadTables, n, g.N())
 	}
 	if err := ports.Validate(g); err != nil {
 		return nil, fmt.Errorf("landmark: %w", err)
 	}
-	s := &Scheme{
-		n:         n,
-		k:         k,
-		landmarks: make([]int32, k),
-		lmIdx:     make([]int32, n+1),
-		owned:     owned,
+	landmarks := make([]int32, k)
+	for j := range landmarks {
+		landmarks[j] = u32(l.head[len(l.head)-4*k:], j)
 	}
-	s.setTables(bytes.Clone(data))
-	off := tablesHdrLen
-	if owned != nil {
-		off += 4 + 8*len(owned.Words())
+	portRow := ownedRows(l.owned)
+	rowOf := func(u int) int {
+		if portRow == nil {
+			return u - 1
+		}
+		return int(portRow[u])
 	}
-	for j := range s.landmarks {
-		s.landmarks[j] = int32(le.Uint32(s.tables[off+4*j:]))
+	lmIdx := make([]int32, n+1)
+	for v := range lmIdx {
+		lmIdx[v] = -1
 	}
-	s.portRow = ownedRows(owned)
-
-	for v := range s.lmIdx {
-		s.lmIdx[v] = -1
-	}
-	for j, a := range s.landmarks {
-		if a < 1 || int(a) > n || (j > 0 && a <= s.landmarks[j-1]) {
+	for j, a := range landmarks {
+		if a < 1 || int(a) > n || (j > 0 && a <= landmarks[j-1]) {
 			return nil, fmt.Errorf("%w: landmark list not sorted in range", ErrBadTables)
 		}
-		s.lmIdx[a] = int32(j)
+		lmIdx[a] = int32(j)
 	}
+	homeIdx, homeDist, eport, lmDist, lmPort := l.sections[0], l.sections[1], l.sections[2], l.sections[3], l.sections[4]
 	for v := 1; v <= n; v++ {
-		hi, hd, ep := u16(s.homeIdx, v-1), u16(s.homeDist, v-1), u16(s.eport, v-1)
+		hi, hd, ep := u16(homeIdx, v-1), u16(homeDist, v-1), u16(eport, v-1)
 		if hi >= int32(k) {
 			return nil, fmt.Errorf("%w: homeIdx[%d] = %d ≥ k", ErrBadTables, v, hi)
 		}
-		if hd != u16(s.lmDist, (v-1)*k+int(hi)) {
+		if hd != u16(lmDist, (v-1)*k+int(hi)) {
 			return nil, fmt.Errorf("%w: homeDist[%d] inconsistent with landmark row", ErrBadTables, v)
 		}
-		home := s.landmarks[hi]
+		home := landmarks[hi]
 		deg := int32(ports.Degree(int(home)))
 		if int32(v) == home {
 			if ep != 0 || hd != 0 {
@@ -324,13 +371,13 @@ func DecodeTables(g *graph.Graph, ports *graph.Ports, data []byte) (*Scheme, err
 	}
 	for u := 1; u <= n; u++ {
 		deg := int32(ports.Degree(u))
-		row := s.portRowOf(u)
+		row := rowOf(u)
 		for j := 0; j < k; j++ {
-			d, port := u16(s.lmDist, (u-1)*k+j), int32(0)
+			d, port := u16(lmDist, (u-1)*k+j), int32(0)
 			if row >= 0 {
-				port = u16(s.lmPort, row*k+j)
+				port = u16(lmPort, row*k+j)
 			}
-			if int32(u) == s.landmarks[j] {
+			if int32(u) == landmarks[j] {
 				if port != 0 || d != 0 {
 					return nil, fmt.Errorf("%w: node %d self-landmark row nonzero", ErrBadTables, u)
 				}
@@ -341,39 +388,25 @@ func DecodeTables(g *graph.Graph, ports *graph.Ports, data []byte) (*Scheme, err
 			}
 		}
 	}
-	start, dst, port, dist := s.clusterSections()
-	s.clusterStart = make([]int32, n+1)
-	s.clusterDst = make([]int32, ct)
-	s.clusterPort = make([]int32, ct)
-	s.clusterDist = make([]int32, ct)
-	for u := range s.clusterStart {
-		s.clusterStart[u] = u32(start, u)
-	}
-	for i := range s.clusterDst {
-		s.clusterDst[i], s.clusterPort[i], s.clusterDist[i] = u32(dst, i), u16(port, i), u16(dist, i)
-	}
-	if s.clusterStart[0] != 0 || s.clusterStart[n] != int32(ct) {
-		return nil, fmt.Errorf("%w: cluster CSR endpoints", ErrBadTables)
-	}
 	for u := 1; u <= n; u++ {
-		lo, hi := s.clusterStart[u-1], s.clusterStart[u]
-		if lo > hi || hi > int32(ct) {
-			return nil, fmt.Errorf("%w: cluster CSR not monotone at %d", ErrBadTables, u)
-		}
-		if owned != nil && !owned.Has(u) && lo != hi {
+		lo, hi := u32(l.start, u-1), u32(l.start, u)
+		if l.owned != nil && !l.owned.Has(u) && lo != hi {
 			return nil, fmt.Errorf("%w: non-owned node %d has %d cluster entries", ErrBadTables, u, hi-lo)
 		}
 		deg := int32(ports.Degree(u))
-		for i := lo; i < hi; i++ {
-			v := s.clusterDst[i]
-			if v < 1 || int(v) > n || (i > lo && v <= s.clusterDst[i-1]) {
+		for i := int(lo); i < int(hi); i++ {
+			v, port, dist := u32(l.dst, i), u16(l.port, i), u16(l.dist, i)
+			if v < 1 || int(v) > n || (i > int(lo) && v <= u32(l.dst, i-1)) {
 				return nil, fmt.Errorf("%w: cluster row %d destinations unsorted", ErrBadTables, u)
 			}
-			if s.clusterPort[i] < 1 || s.clusterPort[i] > deg || s.clusterDist[i] < 2 || int(s.clusterDist[i]) >= n {
-				return nil, fmt.Errorf("%w: cluster entry (%d,%d) port=%d dist=%d", ErrBadTables, u, v, s.clusterPort[i], s.clusterDist[i])
+			if port < 1 || port > deg || dist < 2 || int(dist) >= n {
+				return nil, fmt.Errorf("%w: cluster entry (%d,%d) port=%d dist=%d", ErrBadTables, u, v, port, dist)
 			}
 		}
 	}
+	s := l.scheme()
+	s.landmarks, s.lmIdx, s.portRow = landmarks, lmIdx, portRow
+	s.countHomes()
 	s.buildLabels()
 	return s, nil
 }

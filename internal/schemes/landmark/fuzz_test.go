@@ -47,7 +47,7 @@ func FuzzDecodeLandmarkTables(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// A successful decode must re-encode deterministically and round-trip
+		// A successful decode must re-encode to its input and round-trip
 		// byte-identically — the property replication's CRC verification and
 		// quiesce-time table comparison both lean on.
 		enc2 := dec.EncodeTables()
@@ -55,8 +55,13 @@ func FuzzDecodeLandmarkTables(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded tables rejected: %v", err)
 		}
-		if !bytes.Equal(dec2.EncodeTables(), enc2) {
+		if !bytes.Equal(enc2, data) || !bytes.Equal(dec2.EncodeTables(), enc2) {
 			t.Fatal("decode→encode is not a fixed point")
+		}
+		// The fingerprint the decoded scheme stores is the one the bytes
+		// give.
+		if crc, err := BlobCRC(data); err != nil || crc != dec.TablesCRC() || crc != dec.RehashTables() {
+			t.Fatalf("fingerprint %08x (err %v) of the blob, decoded %08x, rehashed %08x", crc, err, dec.TablesCRC(), dec.RehashTables())
 		}
 		// Accepted tables must answer in-range for arbitrary pairs.
 		n := g.N()

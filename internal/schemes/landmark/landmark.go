@@ -53,8 +53,8 @@
 //
 // Space. E[Σ_v |C(v)|] ≈ n²/(k+1) for a random landmark sample, so total
 // space is O(n·k + n²/k) = O(n^{3/2}) at k = √n — o(n²), the whole point.
-// The tables are stored once, as their encoding (codec.go), in u16 and u32
-// fields. All stored distances are exact BFS distances: the packed uint8
+// The tables are stored once, in copy-on-write pages (pages.go): u16 rows
+// for the per-node sections, int32 blocks for the cluster CSR. All stored distances are exact BFS distances: the packed uint8
 // saturation sentinel of shortestpath.Distances never enters these tables
 // (landmark_test.go audits this on diameter ≫ 254 topologies).
 package landmark
@@ -98,14 +98,13 @@ type Options struct {
 // DefaultOptions is what the serve registry builds with.
 func DefaultOptions() Options { return Options{Seed: 0x52544c4d} } // "RTLM"
 
-// Scheme is a built landmark scheme. Its tables live in one LMTB blob
-// (codec.go): the section fields are views of it, read and written through
-// the u16/u32 accessors, so EncodeTables has nothing to encode. The cluster
-// CSR alone is also held as int32 arrays, which the lookup path (route.go)
-// binary-searches: over the blob's u32 section the search measured slower
-// (EXPERIMENTS.md, "Landmark tables in their LMTB bytes"). A scheme's blob
-// and arrays are never written once Build, Restrict, Update or DecodeTables
-// has returned it.
+// Scheme is a built landmark scheme. Its tables live in copy-on-write
+// pages (pages.go) that the schemes Update derives share: the per-node
+// sections in pages of whole u16 rows, read and written through the table
+// accessors, and the cluster CSR in blocks of consecutive holders, int32
+// arrays the lookup path (route.go) binary-searches. EncodeTables assembles
+// the LMTB blob (codec.go) from them on demand. A scheme's pages are never
+// written once Build, Restrict, Update or DecodeTables has returned it.
 type Scheme struct {
 	n int
 	k int
@@ -115,30 +114,38 @@ type Scheme struct {
 	// lmIdx[u] is u's index in landmarks, or −1 for non-landmarks.
 	lmIdx []int32
 
-	// tables is the encoding; the views below are its sections.
-	tables []byte
-	// homeIdx, homeDist and eport hold node v at entry v−1, u16: the index
-	// in landmarks of ℓ(v), d(v, ℓ(v)), and the port at ℓ(v) on a shortest
-	// path toward v (0 when v is its own landmark).
-	homeIdx, homeDist, eport []byte
-	// Landmark table, u16, row-major: lmDist entry (u−1)*k + j is the exact
-	// distance from u to landmarks[j]; lmPort entry r*k + j, with r =
-	// portRowOf(u), is the first port at u toward it (0 when u is that
-	// landmark).
-	lmDist, lmPort []byte
+	// head is the blob's bytes before homeIdx: the header (with ct), the
+	// owned section and the landmark list.
+	head []byte
+	// homeIdx, homeDist and eport hold node v at row v−1, one u16 each: the
+	// index in landmarks of ℓ(v), d(v, ℓ(v)), and the port at ℓ(v) on a
+	// shortest path toward v (0 when v is its own landmark).
+	homeIdx, homeDist, eport table
+	// Landmark table, k u16 entries a row: lmDist row u−1, entry j is the
+	// exact distance from u to landmarks[j]; lmPort row portRowOf(u), entry
+	// j is the first port at u toward it (0 when u is that landmark).
+	lmDist, lmPort table
 
-	// Cluster tables in CSR form: node u's entries are
-	// clusterDst/Port/Dist[clusterStart[u-1]:clusterStart[u]], sorted by
-	// destination id. An entry (u, v) exists iff 2 ≤ d(u,v) < homeDist[v].
-	// The blob's cluster sections hold the same values.
-	clusterStart []int32
-	clusterDst   []int32
-	clusterPort  []int32
-	clusterDist  []int32
+	// cluster holds node u's cluster entries in row (u−1)%blockHolders of
+	// block (u−1)/blockHolders, sorted by destination id. An entry (u, v)
+	// exists iff 2 ≤ d(u,v) < homeDist[v]. ct counts them all.
+	cluster clusters
+	ct      int
+
+	// homeCount[d] counts the nodes whose home distance is d; its last entry
+	// is nonzero, so len(homeCount)−1 is the largest home distance.
+	homeCount []int32
+
+	// sums holds the CRC-32C of every page in blob order (pages.go), and crc
+	// the tables fingerprint, the CRC-32C of sums.
+	sums []byte
+	crc  uint32
 
 	// labels pre-builds every node's routing.Label so Label(u) is a plain
-	// struct copy on the zero-alloc hot path.
-	labels []routing.Label
+	// struct copy on the zero-alloc hot path: label u is entry u&labelMask
+	// of page u>>labelShift, and each page holds its labels' Aux fields.
+	// Update copies the pages whose labels change.
+	labels [][]routing.Label
 
 	// owned restricts the per-source tables to a keyspace shard (restrict.go);
 	// nil means every node's tables are present. Non-owned nodes have no
@@ -185,13 +192,17 @@ func Build(g *graph.Graph, ports *graph.Ports, opt Options) (*Scheme, error) {
 	for j, a := range s.landmarks {
 		s.lmIdx[a] = int32(j)
 	}
-	s.setTables(newTables(n, s.landmarks, 0, nil))
+	s.homeIdx, s.homeDist, s.eport = newTable(n, 1), newTable(n, 1), newTable(n, 1)
+	s.lmDist, s.lmPort = newTable(n, k), newTable(n, k)
 
 	x := newPortIndex(g, ports)
 	if err := s.buildLandmarkColumns(x); err != nil {
 		return nil, err
 	}
+	s.countHomes()
 	s.buildClusters(g, x)
+	s.head = newHead(n, s.landmarks, s.ct, nil)
+	s.seal(true)
 	s.buildLabels()
 	return s, nil
 }
@@ -377,15 +388,15 @@ func (s *Scheme) buildLandmarkColumns(x *portIndex) error {
 			}
 		}
 		for u := 1; u <= n; u++ {
-			at := (u-1)*k + j0
+			dist, port := s.lmDist.row(u-1), s.lmPort.row(u-1)
 			for i, c := range block {
 				d := c.dist[u]
-				setU16(s.lmDist, at+i, d)
-				setU16(s.lmPort, at+i, c.up[u])
-				if j := j0 + i; j == 0 || d < u16(s.homeDist, u-1) {
-					setU16(s.homeIdx, u-1, int32(j))
-					setU16(s.homeDist, u-1, d)
-					setU16(s.eport, u-1, c.hop[u])
+				setU16(dist, j0+i, d)
+				setU16(port, j0+i, c.up[u])
+				if j := j0 + i; j == 0 || d < s.homeDist.cell(u-1) {
+					s.homeIdx.set(u-1, 0, int32(j))
+					s.homeDist.set(u-1, 0, d)
+					s.eport.set(u-1, 0, c.hop[u])
 				}
 			}
 		}
@@ -500,30 +511,59 @@ func (c *entries) rows(n int) (start, dst, port, dist []int32) {
 }
 
 // buildClusters runs a truncated BFS from every destination v to depth
-// home(v)−1, lays the entries out as per-node CSR rows sorted by
-// destination, and moves the tables to a blob sized for them.
+// home(v)−1 and lays the entries out in blocks of per-holder rows sorted by
+// destination.
 func (s *Scheme) buildClusters(g *graph.Graph, x *portIndex) {
 	c := newEntries(s.n, nil)
 	for v := int32(1); v <= int32(s.n); v++ {
-		if limit := u16(s.homeDist, int(v)-1) - 1; limit >= 2 {
+		if limit := s.homeDist.cell(int(v)-1) - 1; limit >= 2 {
 			c.emit(g, x, v, limit) // below 2 the cluster holds only neighbours, which store nothing
 		}
 	}
-	s.clusterStart, s.clusterDst, s.clusterPort, s.clusterDist = c.rows(s.n)
-	s.setTables(s.copyTables(len(s.clusterDst), 0))
-	s.encodeClusters()
+	start, dst, port, dist := c.rows(s.n)
+	s.cluster, s.ct = makeClusters(s.n, start, dst, port, dist), len(dst)
 }
+
+// countHomes counts the nodes at each home distance into homeCount.
+func (s *Scheme) countHomes() {
+	s.homeCount = s.homeCount[:0]
+	for v := 0; v < s.n; v++ {
+		d := int(s.homeDist.cell(v))
+		for len(s.homeCount) <= d {
+			s.homeCount = append(s.homeCount, 0)
+		}
+		s.homeCount[d]++
+	}
+}
+
+// Labels are paged by labelPage nodes, 0 included.
+const (
+	labelShift = 7
+	labelPage  = 1 << labelShift
+	labelMask  = labelPage - 1
+)
 
 // buildLabels pre-builds every node's label: ID v with Aux [ℓ(v), eport(v)].
 func (s *Scheme) buildLabels() {
-	aux := make([]int, 2*(s.n+1))
-	s.labels = make([]routing.Label, s.n+1)
-	for v := 1; v <= s.n; v++ {
-		a := aux[2*v : 2*v+2 : 2*v+2]
-		a[0] = int(s.landmarks[u16(s.homeIdx, v-1)])
-		a[1] = int(u16(s.eport, v-1))
-		s.labels[v] = routing.Label{ID: v, Aux: a}
+	s.labels = make([][]routing.Label, s.n>>labelShift+1)
+	for p := range s.labels {
+		s.labels[p] = s.labelPage(p)
 	}
+}
+
+// labelPage returns a fresh page p of labels.
+func (s *Scheme) labelPage(p int) []routing.Label {
+	page := make([]routing.Label, min(labelPage, s.n+1-p<<labelShift))
+	aux := make([]int, 2*len(page))
+	for i := range page {
+		if v := p<<labelShift + i; v > 0 {
+			a := aux[2*i : 2*i+2 : 2*i+2]
+			a[0] = int(s.landmarks[s.homeIdx.cell(v-1)])
+			a[1] = int(s.eport.cell(v - 1))
+			page[i] = routing.Label{ID: v, Aux: a}
+		}
+	}
+	return page
 }
 
 // Name implements routing.Scheme.
@@ -546,16 +586,17 @@ func (s *Scheme) Landmarks() []int {
 
 // Home returns v's landmark and exact distance to it.
 func (s *Scheme) Home(v int) (landmark, dist int) {
-	return int(s.landmarks[u16(s.homeIdx, v-1)]), int(u16(s.homeDist, v-1))
+	return int(s.landmarks[s.homeIdx.cell(v-1)]), int(s.homeDist.cell(v - 1))
 }
 
 // ClusterSize returns the number of cluster entries node u stores.
 func (s *Scheme) ClusterSize(u int) int {
-	return int(s.clusterStart[u] - s.clusterStart[u-1])
+	blk, i := s.cluster.blocks[(u-1)>>blockShift], (u-1)&(blockHolders-1)
+	return int(blk[i+1] - blk[i])
 }
 
 // TotalClusterEntries returns Σ_u ClusterSize(u) — the o(n²) quantity.
-func (s *Scheme) TotalClusterEntries() int { return len(s.clusterDst) }
+func (s *Scheme) TotalClusterEntries() int { return s.ct }
 
 // portRowOf returns the index of u's lmPort row, or −1 when u's row was
 // dropped by Restrict.
@@ -572,14 +613,14 @@ func (s *Scheme) Requirements() models.Requirements {
 }
 
 // Label implements routing.Scheme: pre-built, allocation-free.
-func (s *Scheme) Label(u int) routing.Label { return s.labels[u] }
+func (s *Scheme) Label(u int) routing.Label { return s.labels[u>>labelShift][u&labelMask] }
 
 // LabelBits implements routing.Scheme: (1+2) fields of ⌈log(n+1)⌉ bits.
 func (s *Scheme) LabelBits(u int) int {
 	if u < 1 || u > s.n {
 		return 0
 	}
-	return s.labels[u].Bits(s.n)
+	return s.Label(u).Bits(s.n)
 }
 
 // FunctionBits implements routing.Scheme: 2k landmark-table fields plus three

@@ -112,7 +112,7 @@ func TestLandmarkSaturationAudit(t *testing.T) {
 			t.Fatal(err)
 		}
 		for u := 1; u <= n; u++ {
-			got := u16(s.lmDist, (u-1)*s.k+j)
+			got := s.lmDist.at(u-1, j)
 			if int(got) != res.Dist[u] {
 				t.Fatalf("lmDist[%d][landmark %d] = %d, BFS says %d", u, a, got, res.Dist[u])
 			}
@@ -132,11 +132,12 @@ func TestLandmarkSaturationAudit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lo, hi := s.clusterStart[u-1], s.clusterStart[u]
-		for i := lo; i < hi; i++ {
-			v := int(s.clusterDst[i])
-			if int(s.clusterDist[i]) != res.Dist[v] {
-				t.Fatalf("cluster (%d,%d) stores distance %d, BFS says %d", u, v, s.clusterDist[i], res.Dist[v])
+		blk, r := s.cluster.blocks[(u-1)>>blockShift], (u-1)&(blockHolders-1)
+		c, e := blk[blockHolders], blk[blockHolders+1:]
+		for i := blk[r]; i < blk[r+1]; i++ {
+			v := int(e[i])
+			if int(e[2*c+i]) != res.Dist[v] {
+				t.Fatalf("cluster (%d,%d) stores distance %d, BFS says %d", u, v, e[2*c+i], res.Dist[v])
 			}
 		}
 		lm, hd := s.Home(u)

@@ -31,7 +31,7 @@ var ErrNotOwned = errors.New("landmark: source outside owned keyspace")
 func (s *Scheme) Owned() *keyspace.Set { return s.owned }
 
 // Restrict drops the per-source tables (landmark-port row and cluster row) of
-// every node outside owned, moving the scheme to a version-4 blob. It
+// every node outside owned, moving the scheme to the version-4 layout. It
 // applies to a freshly built, unrestricted scheme exactly once —
 // re-restricting a restricted scheme would silently compound ownership, so it
 // errors instead. The result is a pure function of (built scheme, owned): two
@@ -53,40 +53,54 @@ func (s *Scheme) Restrict(owned *keyspace.Set) error {
 	full := *s
 	s.owned = owned.Clone()
 	s.portRow = ownedRows(s.owned)
-	// Owned rows keep their order and their entries, so the result is
-	// deterministic.
-	ct := 0
-	for u := 1; u <= s.n; u++ {
-		if owned.Has(u) {
-			ct += full.ClusterSize(u)
-		}
-	}
-	s.clusterStart = make([]int32, s.n+1)
-	s.clusterDst = make([]int32, 0, ct)
-	s.clusterPort = make([]int32, 0, ct)
-	s.clusterDist = make([]int32, 0, ct)
-	for u := 1; u <= s.n; u++ {
-		if owned.Has(u) {
-			lo, hi := full.clusterStart[u-1], full.clusterStart[u]
-			s.clusterDst = append(s.clusterDst, full.clusterDst[lo:hi]...)
-			s.clusterPort = append(s.clusterPort, full.clusterPort[lo:hi]...)
-			s.clusterDist = append(s.clusterDist, full.clusterDist[lo:hi]...)
-		}
-		s.clusterStart[u] = int32(len(s.clusterDst))
-	}
-	s.setTables(newTables(s.n, s.landmarks, ct, s.owned))
-	copy(s.homeIdx, full.homeIdx)
-	copy(s.homeDist, full.homeDist)
-	copy(s.eport, full.eport)
-	copy(s.lmDist, full.lmDist)
-	rowLen := 2 * s.k
+	s.lmPort = newTable(s.owned.Count(), s.k)
 	for u := 1; u <= s.n; u++ {
 		if r := s.portRow[u]; r >= 0 {
-			copy(s.lmPort[int(r)*rowLen:], full.lmPort[(u-1)*rowLen:u*rowLen])
+			copy(s.lmPort.row(int(r)), full.lmPort.row(u-1))
 		}
 	}
-	s.encodeClusters()
+	// Owned rows keep their order and their entries, so the result is
+	// deterministic; a block whose rows are all kept is kept whole.
+	s.cluster = clusters{blocks: make([][]int32, len(full.cluster.blocks))}
+	s.ct = 0
+	for b, blk := range full.cluster.blocks {
+		s.cluster.blocks[b] = restrictBlock(blk, b*blockHolders, s.owned)
+		s.ct += int(s.cluster.blocks[b][blockHolders])
+	}
+	s.head = newHead(s.n, s.landmarks, s.ct, s.owned)
+	s.seal(true)
 	return nil
+}
+
+// restrictBlock returns blk, the block of holders first+1 onward, with the
+// rows of holders outside owned emptied: blk itself when it keeps every
+// entry, emptyBlock when it keeps none.
+func restrictBlock(blk []int32, first int, owned *keyspace.Set) []int32 {
+	c, keep := blk[blockHolders], int32(0)
+	starts := make([]int32, blockHolders+1)
+	for i := 0; i < blockHolders; i++ {
+		if owned.Has(first + i + 1) {
+			keep += blk[i+1] - blk[i]
+		}
+		starts[i+1] = keep
+	}
+	if keep == c {
+		return blk
+	}
+	if keep == 0 {
+		return emptyBlock
+	}
+	out := make([]int32, blockHolders+1+3*int(keep))
+	copy(out, starts)
+	e, o := blk[blockHolders+1:], out[blockHolders+1:]
+	for f := int32(0); f < 3; f++ {
+		for i := 0; i < blockHolders; i++ {
+			if starts[i+1] > starts[i] {
+				copy(o[f*keep+starts[i]:], e[f*c+blk[i]:f*c+blk[i+1]])
+			}
+		}
+	}
+	return out
 }
 
 // ownedRows returns the lmPort row index of a restriction to owned: owned

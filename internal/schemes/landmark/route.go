@@ -46,7 +46,7 @@ func (s *Scheme) Route(u int, env routing.Env, dest routing.Label, hdr uint64, _
 	if lm < 1 || lm > s.n || s.lmIdx[lm] < 0 {
 		return 0, 0, fmt.Errorf("%w: label names non-landmark %d", routing.ErrBadDestination, lm)
 	}
-	port := u16(s.lmPort, s.portRowOf(u)*s.k+int(s.lmIdx[lm]))
+	port := s.lmPort.at(s.portRowOf(u), int(s.lmIdx[lm]))
 	if port <= 0 {
 		return 0, 0, fmt.Errorf("%w: %d -> %d via landmark %d", routing.ErrNoRoute, u, v, lm)
 	}
@@ -56,12 +56,14 @@ func (s *Scheme) Route(u int, env routing.Env, dest routing.Label, hdr uint64, _
 // clusterPortTo binary-searches u's cluster row for destination v and returns
 // the stored port, or 0 on a miss.
 func (s *Scheme) clusterPortTo(u, v int) int32 {
-	lo, hi := s.clusterStart[u-1], s.clusterStart[u]
+	blk, i := s.cluster.blocks[(u-1)>>blockShift], (u-1)&(blockHolders-1)
+	lo, hi := blk[i], blk[i+1]
+	e := blk[blockHolders+1:]
 	t := int32(v)
 	for lo < hi {
 		mid := int32(uint32(lo+hi) >> 1)
-		if d := s.clusterDst[mid]; d == t {
-			return s.clusterPort[mid]
+		if d := e[mid]; d == t {
+			return e[mid+blk[blockHolders]]
 		} else if d < t {
 			lo = mid + 1
 		} else {
@@ -74,12 +76,14 @@ func (s *Scheme) clusterPortTo(u, v int) int32 {
 // clusterDistTo binary-searches u's cluster row for v's exact distance, or 0
 // on a miss (stored entries always have distance ≥ 2).
 func (s *Scheme) clusterDistTo(u, v int) int32 {
-	lo, hi := s.clusterStart[u-1], s.clusterStart[u]
+	blk, i := s.cluster.blocks[(u-1)>>blockShift], (u-1)&(blockHolders-1)
+	lo, hi := blk[i], blk[i+1]
+	e := blk[blockHolders+1:]
 	t := int32(v)
 	for lo < hi {
 		mid := int32(uint32(lo+hi) >> 1)
-		if d := s.clusterDst[mid]; d == t {
-			return s.clusterDist[mid]
+		if d := e[mid]; d == t {
+			return e[mid+2*blk[blockHolders]]
 		} else if d < t {
 			lo = mid + 1
 		} else {
@@ -107,8 +111,8 @@ func (s *Scheme) EstimateDist(u, v int) int {
 	if d := s.clusterDistTo(v, u); d > 0 {
 		return int(d)
 	}
-	est := u16(s.lmDist, (u-1)*s.k+int(u16(s.homeIdx, v-1))) + u16(s.homeDist, v-1)
-	if alt := u16(s.lmDist, (v-1)*s.k+int(u16(s.homeIdx, u-1))) + u16(s.homeDist, u-1); alt < est {
+	est := s.lmDist.at(u-1, int(s.homeIdx.cell(v-1))) + s.homeDist.cell(v-1)
+	if alt := s.lmDist.at(v-1, int(s.homeIdx.cell(u-1))) + s.homeDist.cell(u-1); alt < est {
 		est = alt
 	}
 	return int(est)

@@ -64,15 +64,16 @@
 // neighbour's slot move up by one on an addition and down by one on a
 // removal.
 //
-// Storage. Update copies prev's blob once, every section before the cluster
-// CSR in one memmove, and repairs columns, homes and eports in that copy;
-// prev is only read, so a published scheme never changes under its
-// readers, and a refused flip leaves nothing behind. The cluster CSR, in
-// its int32 arrays and its blob sections alike, is rewritten from prev's:
-// the entries of dirty destinations are dropped, the fresh ones inserted,
-// and everything between two such edits is copied as one range; only the
-// kept entries held at x and y, whose ports renumber, are rewritten one by
-// one.
+// Storage. Update starts from prev's page lists (pages.go) and repairs
+// columns, homes and eports through the table accessors, which copy a page
+// the first time the update writes a changed value to it; every other page
+// stays shared with prev. prev is only read, so a published scheme never
+// changes under its readers, and a refused flip leaves nothing behind. The
+// cluster CSR is merged by holder block: a block is rebuilt when it holds
+// an entry of a dirty destination, a fresh entry, or the row of x or y,
+// whose kept entries' ports renumber; every other block is shared. Sealing
+// hashes the pages and blocks the update made, and the scratch indexed by
+// node is pooled between updates.
 package landmark
 
 import (
@@ -82,8 +83,10 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"routetab/internal/graph"
+	"routetab/internal/keyspace"
 )
 
 // unsettled is a raised node's distance until a surviving path settles it:
@@ -123,19 +126,9 @@ func update(prev *Scheme, prevPorts *graph.Ports, g *graph.Graph, ports *graph.P
 		return nil, 0, fmt.Errorf("landmark: edge {%d,%d} is not flipped", x, y)
 	}
 
-	s = &Scheme{
-		n:         n,
-		k:         prev.k,
-		landmarks: prev.landmarks,
-		lmIdx:     prev.lmIdx,
-		owned:     prev.owned,
-		portRow:   prev.portRow,
-	}
-	// A flip moves few cluster entries; the spare room lets the CSR grow in
-	// place instead of copying the blob a second time.
-	ct := prev.TotalClusterEntries()
-	s.setTables(prev.copyTables(ct, ct/32+64))
+	s = prev.derive()
 	r := newRepair(s, prev, g, x, y, added)
+	defer r.release()
 	for j := range s.landmarks {
 		if err := r.column(j); err != nil {
 			return nil, r.touched, err
@@ -144,13 +137,7 @@ func update(prev *Scheme, prevPorts *graph.Ports, g *graph.Graph, ports *graph.P
 	r.homes()
 	r.eports()
 
-	dirty := s.dirtyDestinations(prev, g, x, y)
-	fresh := newEntries(n, prev.owned)
-	for v := int32(1); v <= int32(n); v++ {
-		if limit := u16(s.homeDist, int(v)-1) - 1; dirty[v] && limit >= 2 {
-			fresh.emit(g, nil, v, limit)
-		}
-	}
+	r.dirtyDestinations()
 	// The ports of the flipped edge, in the graph that has it.
 	withEdge := prevPorts
 	if added {
@@ -158,44 +145,109 @@ func update(prev *Scheme, prevPorts *graph.Ports, g *graph.Graph, ports *graph.P
 	}
 	px, _ := withEdge.PortToOK(x, y)
 	py, _ := withEdge.PortToOK(y, x)
-	s.mergeClusters(prev, fresh, fresh.held(prev, g, prevPorts, dirty, x, y))
-	s.renumberRow(x, int32(px), added, dirty)
-	s.renumberRow(y, int32(py), added, dirty)
-	if bytes.Equal(s.homeIdx, prev.homeIdx) && bytes.Equal(s.eport, prev.eport) {
-		s.labels = prev.labels // a label is its node's home landmark and eport
-	} else {
-		s.buildLabels()
+	r.mergeClusters(prevPorts, int32(px), int32(py))
+	if s.ct != prev.ct {
+		s.head = bytes.Clone(prev.head)
+		binary.LittleEndian.PutUint32(s.head[16:], uint32(s.ct))
 	}
+	s.relabel(prev)
+	s.seal(false)
 	return s, r.touched, nil
 }
 
-// held returns, in ascending order, the index in prev's cluster CSR of
-// every entry whose destination is dirty, using c's BFS scratch.
-// Destination v's entries are held by the owned nodes w with
-// 2 ≤ d(v,w) < home(v) in prev's graph — g with the flip of {x,y} undone,
-// whose sorted rows prevPorts holds — so a BFS from v truncated at depth
-// home(v)−1 finds each holder, and a binary search of the holder's row its
-// entry.
-func (c *entries) held(prev *Scheme, g *graph.Graph, prevPorts *graph.Ports, dirty []bool, x, y int) []int32 {
-	rowX, rowY := prevPorts.NeighborsByPort(x), prevPorts.NeighborsByPort(y)
+// relabel rebuilds the label pages that hold a node whose home landmark or
+// eport changed — a label is those two fields — and shares the others with
+// prev. s was derived from prev and is not sealed.
+func (s *Scheme) relabel(prev *Scheme) {
+	for i, t := range [2]*table{&s.homeIdx, &s.eport} {
+		pt := [2]*table{&prev.homeIdx, &prev.eport}[i]
+		for p, own := range t.own {
+			for r := p << t.shift; own && r < min(s.n, (p+1)<<t.shift); r++ {
+				lp := (r + 1) >> labelShift
+				if t.at(r, 0) == pt.at(r, 0) || &s.labels[lp][0] != &prev.labels[lp][0] {
+					continue
+				}
+				if &s.labels[0] == &prev.labels[0] {
+					s.labels = slices.Clone(prev.labels)
+				}
+				s.labels[lp] = s.labelPage(lp)
+			}
+		}
+	}
+}
+
+// derive returns an unsealed scheme that shares every page, block and
+// label of prev: the start of an update.
+func (prev *Scheme) derive() *Scheme {
+	return &Scheme{
+		n:         prev.n,
+		k:         prev.k,
+		landmarks: prev.landmarks,
+		lmIdx:     prev.lmIdx,
+		head:      prev.head,
+		homeIdx:   prev.homeIdx.share(),
+		homeDist:  prev.homeDist.share(),
+		eport:     prev.eport.share(),
+		lmDist:    prev.lmDist.share(),
+		lmPort:    prev.lmPort.share(),
+		cluster:   prev.cluster.share(),
+		ct:        prev.ct,
+		homeCount: prev.homeCount,
+		sums:      bytes.Clone(prev.sums),
+		labels:    prev.labels,
+		owned:     prev.owned,
+		portRow:   prev.portRow,
+	}
+}
+
+// changedBlocks emits the fresh entries of every dirty destination and
+// lists, ascending, the cluster blocks whose content the flip changes,
+// stamped changed in blockMark: the blocks of a holder that loses an entry
+// or whose entry changes port or distance, of a holder that gains one, and
+// of x or y when a kept entry there renumbers across the flipped edge's
+// port px or py. Destination v's old
+// entries are held by the owned nodes w with 2 ≤ d(v,w) < home(v) in prev's
+// graph — g with the flip of {x,y} undone, whose sorted rows prevPorts
+// holds — so a BFS from v truncated at depth home(v)−1 finds each holder,
+// and a binary search of its row the entry.
+func (r *repair) changedBlocks(prevPorts *graph.Ports, px, py int32) (blocks []int32, changed uint32) {
+	s, prev, fresh := r.s, r.prev, r.fresh
+	rowX, rowY := prevPorts.NeighborsByPort(r.x), prevPorts.NeighborsByPort(r.y)
 	rows := func(u int) []int {
 		switch u {
-		case x:
+		case r.x:
 			return rowX
-		case y:
+		case r.y:
 			return rowY
 		}
-		return g.Neighbors(u)
+		return r.g.Neighbors(u)
 	}
-	depth, queue := c.depth, c.queue
-	var held []int32
-	for v := 1; v <= prev.n; v++ {
-		limit := u16(prev.homeDist, v-1) - 1
-		if !dirty[v] || limit < 2 {
-			continue
+	changed = r.nextEpoch()
+	blocks = r.blocks[:0]
+	touch := func(u int) {
+		if b := (u - 1) >> blockShift; r.blockMark[b] != changed {
+			r.blockMark[b] = changed
+			blocks = append(blocks, int32(b))
+		}
+	}
+	// raised stamps the holders of v's fresh entries, whose index emit left
+	// in fresh.slot; mark stamps those whose old entry is the same.
+	depth, queue := fresh.depth, r.queue
+	for _, v := range r.dirty {
+		from := len(fresh.holder)
+		if limit := s.homeDist.cell(int(v)-1) - 1; limit >= 2 {
+			fresh.emit(r.g, nil, v, limit)
+		}
+		has, same := r.nextEpoch(), r.nextEpoch()
+		for _, w := range fresh.holder[from:] {
+			r.raised[w] = has
+		}
+		limit := prev.homeDist.cell(int(v)-1) - 1
+		if limit < 2 {
+			limit = 0 // no old entries: the BFS below only resets v
 		}
 		depth[v] = 0
-		queue = append(queue[:0], int32(v))
+		queue = append(queue[:0], v)
 		for qi := 0; qi < len(queue); qi++ {
 			u := int(queue[qi])
 			du := depth[u] + 1
@@ -208,146 +260,231 @@ func (c *entries) held(prev *Scheme, g *graph.Graph, prevPorts *graph.Ports, dir
 				}
 				depth[w] = du
 				queue = append(queue, int32(w))
-				if du >= 2 && prev.portRowOf(w) >= 0 {
-					i, ok := prev.clusterIndex(w, v)
-					if !ok {
-						panic("landmark: cluster entry missing from its holder's row")
-					}
-					held = append(held, int32(i))
+				if du < 2 || prev.portRowOf(w) < 0 {
+					continue
+				}
+				port, ok := prev.clusterPortAt(w, v)
+				if !ok {
+					panic("landmark: cluster entry missing from its holder's row")
+				}
+				if i := fresh.slot[w]; r.raised[w] == has && fresh.port[i] == port && fresh.dist[i] == du {
+					r.mark[w] = same
+				} else {
+					touch(w)
 				}
 			}
 		}
 		for _, u := range queue {
 			depth[u] = -1
 		}
-	}
-	c.queue = queue
-	slices.Sort(held)
-	return held
-}
-
-// clusterIndex returns the index of the first entry of u's cluster row whose
-// destination is at least v, and whether that destination is v.
-func (s *Scheme) clusterIndex(u, v int) (int, bool) {
-	row := s.clusterDst[s.clusterStart[u-1]:s.clusterStart[u]]
-	i, ok := slices.BinarySearch(row, int32(v))
-	return int(s.clusterStart[u-1]) + i, ok
-}
-
-// mergeClusters writes s's cluster CSR, arrays and blob sections alike:
-// prev's, less the entries at the sorted indices held, plus the fresh
-// entries, each placed before the first entry of its holder's row with a
-// larger destination. Everything between two such edits is copied as one
-// range, across holders.
-func (s *Scheme) mergeClusters(prev *Scheme, fresh *entries, held []int32) {
-	fStart, fDst, fPort, fDist := fresh.rows(s.n)
-	prevCt := prev.TotalClusterEntries()
-	ct := prevCt - len(held) + len(fDst)
-	if size := len(s.tables) + 8*(ct-prevCt); size <= cap(s.tables) {
-		b := s.tables[:size]
-		binary.LittleEndian.PutUint32(b[16:], uint32(ct))
-		s.setTables(b)
-	} else {
-		s.setTables(s.copyTables(ct, 0))
-	}
-	s.clusterStart = make([]int32, s.n+1)
-	s.clusterDst = make([]int32, ct)
-	s.clusterPort = make([]int32, ct)
-	s.clusterDist = make([]int32, ct)
-	_, pdB, ppB, pdistB := prev.clusterSections()
-	startB, dB, pB, distB := s.clusterSections()
-	// The pending run: prev's entries from..i−1 land at to onward.
-	from, to := 0, 0
-	flush := func(i int) int {
-		copy(s.clusterDst[to:], prev.clusterDst[from:i])
-		copy(s.clusterPort[to:], prev.clusterPort[from:i])
-		copy(s.clusterDist[to:], prev.clusterDist[from:i])
-		copy(dB[4*to:], pdB[4*from:4*i])
-		copy(pB[2*to:], ppB[2*from:2*i])
-		copy(distB[2*to:], pdistB[2*from:2*i])
-		return to + i - from
-	}
-	h, dropped := 0, 0
-	for u := 1; u <= s.n; u++ {
-		for f := fStart[u-1]; f < fStart[u]; f++ {
-			at, _ := prev.clusterIndex(u, int(fDst[f]))
-			for ; h < len(held) && int(held[h]) < at; h++ {
-				from, to = int(held[h])+1, flush(int(held[h]))
+		for _, w := range fresh.holder[from:] {
+			if r.mark[w] != same {
+				touch(int(w))
 			}
-			o := flush(at)
-			s.clusterDst[o], s.clusterPort[o], s.clusterDist[o] = fDst[f], fPort[f], fDist[f]
-			setU32(dB, o, fDst[f])
-			setU16(pB, o, fPort[f])
-			setU16(distB, o, fDist[f])
-			from, to = at, o+1
 		}
-		end := prev.clusterStart[u]
-		for dropped < len(held) && held[dropped] < end {
-			dropped++
+	}
+	r.queue = queue
+	for _, u := range [2]int{r.x, r.y} {
+		slot := px
+		if u == r.y {
+			slot = py
 		}
-		s.clusterStart[u] = end + fStart[u] - int32(dropped)
-		setU32(startB, u, s.clusterStart[u])
+		blk, i := prev.cluster.blocks[(u-1)>>blockShift], (u-1)&(blockHolders-1)
+		c, e := blk[blockHolders], blk[blockHolders+1:]
+		for at := blk[i]; at < blk[i+1]; at++ {
+			if r.dirtyMark[e[at]] != r.dirtyEpoch && renumber(e[c+at], slot, r.added) != e[c+at] {
+				touch(u)
+				break
+			}
+		}
 	}
-	for ; h < len(held); h++ {
-		from, to = int(held[h])+1, flush(int(held[h]))
-	}
-	flush(prevCt)
+	slices.Sort(blocks)
+	r.blocks = blocks
+	return blocks, changed
 }
 
-// renumberRow shifts the ports of u's kept cluster entries across the
-// flipped edge's slot at u: ports from slot on move up by one when the edge
-// was added, ports past it down by one when it was removed. Fresh entries,
-// those with dirty destinations, already hold the new graph's ports.
-func (s *Scheme) renumberRow(u int, slot int32, added bool, dirty []bool) {
-	_, _, pB, _ := s.clusterSections()
-	for i := s.clusterStart[u-1]; i < s.clusterStart[u]; i++ {
-		if dirty[s.clusterDst[i]] {
+// clusterPortAt returns the port of u's cluster entry for v, and whether u
+// holds one.
+func (s *Scheme) clusterPortAt(u int, v int32) (int32, bool) {
+	blk, i := s.cluster.blocks[(u-1)>>blockShift], (u-1)&(blockHolders-1)
+	c, e := blk[blockHolders], blk[blockHolders+1:]
+	at, ok := slices.BinarySearch(e[blk[i]:blk[i+1]], v)
+	return e[c+blk[i]+int32(at)], ok
+}
+
+// renumber returns a kept cluster port p at x or y after the flip of the
+// edge at port slot there: ports from slot on move up by one when the edge
+// was added, ports past it down by one when it was removed.
+func renumber(p, slot int32, added bool) int32 {
+	switch {
+	case added && p >= slot:
+		return p + 1
+	case !added && p > slot:
+		return p - 1
+	}
+	return p
+}
+
+// mergeClusters rebuilds the cluster blocks the flip changes (changedBlocks):
+// prev's block, less every entry whose destination is dirty, plus the fresh
+// entries of its holders, each row merged in destination order, with the
+// kept entries held at x and y renumbered across the flipped edge's ports
+// px and py. Every other block stays shared with prev: its entries of dirty
+// destinations equal the fresh ones.
+func (r *repair) mergeClusters(prevPorts *graph.Ports, px, py int32) {
+	s, prev, fresh := r.s, r.prev, r.fresh
+	blocks, changed := r.changedBlocks(prevPorts, px, py)
+	// The fresh entries of the changed blocks by holder; the sort is stable,
+	// so each holder's stay in ascending destination order, as emitted.
+	ord := r.ord[:0]
+	for i, w := range fresh.holder {
+		if r.blockMark[(w-1)>>blockShift] == changed {
+			ord = append(ord, int32(i))
+		}
+	}
+	slices.SortStableFunc(ord, func(a, b int32) int { return cmp.Compare(fresh.holder[a], fresh.holder[b]) })
+	r.ord = ord
+
+	f := 0
+	for _, b := range blocks {
+		old := prev.cluster.blocks[b]
+		c, e := old[blockHolders], old[blockHolders+1:]
+		keep := c
+		for _, v := range e[:c] {
+			if r.dirtyMark[v] == r.dirtyEpoch {
+				keep--
+			}
+		}
+		f0 := f
+		for f < len(ord) && (fresh.holder[ord[f]]-1)>>blockShift == b {
+			f++
+		}
+		nc := keep + int32(f-f0)
+		s.ct += int(nc - c)
+		if nc == 0 {
+			s.cluster.blocks[b], s.cluster.own[b] = emptyBlock, true
 			continue
 		}
-		switch p := s.clusterPort[i]; {
-		case added && p >= slot:
-			s.clusterPort[i] = p + 1
-		case !added && p > slot:
-			s.clusterPort[i] = p - 1
+		blk := make([]int32, blockHolders+1+3*nc)
+		o := blk[blockHolders+1:]
+		w, fi := int32(0), f0
+		for i := 0; i < blockHolders; i++ {
+			u := int32(b)<<blockShift + int32(i) + 1
+			slot, moved := int32(0), false
+			switch int(u) {
+			case r.x:
+				slot, moved = px, true
+			case r.y:
+				slot, moved = py, true
+			}
+			for lo, hi := old[i], old[i+1]; ; w++ {
+				for lo < hi && r.dirtyMark[e[lo]] == r.dirtyEpoch {
+					lo++
+				}
+				kept, isFresh := lo < hi, fi < f && fresh.holder[ord[fi]] == u
+				if isFresh && (!kept || fresh.dst[ord[fi]] < e[lo]) {
+					q := ord[fi]
+					o[w], o[nc+w], o[2*nc+w] = fresh.dst[q], fresh.port[q], fresh.dist[q]
+					fi++
+					continue
+				}
+				if !kept {
+					break
+				}
+				p := e[c+lo]
+				if moved {
+					p = renumber(p, slot, r.added)
+				}
+				o[w], o[nc+w], o[2*nc+w] = e[lo], p, e[2*c+lo]
+				lo++
+			}
+			blk[i+1] = w
 		}
-		setU16(pB, int(i), s.clusterPort[i])
+		s.cluster.blocks[b], s.cluster.own[b] = blk, true
 	}
 }
 
-// repair is the scratch of one Update's column repairs, indexed by node.
-type repair struct {
-	s, prev *Scheme
-	g       *graph.Graph
-	x, y    int
-	added   bool
-
-	// mark and raised are stamps: a node is marked (or raised) in the
-	// current pass when its stamp equals epoch.
-	mark, raised []uint32
-	epoch        uint32
+// scratch is the working memory of one update, indexed by node: pooled
+// between updates of schemes with the same n.
+type scratch struct {
+	// mark, raised, rowMark, dirtyMark and blockMark are stamps: a node (or
+	// block) is marked in a pass when its stamp equals the pass's epoch.
+	mark, raised, rowMark, dirtyMark, blockMark []uint32
+	epoch                                       uint32
 
 	changed []int32 // the nodes whose distance the current column changed
 	queue   []int32
 	settle  [][2]int32
-	// rowDirty and rows collect the nodes with a changed distance in any
-	// column: the rows the home rescan reads.
-	rowDirty []bool
-	rows     []int32
+	// rows collects the nodes with a changed distance in any column, marked
+	// in rowMark: the rows the home rescan reads.
+	rows []int32
 	// seeds are (column, node) pairs whose closer neighbours may have
 	// changed: where the eport walk starts.
 	seeds [][2]int32
+	// dirty lists the dirty destinations, ascending, marked in dirtyMark.
+	dirty []int32
+	// fresh collects the entries of dirty destinations; ord and blocks are
+	// the cluster merge's.
+	fresh  *entries
+	ord    []int32
+	blocks []int32
+}
+
+var scratchPool sync.Pool
+
+// getScratch returns a pooled scratch for n nodes, or a new one, emptied,
+// whose fresh entries keep the holders in owned.
+func getScratch(n int, owned *keyspace.Set) *scratch {
+	sc, _ := scratchPool.Get().(*scratch)
+	if sc == nil || len(sc.mark) != n+1 {
+		sc = &scratch{
+			mark:      make([]uint32, n+1),
+			raised:    make([]uint32, n+1),
+			rowMark:   make([]uint32, n+1),
+			dirtyMark: make([]uint32, n+1),
+			blockMark: make([]uint32, blockCount(n)),
+			fresh:     newEntries(n, nil),
+		}
+	}
+	// An update takes far fewer than 1<<20 epochs, so none wraps mid-update.
+	if sc.epoch > math.MaxUint32-1<<20 {
+		for _, m := range [][]uint32{sc.mark, sc.raised, sc.rowMark, sc.dirtyMark, sc.blockMark} {
+			clear(m)
+		}
+		sc.epoch = 0
+	}
+	sc.rows, sc.seeds, sc.dirty = sc.rows[:0], sc.seeds[:0], sc.dirty[:0]
+	f := sc.fresh
+	f.owned = owned
+	f.holder, f.dst, f.port, f.dist = f.holder[:0], f.dst[:0], f.port[:0], f.dist[:0]
+	return sc
+}
+
+// repair is one update's state: the schemes, the flip, and its scratch.
+type repair struct {
+	*scratch
+	s, prev *Scheme
+	g       *graph.Graph
+	x, y    int
+	added   bool
+	// rowEpoch and dirtyEpoch stamp rowMark and dirtyMark for this update.
+	rowEpoch, dirtyEpoch uint32
+	// ownCount is set once s.homeCount stops sharing prev's.
+	ownCount bool
 
 	touched int
 }
 
 func newRepair(s, prev *Scheme, g *graph.Graph, x, y int, added bool) *repair {
-	n := s.n
-	return &repair{
-		s: s, prev: prev, g: g, x: x, y: y, added: added,
-		mark:     make([]uint32, n+1),
-		raised:   make([]uint32, n+1),
-		rowDirty: make([]bool, n+1),
-	}
+	r := &repair{scratch: getScratch(s.n, prev.owned), s: s, prev: prev, g: g, x: x, y: y, added: added}
+	r.rowEpoch = r.nextEpoch()
+	return r
+}
+
+// release returns the scratch to the pool.
+func (r *repair) release() {
+	scratchPool.Put(r.scratch)
+	r.scratch = nil
 }
 
 // nextEpoch starts a marking pass.
@@ -366,8 +503,8 @@ func (r *repair) column(j int) error {
 	}
 	r.repairPorts(j)
 	for _, u := range r.changed {
-		if !r.rowDirty[u] {
-			r.rowDirty[u] = true
+		if r.rowMark[u] != r.rowEpoch {
+			r.rowMark[u] = r.rowEpoch
 			r.rows = append(r.rows, u)
 		}
 	}
@@ -377,22 +514,22 @@ func (r *repair) column(j int) error {
 // lower repairs column j after {x,y} was added: a wavefront from the farther
 // endpoint that relaxes only strict improvements.
 func (r *repair) lower(j int) {
-	k, dist := r.s.k, r.s.lmDist
+	dist := &r.s.lmDist
 	x, y := r.x, r.y
-	if u16(dist, (x-1)*k+j) > u16(dist, (y-1)*k+j) {
+	if dist.at(x-1, j) > dist.at(y-1, j) {
 		x, y = y, x
 	}
 	q := r.changed[:0]
-	if d := u16(dist, (x-1)*k+j) + 1; u16(dist, (y-1)*k+j) > d {
-		setU16(dist, (y-1)*k+j, d)
+	if d := dist.at(x-1, j) + 1; dist.at(y-1, j) > d {
+		dist.set(y-1, j, d)
 		q = append(q, int32(y))
 	}
 	for qi := 0; qi < len(q); qi++ {
 		u := int(q[qi])
-		du := u16(dist, (u-1)*k+j) + 1
+		du := dist.at(u-1, j) + 1
 		for _, w := range r.g.Neighbors(u) {
-			if at := (w-1)*k + j; u16(dist, at) > du {
-				setU16(dist, at, du)
+			if dist.at(w-1, j) > du {
+				dist.set(w-1, j, du)
 				q = append(q, int32(w))
 			}
 		}
@@ -406,9 +543,9 @@ func (r *repair) lower(j int) {
 // again from the rest. It reports ErrDisconnected when a raised node cannot
 // be settled.
 func (r *repair) raise(j int) error {
-	k, dist := r.s.k, r.s.lmDist
-	far, dnear := r.y, u16(dist, (r.x-1)*k+j)
-	if dfar := u16(dist, (r.y-1)*k+j); dfar == dnear {
+	dist := &r.s.lmDist
+	far, dnear := r.y, dist.at(r.x-1, j)
+	if dfar := dist.at(r.y-1, j); dfar == dnear {
 		r.changed = r.changed[:0]
 		return nil
 	} else if dfar < dnear {
@@ -422,11 +559,11 @@ func (r *repair) raise(j int) error {
 	up := r.changed[:0]
 	for qi := 0; qi < len(cand); qi++ {
 		w := int(cand[qi])
-		dw := u16(dist, (w-1)*k+j)
+		dw := dist.at(w-1, j)
 		row := r.g.Neighbors(w)
 		kept := false
 		for _, p := range row {
-			if u16(dist, (p-1)*k+j) == dw-1 && r.raised[p] != raised {
+			if dist.at(p-1, j) == dw-1 && r.raised[p] != raised {
 				kept = true
 				break
 			}
@@ -437,7 +574,7 @@ func (r *repair) raise(j int) error {
 		r.raised[w] = raised
 		up = append(up, int32(w))
 		for _, c := range row {
-			if u16(dist, (c-1)*k+j) == dw+1 && r.mark[c] != marked {
+			if dist.at(c-1, j) == dw+1 && r.mark[c] != marked {
 				r.mark[c] = marked
 				cand = append(cand, int32(c))
 			}
@@ -457,10 +594,10 @@ func (r *repair) raise(j int) error {
 		best := int32(unsettled)
 		for _, p := range r.g.Neighbors(int(w)) {
 			if r.raised[p] != raised {
-				best = min(best, u16(dist, (p-1)*k+j)+1)
+				best = min(best, dist.at(p-1, j)+1)
 			}
 		}
-		setU16(dist, (int(w)-1)*k+j, best)
+		dist.set(int(w)-1, j, best)
 		if best != unsettled {
 			starts = append(starts, [2]int32{best, w})
 		}
@@ -472,27 +609,27 @@ func (r *repair) raise(j int) error {
 	fifo := cand[:0]
 	for si, fi := 0, 0; si < len(starts) || fi < len(fifo); {
 		var u int
-		if fi < len(fifo) && (si == len(starts) || u16(dist, (int(fifo[fi])-1)*k+j) <= starts[si][0]) {
+		if fi < len(fifo) && (si == len(starts) || dist.at(int(fifo[fi])-1, j) <= starts[si][0]) {
 			u = int(fifo[fi])
 			fi++
 		} else {
 			u = int(starts[si][1])
 			si++
-			if u16(dist, (u-1)*k+j) != starts[si-1][0] {
+			if dist.at(u-1, j) != starts[si-1][0] {
 				continue // lowered since, and settled from the FIFO
 			}
 		}
-		du := u16(dist, (u-1)*k+j) + 1
+		du := dist.at(u-1, j) + 1
 		for _, c := range r.g.Neighbors(u) {
-			if at := (c-1)*k + j; r.raised[c] == raised && u16(dist, at) > du {
-				setU16(dist, at, du)
+			if r.raised[c] == raised && dist.at(c-1, j) > du {
+				dist.set(c-1, j, du)
 				fifo = append(fifo, int32(c))
 			}
 		}
 	}
 	r.queue = fifo
 	for _, w := range up {
-		if u16(dist, (int(w)-1)*k+j) == unsettled {
+		if dist.at(int(w)-1, j) == unsettled {
 			return fmt.Errorf("%w: node %d cannot reach landmark %d", ErrDisconnected, w, r.s.landmarks[j])
 		}
 	}
@@ -521,7 +658,7 @@ func (r *repair) repairPorts(j int) {
 	visit(r.y)
 	for _, u := range list {
 		if row := s.portRowOf(int(u)); row >= 0 {
-			setU16(s.lmPort, row*s.k+j, r.canonicalPort(int(u), j))
+			s.lmPort.set(row, j, r.canonicalPort(int(u), j))
 		}
 		r.seeds = append(r.seeds, [2]int32{int32(j), u})
 	}
@@ -533,13 +670,13 @@ func (r *repair) repairPorts(j int) {
 // step closer to landmark j, or 0 at the landmark. Ports are sorted, so the
 // port of row entry i is i+1.
 func (r *repair) canonicalPort(u, j int) int32 {
-	k, dist := r.s.k, r.s.lmDist
-	d := u16(dist, (u-1)*k+j) - 1
+	dist := &r.s.lmDist
+	d := dist.at(u-1, j) - 1
 	if d < 0 {
 		return 0
 	}
 	for i, w := range r.g.Neighbors(u) {
-		if u16(dist, (w-1)*k+j) == d {
+		if dist.at(w-1, j) == d {
 			return int32(i + 1)
 		}
 	}
@@ -547,24 +684,46 @@ func (r *repair) canonicalPort(u, j int) int32 {
 }
 
 // homes rescans the rows with a changed distance for the nearest landmark,
-// ties to the smallest index, and seeds eport at every node whose home moved.
+// ties to the smallest index, keeps homeCount up to date, and seeds eport at
+// every node whose home moved.
 func (r *repair) homes() {
 	s, k := r.s, r.s.k
 	for _, u := range r.rows {
-		row := s.lmDist[2*(int(u)-1)*k : 2*int(u)*k]
+		row := s.lmDist.row(int(u) - 1)
 		best, bestDist := 0, u16(row, 0)
 		for j := 1; j < k; j++ {
 			if d := u16(row, j); d < bestDist {
 				best, bestDist = j, d
 			}
 		}
-		setU16(s.homeIdx, int(u)-1, int32(best))
-		setU16(s.homeDist, int(u)-1, bestDist)
-		if int32(best) != u16(r.prev.homeIdx, int(u)-1) {
+		s.homeIdx.set(int(u)-1, 0, int32(best))
+		if old := r.prev.homeDist.cell(int(u) - 1); bestDist != old {
+			s.homeDist.set(int(u)-1, 0, bestDist)
+			r.countHome(old, bestDist)
+		}
+		if int32(best) != r.prev.homeIdx.cell(int(u)-1) {
 			r.seeds = append(r.seeds, [2]int32{int32(best), u})
 		}
 	}
+	hc := s.homeCount
+	for hc[len(hc)-1] == 0 {
+		hc = hc[:len(hc)-1]
+	}
+	s.homeCount = hc
 	r.touched += len(r.rows)
+}
+
+// countHome moves one node from home distance old to d in s.homeCount,
+// copying prev's counts first.
+func (r *repair) countHome(old, d int32) {
+	if !r.ownCount {
+		r.s.homeCount, r.ownCount = slices.Clone(r.s.homeCount), true
+	}
+	for int(d) >= len(r.s.homeCount) {
+		r.s.homeCount = append(r.s.homeCount, 0)
+	}
+	r.s.homeCount[old]--
+	r.s.homeCount[d]++
 }
 
 // eports recomputes eport on every node reached by walking down the new
@@ -572,12 +731,12 @@ func (r *repair) homes() {
 // column; nodes are taken in distance order, so each reads its closer
 // neighbours' final eports.
 func (r *repair) eports() {
-	s, k, g := r.s, r.s.k, r.g
+	s, g := r.s, r.g
 	marked := r.nextEpoch()
 	walk := r.queue[:0]
 	for _, sd := range r.seeds {
 		j, u := sd[0], int(sd[1])
-		if u16(s.homeIdx, u-1) != j || r.mark[u] == marked {
+		if s.homeIdx.cell(u-1) != j || r.mark[u] == marked {
 			continue
 		}
 		r.mark[u] = marked
@@ -585,9 +744,9 @@ func (r *repair) eports() {
 		walk = append(walk, int32(u))
 		for qi := from; qi < len(walk); qi++ {
 			w := int(walk[qi])
-			dw := u16(s.lmDist, (w-1)*k+int(j)) + 1
+			dw := s.lmDist.at(w-1, int(j)) + 1
 			for _, c := range g.Neighbors(w) {
-				if r.mark[c] != marked && u16(s.homeIdx, c-1) == j && u16(s.lmDist, (c-1)*k+int(j)) == dw {
+				if r.mark[c] != marked && s.homeIdx.cell(c-1) == j && s.lmDist.at(c-1, int(j)) == dw {
 					r.mark[c] = marked
 					walk = append(walk, int32(c))
 				}
@@ -595,69 +754,74 @@ func (r *repair) eports() {
 		}
 	}
 	slices.SortFunc(walk, func(a, b int32) int {
-		return cmp.Or(cmp.Compare(u16(s.homeDist, int(a)-1), u16(s.homeDist, int(b)-1)), cmp.Compare(a, b))
+		return cmp.Or(cmp.Compare(s.homeDist.cell(int(a)-1), s.homeDist.cell(int(b)-1)), cmp.Compare(a, b))
 	})
 	for _, v := range walk {
-		j := int(u16(s.homeIdx, int(v)-1))
+		j := int(s.homeIdx.cell(int(v) - 1))
 		a := int(s.landmarks[j])
-		switch dv := u16(s.homeDist, int(v)-1); dv {
+		switch dv := s.homeDist.cell(int(v) - 1); dv {
 		case 0:
-			setU16(s.eport, int(v)-1, 0)
+			s.eport.set(int(v)-1, 0, 0)
 		case 1:
 			i, _ := slices.BinarySearch(g.Neighbors(a), int(v))
-			setU16(s.eport, int(v)-1, int32(i+1))
+			s.eport.set(int(v)-1, 0, int32(i+1))
 		default:
 			best := int32(math.MaxInt32)
 			for _, p := range g.Neighbors(int(v)) {
-				if ep := u16(s.eport, p-1); u16(s.lmDist, (p-1)*k+j) == dv-1 && ep < best {
+				if ep := s.eport.cell(p - 1); s.lmDist.at(p-1, j) == dv-1 && ep < best {
 					best = ep
 				}
 			}
-			setU16(s.eport, int(v)-1, best)
+			s.eport.set(int(v)-1, 0, best)
 		}
 	}
 	r.queue = walk
 	r.touched += len(walk)
 }
 
-// dirtyDestinations marks the destinations whose cluster entries the flip
-// can change (the cluster rule above): s holds the new homes, prev the old.
-func (s *Scheme) dirtyDestinations(prev *Scheme, g *graph.Graph, x, y int) []bool {
-	n := s.n
-	dirty := make([]bool, n+1)
-	// near[v] = min(d(v,x), d(v,y)) up to the deepest limit that matters,
-	// −1 beyond it.
-	var reach int32
-	for v := 1; v <= n; v++ {
-		if d := u16(s.homeDist, v-1); d == u16(prev.homeDist, v-1) {
-			reach = max(reach, d-2)
+// dirtyDestinations lists, ascending, the destinations whose cluster
+// entries the flip can change (the cluster rule above) and marks them in
+// dirtyMark: s holds the new homes, prev the old. A destination whose home
+// distance changed is among the rows the column repairs changed; any other
+// one is dirty only within its limit of x or y, which a BFS from {x,y} in
+// the new graph finds, to depth at most the largest home distance − 2.
+func (r *repair) dirtyDestinations() []int32 {
+	s, prev := r.s, r.prev
+	r.dirtyEpoch = r.nextEpoch()
+	list := r.dirty[:0]
+	for _, v := range r.rows {
+		oldLimit, limit := prev.homeDist.cell(int(v)-1)-1, s.homeDist.cell(int(v)-1)-1
+		if oldLimit != limit && (oldLimit >= 2 || limit >= 2) {
+			r.dirtyMark[v] = r.dirtyEpoch
+			list = append(list, v)
 		}
 	}
-	near := make([]int32, n+1)
-	for i := range near {
-		near[i] = -1
-	}
-	near[x], near[y] = 0, 0
-	queue := []int32{int32(x), int32(y)}
+	// near[v] = min(d(v,x), d(v,y)), −1 off the BFS.
+	reach := max(0, int32(len(s.homeCount))-3)
+	near := r.fresh.depth
+	near[r.x], near[r.y] = 0, 0
+	queue := append(r.queue[:0], int32(r.x), int32(r.y))
 	for qi := 0; qi < len(queue); qi++ {
 		u := queue[qi]
+		if limit := s.homeDist.cell(int(u)-1) - 1; limit >= 2 && near[u] < limit && limit == prev.homeDist.cell(int(u)-1)-1 {
+			r.dirtyMark[u] = r.dirtyEpoch
+			list = append(list, u)
+		}
 		if near[u] == reach {
 			continue
 		}
-		for _, w := range g.Neighbors(int(u)) {
+		for _, w := range r.g.Neighbors(int(u)) {
 			if near[w] < 0 {
 				near[w] = near[u] + 1
 				queue = append(queue, int32(w))
 			}
 		}
 	}
-	for v := 1; v <= n; v++ {
-		oldLimit, limit := u16(prev.homeDist, v-1)-1, u16(s.homeDist, v-1)-1
-		if oldLimit != limit {
-			dirty[v] = oldLimit >= 2 || limit >= 2
-		} else {
-			dirty[v] = limit >= 2 && near[v] >= 0 && near[v] < limit
-		}
+	for _, u := range queue {
+		near[u] = -1
 	}
-	return dirty
+	r.queue = queue
+	slices.Sort(list)
+	r.dirty = list
+	return list
 }

@@ -50,11 +50,12 @@ func flipUpdate(t testing.TB, prev *Scheme, g *graph.Graph, x, y int, opt Option
 	}
 	next := flipped(t, g, x, y)
 	want, werr := buildRestricted(next, opt, owned)
-	tables, labels := bytes.Clone(prev.EncodeTables()), labelFields(prev)
+	tables, labels := prev.EncodeTables(), labelFields(prev)
 	got, gerr := Update(prev, prevPorts, next, graph.SortedPorts(next), x, y)
 	if !bytes.Equal(prev.EncodeTables(), tables) || !slices.Equal(labelFields(prev), labels) {
 		t.Fatalf("flip {%d,%d}: update (err %v) wrote the previous scheme", x, y, gerr)
 	}
+	requireFingerprint(t, prev, tables)
 	if werr != nil {
 		if !errors.Is(werr, ErrDisconnected) {
 			t.Fatalf("flip {%d,%d}: build: %v", x, y, werr)
@@ -70,10 +71,102 @@ func flipUpdate(t testing.TB, prev *Scheme, g *graph.Graph, x, y int, opt Option
 	if !bytes.Equal(got.EncodeTables(), want.EncodeTables()) {
 		t.Fatalf("flip {%d,%d}: updated tables differ from a full build", x, y)
 	}
+	requireFingerprint(t, got, got.EncodeTables())
+	if dirty, rule := dirtyOf(t, prev, next, x, y), dirtyRule(got, prev, next, x, y); !slices.Equal(dirty, rule) {
+		t.Fatalf("flip {%d,%d}: dirty destinations %v, the rule gives %v", x, y, trueAt(dirty), trueAt(rule))
+	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("flip {%d,%d}: updated scheme state differs from a full build", x, y)
 	}
 	return got, next
+}
+
+// requireFingerprint requires s's stored tables fingerprint to be the one
+// BlobCRC derives from its assembled encoding tables, and the one its pages'
+// bytes give now.
+func requireFingerprint(t testing.TB, s *Scheme, tables []byte) {
+	t.Helper()
+	crc, err := BlobCRC(tables)
+	if err != nil {
+		t.Fatalf("fingerprint of the assembled tables: %v", err)
+	}
+	if s.TablesCRC() != crc || s.RehashTables() != crc {
+		t.Fatalf("stored fingerprint %08x, rehashed %08x, of the assembled tables %08x", s.TablesCRC(), s.RehashTables(), crc)
+	}
+}
+
+// dirtyOf runs Update's repairs of the flip {x,y} from prev to the graph
+// next and returns the destinations its cluster rule marks dirty, indexed
+// by node.
+func dirtyOf(t testing.TB, prev *Scheme, next *graph.Graph, x, y int) []bool {
+	t.Helper()
+	r := newRepair(prev.derive(), prev, next, x, y, next.HasEdge(x, y))
+	defer r.release()
+	for j := range prev.landmarks {
+		if err := r.column(j); err != nil {
+			t.Fatalf("flip {%d,%d}: %v", x, y, err)
+		}
+	}
+	r.homes()
+	r.eports()
+	dirty := make([]bool, prev.n+1)
+	for _, v := range r.dirtyDestinations() {
+		dirty[v] = true
+	}
+	return dirty
+}
+
+// dirtyRule computes the cluster rule directly, the reference Update's
+// dirtyDestinations must match: a scan of every node's old and new home
+// distances, and a BFS from {x,y} in next to the deepest limit of an
+// unchanged home. s holds the new homes, prev the old.
+func dirtyRule(s, prev *Scheme, next *graph.Graph, x, y int) []bool {
+	n := s.n
+	dirty := make([]bool, n+1)
+	var reach int32
+	for v := 1; v <= n; v++ {
+		if d := s.homeDist.cell(v - 1); d == prev.homeDist.cell(v-1) {
+			reach = max(reach, d-2)
+		}
+	}
+	near := make([]int32, n+1)
+	for i := range near {
+		near[i] = -1
+	}
+	near[x], near[y] = 0, 0
+	queue := []int32{int32(x), int32(y)}
+	for qi := 0; qi < len(queue); qi++ {
+		u := queue[qi]
+		if near[u] == reach {
+			continue
+		}
+		for _, w := range next.Neighbors(int(u)) {
+			if near[w] < 0 {
+				near[w] = near[u] + 1
+				queue = append(queue, int32(w))
+			}
+		}
+	}
+	for v := 1; v <= n; v++ {
+		oldLimit, limit := prev.homeDist.cell(v-1)-1, s.homeDist.cell(v-1)-1
+		if oldLimit != limit {
+			dirty[v] = oldLimit >= 2 || limit >= 2
+		} else {
+			dirty[v] = limit >= 2 && near[v] >= 0 && near[v] < limit
+		}
+	}
+	return dirty
+}
+
+// trueAt lists the indices at which b is set.
+func trueAt(b []bool) []int {
+	var out []int
+	for i, v := range b {
+		if v {
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
 // labelFields copies every label's ID and Aux fields out of s.
@@ -213,7 +306,7 @@ func TestSkipRulesExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dirty := s.dirtyDestinations(prev, next, x, y)
+			dirty := dirtyOf(t, prev, next, x, y)
 			for v := 1; v <= g.N(); v++ {
 				_, oldHome := prev.Home(v)
 				_, home := s.Home(v)

@@ -249,7 +249,7 @@ func (s *Snapshot) DistEstimate(src, dst int) int {
 	if s.Graph.HasEdge(src, dst) {
 		return 1
 	}
-	return s.est.EstimateDist(src, dst)
+	return s.tables.EstimateDist(src, dst)
 }
 
 // answer resolves one lookup against one snapshot, consulting the failure

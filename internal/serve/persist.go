@@ -145,7 +145,7 @@ func SaveSnapshot(path string, s *Snapshot) error {
 
 // data returns the content of s that the arena persists.
 func (s *Snapshot) data() *SnapshotData {
-	return &SnapshotData{Seq: s.Seq, Scheme: s.Scheme, Graph: s.Graph, Dist: s.Dist, Tables: s.tables}
+	return &SnapshotData{Seq: s.Seq, Scheme: s.Scheme, Graph: s.Graph, Dist: s.Dist, Tables: s.TablesBytes()}
 }
 
 // LoadSnapshot reads and validates the snapshot file at path. The whole
@@ -204,7 +204,7 @@ func (e *Engine) Adopt(sd *SnapshotData) error {
 func snapshotFromData(sd *SnapshotData) (*Snapshot, error) {
 	var (
 		scheme routing.Scheme
-		est    DistEstimator
+		tables TableScheme
 		tier   = TierFull
 	)
 	var owned *keyspace.Set
@@ -214,7 +214,7 @@ func snapshotFromData(sd *SnapshotData) (*Snapshot, error) {
 		if err != nil {
 			return nil, err
 		}
-		scheme, est, tier = ts, ts, TierTables
+		scheme, tables, tier = ts, ts, TierTables
 		// A keyspace-restricted table blob carries its owned set; the rebuilt
 		// snapshot enforces the same restriction the encoder did.
 		if ow, ok := ts.(interface{ Owned() *keyspace.Set }); ok {
@@ -241,8 +241,7 @@ func snapshotFromData(sd *SnapshotData) (*Snapshot, error) {
 		scheme:   scheme,
 		sim:      sim,
 		hopLimit: routing.DefaultHopLimit(sd.Graph.N()),
-		est:      est,
-		tables:   sd.Tables,
+		tables:   tables,
 		owned:    owned,
 	}, nil
 }

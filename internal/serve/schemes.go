@@ -68,13 +68,20 @@ type DistEstimator interface {
 }
 
 // TableScheme is the contract a scheme must satisfy to serve the tables tier:
-// beyond routing, it estimates distances from its own tables and serialises
+// beyond routing, it estimates distances from its own tables, serialises
 // them deterministically so snapshots can persist and ship the tables instead
-// of the O(n²) matrix.
+// of the O(n²) matrix, and fingerprints them for replication.
 type TableScheme interface {
 	routing.Scheme
 	DistEstimator
+	// EncodeTables assembles the table encoding; the caller owns the slice.
 	EncodeTables() []byte
+	// TablesLen returns the encoding's length without assembling it.
+	TablesLen() int
+	// TablesCRC returns the tables fingerprint computed when the scheme was
+	// made; RehashTables recomputes it from the tables' bytes.
+	TablesCRC() uint32
+	RehashTables() uint32
 }
 
 // tableBuilders registers the tables-tier constructions: build from topology

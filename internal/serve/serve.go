@@ -125,11 +125,10 @@ type Snapshot struct {
 	scheme   routing.Scheme
 	sim      *routing.Sim
 	hopLimit int
-	// est and tables are set on TierTables snapshots: the scheme's distance
-	// estimator and its deterministic table encoding (what the arena persists
-	// in place of the matrix).
-	est    DistEstimator
-	tables []byte
+	// tables is the scheme on TierTables snapshots, nil on TierFull: the
+	// distance estimator, and the tables the arena persists in place of the
+	// matrix, assembled when a reader asks.
+	tables TableScheme
 	// owned restricts the sources this snapshot serves (shard.go); nil means
 	// every source. The hot path answers foreign sources with ErrWrongShard.
 	owned *keyspace.Set
@@ -175,9 +174,32 @@ func (s *Snapshot) SpaceBits() int {
 	return total
 }
 
-// TablesBytes returns the snapshot's persisted table encoding (TierTables
-// only; nil on TierFull). Read-only.
-func (s *Snapshot) TablesBytes() []byte { return s.tables }
+// TablesBytes assembles the snapshot's persisted table encoding (TierTables
+// only; nil on TierFull). Every call assembles a fresh slice.
+func (s *Snapshot) TablesBytes() []byte {
+	if s.tables == nil {
+		return nil
+	}
+	return s.tables.EncodeTables()
+}
+
+// TablesCRC returns the tables fingerprint of a TierTables snapshot, stored
+// with its scheme: O(1). It is 0 on TierFull.
+func (s *Snapshot) TablesCRC() uint32 {
+	if s.tables == nil {
+		return 0
+	}
+	return s.tables.TablesCRC()
+}
+
+// RehashTables recomputes the tables fingerprint of a TierTables snapshot
+// from the bytes of its tables, trusting no stored CRC. It is 0 on TierFull.
+func (s *Snapshot) RehashTables() uint32 {
+	if s.tables == nil {
+		return 0
+	}
+	return s.tables.RehashTables()
+}
 
 // ArenaSize returns the exact byte size this snapshot occupies in its arena
 // encoding — the snapshot_bytes gauge, computed from the layout arithmetic
@@ -185,7 +207,7 @@ func (s *Snapshot) TablesBytes() []byte { return s.tables }
 func (s *Snapshot) ArenaSize() int {
 	dataLen := s.Graph.N() * s.Graph.N()
 	if s.Dist == nil {
-		dataLen = len(s.tables)
+		dataLen = s.tables.TablesLen()
 	}
 	_, _, total := arenaLayout(s.Graph.N(), s.Graph.Words(), dataLen, len(s.Scheme))
 	return total
@@ -391,20 +413,19 @@ func (e *Engine) rebuildLocked() (*Snapshot, error) {
 	var (
 		dm          *shortestpath.Distances
 		scheme      routing.Scheme
-		est         DistEstimator
-		tables      []byte
+		tables      TableScheme
 		incremental bool
 	)
 	if e.tier == TierTables {
 		// The tables tier never computes all-pairs distances: the scheme
-		// builds from topology alone and its tables are encoded eagerly so
-		// persistence, state shipping, and the snapshot_bytes gauge all read
-		// the same deterministic blob.
+		// builds from topology alone. Nothing is encoded here: persistence
+		// and state shipping assemble the deterministic blob when they read
+		// it, and the snapshot_bytes gauge takes its length by arithmetic.
 		ts, inc, err := e.tableSchemeLocked(g, ports)
 		if err != nil {
 			return nil, err
 		}
-		scheme, est, tables, incremental = ts, ts, ts.EncodeTables(), inc
+		scheme, tables, incremental = ts, ts, inc
 	} else {
 		var err error
 		dm, scheme, incremental, err = e.fullSchemeLocked(g, ports)
@@ -426,7 +447,6 @@ func (e *Engine) rebuildLocked() (*Snapshot, error) {
 		scheme:   scheme,
 		sim:      sim,
 		hopLimit: routing.DefaultHopLimit(g.N()),
-		est:      est,
 		tables:   tables,
 		owned:    e.owned,
 	}
